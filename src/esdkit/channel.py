@@ -3,6 +3,8 @@
 Each atom carries a residual amplitude gamma and a transfer amplitude
 omega = sqrt(1 - gamma^2); the two-qubit channel is the four-operator Kraus
 set built from diag(gamma, 1) and omega times the lowering operator.  The
+channel is applied atom by atom on the (2, 2, 2, 2) view of each state, so
+a stack of states and per-state amplitudes go through in one pass.  The
 Markov special case is gamma = exp(-rate*t/2); time-dependent gammas from a
 memory kernel plug into the same constructors.
 """
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import I4, SIGMA_MINUS, dagger, kron
+from .linalg import I4, SIGMA_MINUS, dagger, first_bad, kron
 from .states import assert_density_matrix
 
 COMPLETENESS_TOL = 1e-12
@@ -24,38 +26,51 @@ class DampingCoefficients:
     """Per-atom residual (gamma) and transfer (omega) amplitudes.
 
     Each pair must sit on the unit circle: gamma^2 + omega^2 = 1 within 1e-12,
-    with both entries in [0, 1].
+    with both entries in [0, 1].  The amplitudes are floats, or arrays that
+    broadcast against the leading axes of a state stack (one channel per
+    stack member).
     """
 
-    gamma_a: float
-    gamma_b: float
-    omega_a: float
-    omega_b: float
+    gamma_a: float | np.ndarray
+    gamma_b: float | np.ndarray
+    omega_a: float | np.ndarray
+    omega_b: float | np.ndarray
 
     def __post_init__(self) -> None:
         for name, gamma, omega in (
             ("A", self.gamma_a, self.omega_a),
             ("B", self.gamma_b, self.omega_b),
         ):
-            if not (0.0 <= gamma <= 1.0 and 0.0 <= omega <= 1.0):
+            if not (_in_unit_interval(gamma) and _in_unit_interval(omega)):
                 raise ValueError(f"atom {name}: amplitudes must lie in [0, 1]")
-            if abs(gamma * gamma + omega * omega - 1.0) > 1e-12:
+            norm = np.asarray(gamma * gamma + omega * omega)
+            bad = first_bad(np.abs(norm - 1.0) > 1e-12)
+            if bad is not None:
                 raise ValueError(
-                    f"atom {name}: gamma^2 + omega^2 = "
-                    f"{gamma * gamma + omega * omega:.15g}, expected 1"
+                    f"atom {name}: gamma^2 + omega^2 = {norm[bad]:.15g}, expected 1"
                 )
 
 
-def coefficients_from_gammas(gamma_a: float, gamma_b: float) -> DampingCoefficients:
-    """Coefficients with omegas filled in from the unit-circle constraint."""
+def _in_unit_interval(x: float | np.ndarray) -> bool:
+    x = np.asarray(x)
+    return bool(np.all((0.0 <= x) & (x <= 1.0)))
+
+
+def coefficients_from_gammas(
+    gamma_a: float | np.ndarray, gamma_b: float | np.ndarray
+) -> DampingCoefficients:
+    """Coefficients with omegas filled in from the unit-circle constraint.
+
+    Float gammas give float coefficients; array gammas give one channel per
+    entry.
+    """
+    amplitudes = []
     for name, g in (("A", gamma_a), ("B", gamma_b)):
-        if not 0.0 <= g <= 1.0:
+        if not _in_unit_interval(g):
             raise ValueError(f"atom {name}: gamma={g} outside [0, 1]")
-    return DampingCoefficients(
-        gamma_a, gamma_b,
-        float(np.sqrt(1.0 - gamma_a * gamma_a)),
-        float(np.sqrt(1.0 - gamma_b * gamma_b)),
-    )
+        omega = np.sqrt(1.0 - np.asarray(g, dtype=float) ** 2)
+        amplitudes.append(float(omega) if omega.ndim == 0 else omega)
+    return DampingCoefficients(gamma_a, gamma_b, amplitudes[0], amplitudes[1])
 
 
 def coefficients_markov(rate: float, t: float) -> DampingCoefficients:
@@ -69,10 +84,11 @@ def coefficients_markov(rate: float, t: float) -> DampingCoefficients:
 
 
 def build_kraus(c: DampingCoefficients) -> list[np.ndarray]:
-    """The four Kraus operators, residual-residual first.
+    """The four Kraus operators of a single channel, residual-residual first.
 
     Order: (keep A, keep B), (keep A, decay B), (decay A, keep B),
-    (decay A, decay B).
+    (decay A, decay B).  This is the reference form; apply_channel and
+    kraus_term act with the per-atom factors instead.
     """
     keep_a = np.diag([c.gamma_a, 1.0]).astype(complex)
     keep_b = np.diag([c.gamma_b, 1.0]).astype(complex)
@@ -92,19 +108,61 @@ def completeness_defect(kraus: list[np.ndarray]) -> float:
     return float(np.max(np.abs(acc - I4)))
 
 
-def apply_channel(rho: np.ndarray, c: DampingCoefficients) -> np.ndarray:
-    """Apply the two-atom damping channel: sum_mu K_mu rho K_mu^dagger."""
-    rho = assert_density_matrix(rho)
-    out = np.zeros((4, 4), dtype=complex)
-    for k in build_kraus(c):
-        out += k @ rho @ dagger(k)
+# On the (..., 2, 2, 2, 2) view of a two-qubit matrix the axes are
+# (row A, row B, column A, column B); each atom acts on its row/column pair.
+
+
+def _keep(r: np.ndarray, gamma: float | np.ndarray, atom: str) -> np.ndarray:
+    """K r K^dagger with K = diag(gamma, 1) on one atom: entry (i, j) of the
+    atom's pair is scaled by k_i k_j, k = (gamma, 1)."""
+    k = np.stack(np.broadcast_arrays(np.asarray(gamma, dtype=float), 1.0), -1)
+    factor = k[..., :, None] * k[..., None, :]
+    if atom == "A":
+        return r * factor[..., :, None, :, None]
+    return r * factor[..., None, :, None, :]
+
+
+def _decay(r: np.ndarray, omega: float | np.ndarray, atom: str) -> np.ndarray:
+    """K r K^dagger with K = omega * sigma_minus on one atom: the atom's
+    excited-excited block moves to ground-ground, scaled by omega^2."""
+    w2 = np.asarray(omega, dtype=float) ** 2
+    shape = np.broadcast_shapes(r.shape, w2.shape + (2, 2, 2, 2))
+    out = np.zeros(shape, dtype=complex)
+    if atom == "A":
+        out[..., 1, :, 1, :] = w2[..., None, None] * r[..., 0, :, 0, :]
+    else:
+        out[..., :, 1, :, 1] = w2[..., None, None] * r[..., :, 0, :, 0]
     return out
 
 
+def _kraus_terms(rho: np.ndarray, c: DampingCoefficients) -> list[np.ndarray]:
+    """The four branches K_mu rho K_mu^dagger of a validated state stack,
+    in build_kraus order, each of shape (..., 4, 4)."""
+    r = rho.reshape(rho.shape[:-2] + (2, 2, 2, 2))
+    keep_b = _keep(r, c.gamma_b, "B")
+    decay_b = _decay(r, c.omega_b, "B")
+    terms = (
+        _keep(keep_b, c.gamma_a, "A"),
+        _keep(decay_b, c.gamma_a, "A"),
+        _decay(keep_b, c.omega_a, "A"),
+        _decay(decay_b, c.omega_a, "A"),
+    )
+    return [t.reshape(t.shape[:-4] + (4, 4)) for t in terms]
+
+
+def apply_channel(rho: np.ndarray, c: DampingCoefficients) -> np.ndarray:
+    """Apply the two-atom damping channel: sum_mu K_mu rho K_mu^dagger.
+
+    rho may be one state or a stack (..., 4, 4); array amplitudes in c
+    broadcast against the stack's leading axes.
+    """
+    t1, t2, t3, t4 = _kraus_terms(assert_density_matrix(rho), c)
+    return t1 + t2 + t3 + t4
+
+
 def kraus_term(rho: np.ndarray, c: DampingCoefficients, mu: int) -> np.ndarray:
-    """Single unnormalized Kraus branch K_mu rho K_mu^dagger, mu in 1..4."""
+    """Single unnormalized Kraus branch K_mu rho K_mu^dagger, mu in 1..4,
+    on one state or a stack, broadcasting like apply_channel."""
     if mu not in (1, 2, 3, 4):
         raise ValueError(f"mu must be 1..4, got {mu}")
-    rho = assert_density_matrix(rho)
-    k = build_kraus(c)[mu - 1]
-    return k @ rho @ dagger(k)
+    return _kraus_terms(assert_density_matrix(rho), c)[mu - 1]

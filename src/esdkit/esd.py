@@ -67,10 +67,10 @@ def concurrence_markov(a: float, rate: float, t: float) -> float:
     """Concurrence of the family under equal-rate Markov damping at time t."""
     if not 0.0 <= a <= 1.0:
         raise ValueError(f"family parameter a={a} outside [0, 1]")
-    if rate < 0.0:
-        raise ValueError(f"negative rate {rate}")
-    if t < 0.0:
-        raise ValueError(f"negative time {t}")
+    if not (math.isfinite(rate) and rate >= 0.0):
+        raise ValueError(f"rate must be finite and nonnegative, got {rate}")
+    if not (math.isfinite(t) and t >= 0.0):
+        raise ValueError(f"time must be finite and nonnegative, got {t}")
     g2 = math.exp(-rate * t)
     return (2.0 / 3.0) * max(0.0, g2 * _f_of_w2(a, 1.0 - g2))
 
@@ -84,8 +84,8 @@ def disentanglement_time_exact(a: float, rate: float) -> EsdVerdict:
     """
     if not 0.0 <= a <= 1.0:
         raise ValueError(f"family parameter a={a} outside [0, 1]")
-    if rate <= 0.0:
-        raise ValueError(f"rate must be positive, got {rate}")
+    if not (math.isfinite(rate) and rate > 0.0):
+        raise ValueError(f"rate must be finite and positive, got {rate}")
     if a <= FINITE_DEATH_THRESHOLD:
         return EsdVerdict(a=a, kind="asymptotic", t_d=None)
     w2_d = (math.sqrt(a * a - a + 2.0) - 1.0) / a
@@ -134,8 +134,9 @@ def sweep(a_grid: np.ndarray, t_grid: np.ndarray, rate: float) -> np.ndarray:
         raise ValueError("empty grid")
     if np.any(np.diff(a_grid) < 0) or np.any(np.diff(t_grid) < 0):
         raise ValueError("grids must be sorted ascending")
-    if a_grid[0] < 0.0 or a_grid[-1] > 1.0 or t_grid[0] < 0.0 or rate < 0.0:
-        raise ValueError("a in [0, 1], t >= 0, rate >= 0 required")
+    if not (a_grid[0] >= 0.0 and a_grid[-1] <= 1.0 and t_grid[0] >= 0.0
+            and np.isfinite(t_grid[-1]) and math.isfinite(rate) and rate >= 0.0):
+        raise ValueError("a in [0, 1], finite t >= 0, finite rate >= 0 required")
     g2 = np.exp(-rate * t_grid)[None, :]
     w2 = 1.0 - g2
     a = a_grid[:, None]

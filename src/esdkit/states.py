@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import dagger, hermiticity_defect
+from .linalg import dagger, first_bad, hermiticity_defect, member
 
 TRACE_TOL = 1e-10
 EIG_FLOOR = -1e-9
@@ -39,24 +39,31 @@ def assert_density_matrix(
     trace_tol: float = TRACE_TOL,
     eig_floor: float = EIG_FLOOR,
 ) -> np.ndarray:
-    """Validate a 4x4 (or 2x2) density matrix and return it as complex ndarray.
+    """Validate a 4x4 (or 2x2) density matrix, or a stack (..., n, n) of them,
+    and return it as complex ndarray.
 
     Checks Hermiticity, unit trace, and positivity down to eig_floor.
-    Raises ValueError on any violation.
+    Raises ValueError on any violation, naming the first bad stack member.
     """
     rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or rho.shape[0] not in (2, 4):
-        raise ValueError(f"expected a 2x2 or 4x4 matrix, got shape {rho.shape}")
-    defect = hermiticity_defect(rho)
-    if defect > herm_tol:
-        raise ValueError(f"state is not Hermitian: defect {defect:.3e}")
-    tr = np.trace(rho)
-    if abs(tr - 1.0) > trace_tol:
-        raise ValueError(f"state trace {tr:.12g} is not 1 within {trace_tol:.1e}")
-    w = np.linalg.eigvalsh(0.5 * (rho + dagger(rho)))
-    if w[0] < eig_floor:
-        raise ValueError(f"state is not positive: min eigenvalue {w[0]:.3e}")
-    return rho
+    if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2] or rho.shape[-1] not in (2, 4):
+        raise ValueError(f"expected 2x2 or 4x4 matrices, got shape {rho.shape}")
+    defect = np.asarray(hermiticity_defect(rho))
+    tr = np.trace(rho, axis1=-2, axis2=-1)
+    sane = (defect <= herm_tol) & (np.abs(tr - 1.0) <= trace_tol)
+    # Failed members get the zero matrix so the eigensolver never sees non-finite input.
+    sym = np.where(sane[..., None, None], 0.5 * (rho + dagger(rho)), 0.0)
+    w_min = np.linalg.eigvalsh(sym)[..., 0]
+    i = first_bad(~sane | (w_min < eig_floor))
+    if i is None:
+        return rho
+    if not defect[i] <= herm_tol:
+        raise ValueError(f"state{member(i)} is not Hermitian: defect {defect[i]:.3e}")
+    if not abs(tr[i] - 1.0) <= trace_tol:
+        raise ValueError(
+            f"state{member(i)} trace {tr[i]:.12g} is not 1 within {trace_tol:.1e}"
+        )
+    raise ValueError(f"state{member(i)} is not positive: min eigenvalue {w_min[i]:.3e}")
 
 
 @dataclass(frozen=True)

@@ -258,3 +258,38 @@ def test_numerical_failure_exits_3(tmp_path, capsys):
     )
     assert code == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("slack", ["nan", "-1", "inf"])
+def test_bound_rejects_bad_slack_exit_2(tmp_path, capsys, slack):
+    out = tmp_path / "bound.csv"
+    assert run("bound", "--samples", "3", "--slack", slack, "--output", str(out)) == 2
+    assert "slack" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rate", ["nan", "inf"])
+def test_td_non_finite_rate_exit_2(capsys, rate):
+    for method in ("bisect", "exact"):
+        assert run("td", "--a", "1", "--rate", rate, "--method", method) == 2
+        assert "rate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rate", ["nan", "inf"])
+def test_sweep_non_finite_rate_exit_2(tmp_path, capsys, rate):
+    out = tmp_path / "sweep.csv"
+    assert run("sweep", "--a-steps", "3", "--t-steps", "4", "--rate", rate,
+               "--output", str(out)) == 2
+    assert "rate" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_block_size_does_not_change_outputs(tmp_path, monkeypatch):
+    runs = {}
+    for block in (128, 1, 7):
+        monkeypatch.setattr(cli, "STACK_BLOCK", block)
+        ev, bd = tmp_path / f"ev{block}.csv", tmp_path / f"bd{block}.csv"
+        assert run("evolve", "--a", "0.8", "--t-max", "0.3", "--output", str(ev)) == 0
+        assert run("bound", "--samples", "9", "--seed", "3", "--output", str(bd)) == 0
+        runs[block] = (ev.read_bytes(), bd.read_bytes())
+    assert runs[1] == runs[7] == runs[128]

@@ -210,3 +210,9 @@ def test_check_bound_random_smoke():
             assert rep.satisfied
             assert rep.first_branch_gap < 1e-9
             assert rep.side_branch_max < 1e-10
+
+
+@pytest.mark.parametrize("slack", [np.nan, -1.0, np.inf])
+def test_check_bound_rejects_bad_slack(slack):
+    with pytest.raises(ValueError, match="slack"):
+        check_bound(random_state(0), coefficients_from_gammas(0.5, 0.5), slack=slack)

@@ -209,3 +209,21 @@ def test_verdict_is_frozen_and_comparable():
     assert v == EsdVerdict(a=0.5, kind="finite", t_d=1.0)
     with pytest.raises(AttributeError):
         v.t_d = 2.0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_arguments_are_rejected(bad):
+    with pytest.raises(ValueError):
+        concurrence_markov(1.0, bad, 1.0)
+    with pytest.raises(ValueError):
+        concurrence_markov(1.0, 1.0, bad)
+    with pytest.raises(ValueError):
+        concurrence_markov(bad, 1.0, 1.0)
+    with pytest.raises(ValueError):
+        disentanglement_time_exact(1.0, bad)
+    with pytest.raises(ValueError):
+        disentanglement_time_exact(bad, 1.0)
+    with pytest.raises(ValueError):
+        disentanglement_time(1.0, bad)
+    with pytest.raises(ValueError):
+        sweep(np.array([0.5]), np.array([0.0, 1.0]), bad)
