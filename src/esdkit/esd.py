@@ -16,6 +16,7 @@ import numpy as np
 
 from .channel import coefficients_from_gammas
 from .entanglement import concurrence_x
+from .errors import NumericalError
 from .states import XState, standard_family
 
 FINITE_DEATH_THRESHOLD = 1.0 / 3.0
@@ -97,7 +98,7 @@ def disentanglement_time(a: float, rate: float) -> EsdVerdict:
 
     Verifies monotonicity of the factor on the bracket, bisects to
     1e-10/rate, and cross-checks the closed form; a disagreement beyond
-    1e-8/rate raises RuntimeError.
+    1e-8/rate raises NumericalError.
     """
     exact = disentanglement_time_exact(a, rate)
     if exact.kind == "asymptotic":
@@ -109,9 +110,9 @@ def disentanglement_time(a: float, rate: float) -> EsdVerdict:
     lo, hi = 0.0, BISECTION_WINDOW / rate
     samples = [f(lo + (hi - lo) * k / 100.0) for k in range(101)]
     if any(b > prev + 1e-12 for prev, b in zip(samples, samples[1:])):
-        raise RuntimeError("concurrence factor is not monotone on the bracket")
+        raise NumericalError("concurrence factor is not monotone on the bracket")
     if not (samples[0] > 0.0 >= samples[-1]):
-        raise RuntimeError("bisection bracket does not straddle the zero")
+        raise NumericalError("bisection bracket does not straddle the zero")
     while hi - lo > BISECTION_TOL / rate:
         mid = 0.5 * (lo + hi)
         if f(mid) > 0.0:
@@ -120,7 +121,7 @@ def disentanglement_time(a: float, rate: float) -> EsdVerdict:
             hi = mid
     t_d = 0.5 * (lo + hi)
     if abs(t_d - exact.t_d) > CROSS_CHECK_TOL / rate:
-        raise RuntimeError(
+        raise NumericalError(
             f"bisection root {t_d!r} disagrees with closed form {exact.t_d!r}"
         )
     return EsdVerdict(a=a, kind="finite", t_d=t_d)

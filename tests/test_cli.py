@@ -106,6 +106,43 @@ def test_evolve_kernel_file_round_trip(tmp_path):
     assert np.max(np.abs(c_table - c_pole)) < 1e-4
 
 
+def write_table(path, tau, alpha) -> None:
+    rows = ["# tau alpha_re alpha_im"]
+    rows += [f"{t:.17e} {a.real:.17e} {a.imag:.17e}" for t, a in zip(tau, alpha)]
+    path.write_text("\n".join(rows) + "\n")
+
+
+def test_tabulated_kernel_matches_exponential_and_gates(tmp_path, capsys):
+    # the tabulated/exponential recipe of docs/reproduction.md
+    tau = np.arange(0, 1.0 + 5e-4, 1e-3)
+    table = tmp_path / "kern.txt"
+    write_table(table, tau, ExponentialKernel(1.0, 5.0, 0.0).evaluate(tau))
+    tab, pole = tmp_path / "tab.csv", tmp_path / "exp.csv"
+    common = ("evolve", "--a", "1", "--t-max", "1", "--mem-dt", "1e-3")
+    assert run(*common, "--kernel-file", str(table), "--mem-tol", "1e-3",
+               "--output", str(tab)) == 0
+    assert run(*common, "--memory-rate", "5", "--output", str(pole)) == 0
+    gap = np.max(np.abs(load_csv(tab) - load_csv(pole)), axis=0)
+    assert np.all(gap[1:4] < 1e-6)  # concurrence, local_coh_A, local_coh_B
+    capsys.readouterr()
+    # without --mem-tol the default 1e-8 gate rejects the 1e-3 table step
+    assert run(*common, "--kernel-file", str(table),
+               "--output", str(tmp_path / "gated.csv")) == 3
+    assert "accumulated local-error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("row", ["0.1 nan 0.0", "inf 0.5 0.0"])
+def test_evolve_non_finite_kernel_table_exit_2(tmp_path, capsys, row):
+    table = tmp_path / "bad.dat"
+    table.write_text(f"# tau re im\n0.0 1.0 0.0\n{row}\n0.2 0.5 0.0\n")
+    code = run("evolve", "--t-max", "0.2", "--kernel-file", str(table),
+               "--output", str(tmp_path / "x.csv"))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "kernel table row 1 is not finite" in err
+    assert "Traceback" not in err
+
+
 def test_evolve_rejects_conflicting_kernel_options(tmp_path, capsys):
     code = run(
         "evolve", "--memory-rate", "5", "--kernel-file", "x.dat",
@@ -258,6 +295,17 @@ def test_numerical_failure_exits_3(tmp_path, capsys):
     )
     assert code == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_sweep_threshold_zoom_exits_3(tmp_path, capsys):
+    # just above a = 1/3 the bisection and the closed form disagree; that is
+    # a numerical failure, not a crash
+    code = run("sweep", "--a-min", "0.3333333", "--a-max", "0.3333334",
+               "--a-steps", "11", "--output", str(tmp_path / "s.csv"))
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("numerical failure: ")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("slack", ["nan", "-1", "inf"])

@@ -1,6 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from esdkit import memory
 from esdkit.errors import ConvergenceError, SingularCoefficientError
 from esdkit.memory import (
     AmplitudeSolution,
@@ -153,6 +158,91 @@ def test_tabulated_matches_exponential():
     st = solve_amplitude(tab_kernel, 1.0, 2.0, 1e-3, tol=np.inf)
     assert np.max(np.abs(se.b - st.b)) < 1e-5
     assert np.max(volterra_residual(st, tab_kernel)) < 2e-5
+
+
+def direct_trapezoid(alpha: np.ndarray, omega_atom: float, h: float):
+    """The implicit trapezoid scheme with the full-history dot at every step,
+    O(n^2): the reference the blocked history sum must reproduce.  Returns b
+    and the accumulated local-error estimate."""
+    n = alpha.size - 1
+    b = np.empty(n + 1, dtype=complex)
+    bdot = np.empty(n + 1, dtype=complex)
+    b[0] = 1.0
+    bdot[0] = -1j * omega_atom
+    denom = 1.0 + 0.5 * h * (1j * omega_atom + 0.5 * h * alpha[0])
+    err_acc = 0.0
+    for i in range(1, n + 1):
+        hist = alpha[i - 1:0:-1] @ b[1:i] if i > 1 else 0.0
+        r = h * (0.5 * alpha[i] * b[0] + hist)
+        bi = (b[i - 1] + 0.5 * h * (bdot[i - 1] - r)) / denom
+        if i == 1:
+            pred = b[0] + h * bdot[0]
+        else:
+            pred = b[i - 1] + h * (1.5 * bdot[i - 1] - 0.5 * bdot[i - 2])
+        err_acc += abs(bi - pred) / 6.0
+        b[i] = bi
+        bdot[i] = -1j * omega_atom * bi - (r + 0.5 * h * alpha[0] * bi)
+    return b, err_acc
+
+
+def decaying_table(n: int, t_max: float, weight: complex, rate: float, center: float):
+    tau = np.arange(n + 1) * (t_max / n)
+    return TabulatedKernel(tau=tau, alpha=weight * np.exp(-(rate + 1j * center) * tau))
+
+
+def solve_quietly(kernel, omega_atom, t_max, n, tol):
+    # random tables need not be physical: the |b| > 1 warning is expected
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return solve_amplitude(kernel, omega_atom, t_max, t_max / n, tol=tol)
+
+
+LEAF = memory.FFT_LEAF
+edge_counts = [1, 2, LEAF - 1, LEAF, LEAF + 1, 2 * LEAF - 1, 2 * LEAF, 2 * LEAF + 1, 3 * LEAF]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    # the last branch keeps about half the draws on the FFT path (n >= 2*LEAF)
+    n=st.one_of(st.sampled_from(edge_counts), st.integers(1, 3 * LEAF),
+                st.integers(2 * LEAF, 3 * LEAF)),
+    magnitude=st.floats(0.5, 5.0),
+    phase=st.floats(-np.pi, np.pi),
+    rate=st.floats(0.5, 20.0),
+    center=st.floats(-5.0, 5.0),
+    omega_atom=st.floats(-3.0, 3.0),
+    t_max=st.floats(0.1, 2.0),
+    gate=st.one_of(st.floats(0.5, 0.9), st.floats(1.1, 2.0)),
+)
+def test_blocked_history_sum_matches_direct_sum(
+    n, magnitude, phase, rate, center, omega_atom, t_max, gate
+):
+    kernel = decaying_table(n, t_max, magnitude * np.exp(1j * phase), rate, center)
+    sol = solve_quietly(kernel, omega_atom, t_max, n, np.inf)
+    want, err_acc = direct_trapezoid(kernel.evaluate(sol.t), omega_atom, sol.dt)
+    assert np.max(np.abs(sol.b - want)) <= 1e-13
+    if n < 2 * LEAF:
+        assert np.array_equal(sol.b, want)
+    # the accuracy gate falls on the same side of tol for both sums
+    tol = gate * err_acc
+    try:
+        solve_quietly(kernel, omega_atom, t_max, n, tol)
+        raised = False
+    except ConvergenceError:
+        raised = True
+    assert raised == (err_acc > tol)
+
+
+@pytest.mark.parametrize("leaf", [1, 2, 3, 5])
+def test_blocked_history_sum_at_every_depth(monkeypatch, leaf):
+    # tiny leaves split short grids down to single steps: every recursion
+    # depth and every odd split is joined by an FFT product
+    monkeypatch.setattr(memory, "FFT_LEAF", leaf)
+    for n in range(1, 70):
+        kernel = decaying_table(n, 1.5, 2.0 - 1.0j, 3.0, 1.0)
+        sol = solve_quietly(kernel, 0.7, 1.5, n, np.inf)
+        want, _ = direct_trapezoid(kernel.evaluate(sol.t), 0.7, sol.dt)
+        assert np.max(np.abs(sol.b - want)) <= 1e-13
 
 
 def test_tabulated_requires_coverage():
