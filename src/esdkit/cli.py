@@ -31,7 +31,7 @@ import numpy as np
 from .channel import apply_channel, coefficients_from_gammas, coefficients_markov
 from .entanglement import check_bound, concurrence, concurrence_x
 from .errors import NumericalError
-from .esd import disentanglement_time, disentanglement_time_exact, sweep
+from .esd import death_time_s, disentanglement_time, disentanglement_time_exact, sweep
 from .master import (
     AtomParams,
     integrate_master,
@@ -226,26 +226,30 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     a_grid = np.linspace(args.a_min, args.a_max, args.a_steps)
     t_grid = np.linspace(0.0, args.t_max, args.t_steps)
     surface = sweep(a_grid, t_grid, args.rate)
+    s_d = death_time_s(a_grid)
+    finite = np.isfinite(s_d)
+    with np.errstate(over="ignore"):  # an overflowing t_d is reported below
+        t_d = s_d if args.natural_units else s_d / args.rate
+    if not np.all(np.isfinite(t_d[finite])):
+        raise NumericalError(f"death times overflow model time at rate {args.rate!r}")
+    summary = [
+        {"a": a, "kind": "finite" if fin else "asymptotic", "t_d": t if fin else None,
+         "gamma_rate": args.rate}
+        for a, fin, t in zip(a_grid.tolist(), finite.tolist(), t_d.tolist())
+    ]
 
+    # Nothing is written until every number is in hand, so a failed run
+    # leaves no partial output.
     scale = args.rate if args.natural_units else 1.0
-    lines = ["a,t,concurrence"]
-    for i, a in enumerate(a_grid):
-        for j, t in enumerate(t_grid):
-            lines.append(f"{_fmt(a)},{_fmt(t * scale)},{_fmt(surface[i, j])}")
-    _write_lines(args.output, lines)
-
-    summary = []
-    for a in a_grid:
-        verdict = disentanglement_time(float(a), args.rate)
-        summary.append({
-            "a": float(a),
-            "kind": verdict.kind,
-            "t_d": None if verdict.t_d is None else verdict.t_d * scale,
-            "gamma_rate": args.rate,
-        })
+    times = [_fmt(t) for t in (t_grid * scale).tolist()]
+    with open(args.output, "w", newline="") as fh:
+        fh.write("a,t,concurrence\n")
+        for a, row in zip(a_grid.tolist(), surface.tolist()):
+            head = _fmt(a)
+            fh.write("".join(["%s,%s,%.17g\n" % (head, t, c) for t, c in zip(times, row)]))
     spath = _summary_path(args.output)
     with open(spath, "w", newline="") as fh:
-        json.dump(summary, fh, indent=2)
+        json.dump(summary, fh, indent=2, allow_nan=False)
         fh.write("\n")
     print(f"wrote {args.output} ({a_grid.size * t_grid.size} rows) and {spath}")
     return 0
@@ -267,15 +271,19 @@ def cmd_td(args: argparse.Namespace) -> int:
     if args.method not in ("bisect", "exact"):
         raise ValueError(f'method must be "bisect" or "exact", got {args.method!r}')
     solver = disentanglement_time if args.method == "bisect" else disentanglement_time_exact
-    verdict = solver(args.a, args.rate)
-    scale = args.rate if args.natural_units else 1.0
+    if not (math.isfinite(args.rate) and args.rate > 0.0):
+        raise ValueError(f"rate must be finite and positive, got {args.rate}")
+    # In natural units the reported rate*t_d is the death time at unit rate,
+    # finite however small the rate; a model-time t_d that overflows raises
+    # NumericalError.
+    verdict = solver(args.a, 1.0 if args.natural_units else args.rate)
     payload = {
         "a": args.a,
         "kind": verdict.kind,
-        "t_d": None if verdict.t_d is None else verdict.t_d * scale,
+        "t_d": verdict.t_d,
         "gamma_rate": args.rate,
     }
-    text = json.dumps(payload, indent=2) + "\n"
+    text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
     if args.output:
         with open(args.output, "w", newline="") as fh:
             fh.write(text)

@@ -3,8 +3,10 @@
 For the standard one-parameter family the concurrence along the damping
 trajectory is (2/3) * max(0, g2 * f(g2)) with g2 = exp(-rate*t) and
 f = 1 - sqrt(a * (1 - a + 2 w2 + w2^2 a)), w2 = 1 - g2.  The zero of f has a
-closed form; death happens at finite time exactly when a > 1/3, otherwise the
-concurrence only vanishes asymptotically.
+closed form, death_time_s, which is the production death time; death happens
+at finite time exactly when a > 1/3, otherwise the concurrence only vanishes
+asymptotically.  The bisection disentanglement_time is kept as an independent
+cross-check of it.
 """
 
 from __future__ import annotations
@@ -20,10 +22,13 @@ from .errors import NumericalError
 from .states import XState, standard_family
 
 FINITE_DEATH_THRESHOLD = 1.0 / 3.0
-# Search window and tolerances for the bisection path, in units of 1/rate.
+# Search window and tolerances for the bisection path, in the dimensionless
+# time s = rate*t.  The window holds every death time: s_d < 37 for all
+# floats a > 1/3.
 BISECTION_WINDOW = 50.0
 BISECTION_TOL = 1e-10
 CROSS_CHECK_TOL = 1e-8
+EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -76,55 +81,89 @@ def concurrence_markov(a: float, rate: float, t: float) -> float:
     return (2.0 / 3.0) * max(0.0, g2 * _f_of_w2(a, 1.0 - g2))
 
 
-def disentanglement_time_exact(a: float, rate: float) -> EsdVerdict:
-    """Death time from the closed-form root of the concurrence factor.
-
-    Solving f = 0 as a quadratic in w2 gives
-    w2_d = (sqrt(a^2 - a + 2) - 1)/a, hence t_d = -log(1 - w2_d)/rate; the
-    root lies inside (0, 1) only for a > 1/3.
-    """
-    if not 0.0 <= a <= 1.0:
-        raise ValueError(f"family parameter a={a} outside [0, 1]")
+def _check_rate(rate: float) -> None:
     if not (math.isfinite(rate) and rate > 0.0):
         raise ValueError(f"rate must be finite and positive, got {rate}")
-    if a <= FINITE_DEATH_THRESHOLD:
+
+
+def death_time_s(a: np.ndarray | float) -> np.ndarray:
+    """Dimensionless death time s_d = rate * t_d of the family, elementwise.
+
+    The root w2_d = (sqrt(a^2 - a + 2) - 1)/a of the concurrence factor gives
+    s_d = -ln(1 - w2_d).  Rationalizing 1 - w2_d leaves
+
+        s_d = ln(a (a + 1 + sqrt(a^2 - a + 2)) / (3a - 1)),
+
+    where the only cancellation, 3a - 1, is formed exactly, so s_d keeps a
+    relative error of a few ulps right up to the threshold.  Entries with
+    a <= 1/3 are +inf: the concurrence then only vanishes asymptotically.
+    """
+    a = np.asarray(a, dtype=float)
+    bad = ~((a >= 0.0) & (a <= 1.0))
+    if bad.any():
+        raise ValueError(f"family parameter a={a[bad].flat[0]} outside [0, 1]")
+    finite = a > FINITE_DEATH_THRESHOLD
+    x = np.where(finite, a, 1.0)
+    # fl(1/3) = 1/3 - 2**-54/3, so 3a - 1 = 3 (a - fl(1/3)) - 2**-54; the
+    # subtraction is exact (Sterbenz) for a <= 2/3, where 3a - 1 cancels.
+    gap = 3.0 * (x - FINITE_DEATH_THRESHOLD) - 2.0 ** -54
+    s_d = np.log(x * (x + 1.0 + np.sqrt(x * x - x + 2.0)) / gap)
+    return np.where(finite, s_d, np.inf)
+
+
+def _verdict(a: float, s_d: float, rate: float) -> EsdVerdict:
+    """Verdict in model time t_d = s_d / rate; a t_d that overflows is a
+    NumericalError, never an infinite death time."""
+    if s_d == math.inf:
         return EsdVerdict(a=a, kind="asymptotic", t_d=None)
-    w2_d = (math.sqrt(a * a - a + 2.0) - 1.0) / a
-    return EsdVerdict(a=a, kind="finite", t_d=-math.log(1.0 - w2_d) / rate)
+    t_d = s_d / rate
+    if not math.isfinite(t_d):
+        raise NumericalError(f"death time {s_d!r}/rate overflows at rate {rate!r}")
+    return EsdVerdict(a=a, kind="finite", t_d=t_d)
+
+
+def disentanglement_time_exact(a: float, rate: float) -> EsdVerdict:
+    """Death time from the closed form of death_time_s; finite only for a > 1/3."""
+    _check_rate(rate)
+    return _verdict(a, float(death_time_s(a)), rate)
 
 
 def disentanglement_time(a: float, rate: float) -> EsdVerdict:
-    """Death time by bisection on the concurrence factor.
+    """Death time by bisection on the concurrence factor in s = rate * t.
 
     Verifies monotonicity of the factor on the bracket, bisects to
-    1e-10/rate, and cross-checks the closed form; a disagreement beyond
-    1e-8/rate raises NumericalError.
+    BISECTION_TOL and cross-checks the closed form.  The factor is evaluated
+    to a few eps, but its slope in s is of order u_d = e^{-s_d}, which
+    vanishes as a -> 1/3; so the cross-check allows CROSS_CHECK_TOL +
+    8 eps/u_d in s, and a larger disagreement raises NumericalError.
     """
-    exact = disentanglement_time_exact(a, rate)
-    if exact.kind == "asymptotic":
-        return exact
+    _check_rate(rate)
+    s_exact = float(death_time_s(a))
+    if s_exact == math.inf:
+        return _verdict(a, s_exact, rate)
 
-    def f(t: float) -> float:
-        return _f_of_w2(a, 1.0 - math.exp(-rate * t))
+    def f(s: float) -> float:
+        return _f_of_w2(a, 1.0 - math.exp(-s))
 
-    lo, hi = 0.0, BISECTION_WINDOW / rate
-    samples = [f(lo + (hi - lo) * k / 100.0) for k in range(101)]
+    lo, hi = 0.0, BISECTION_WINDOW
+    samples = [f(hi * k / 100.0) for k in range(101)]
     if any(b > prev + 1e-12 for prev, b in zip(samples, samples[1:])):
         raise NumericalError("concurrence factor is not monotone on the bracket")
     if not (samples[0] > 0.0 >= samples[-1]):
         raise NumericalError("bisection bracket does not straddle the zero")
-    while hi - lo > BISECTION_TOL / rate:
+    while hi - lo > BISECTION_TOL:
         mid = 0.5 * (lo + hi)
         if f(mid) > 0.0:
             lo = mid
         else:
             hi = mid
-    t_d = 0.5 * (lo + hi)
-    if abs(t_d - exact.t_d) > CROSS_CHECK_TOL / rate:
+    s_d = 0.5 * (lo + hi)
+    tol = CROSS_CHECK_TOL + 8.0 * EPS / math.exp(-s_exact)
+    if abs(s_d - s_exact) > tol:
         raise NumericalError(
-            f"bisection root {t_d!r} disagrees with closed form {exact.t_d!r}"
+            f"bisection root {s_d!r} disagrees with closed form {s_exact!r} (rate*t)"
         )
-    return EsdVerdict(a=a, kind="finite", t_d=t_d)
+    return _verdict(a, s_d, rate)
 
 
 def sweep(a_grid: np.ndarray, t_grid: np.ndarray, rate: float) -> np.ndarray:

@@ -1,9 +1,14 @@
 import json
+import math
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
 from esdkit import cli
+from esdkit.errors import NumericalError
+from esdkit.esd import sweep
 from esdkit.memory import ExponentialKernel
 from esdkit.selfcheck import CheckResult
 
@@ -297,15 +302,122 @@ def test_numerical_failure_exits_3(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
-def test_sweep_threshold_zoom_exits_3(tmp_path, capsys):
-    # just above a = 1/3 the bisection and the closed form disagree; that is
-    # a numerical failure, not a crash
-    code = run("sweep", "--a-min", "0.3333333", "--a-max", "0.3333334",
-               "--a-steps", "11", "--output", str(tmp_path / "s.csv"))
-    err = capsys.readouterr().err
-    assert code == 3
-    assert err.startswith("numerical failure: ")
-    assert "Traceback" not in err
+def mp_death_time(a: float) -> float:
+    with mpmath.workdps(60):
+        x = mpmath.mpf(a)
+        return float(-mpmath.log(1 - (mpmath.sqrt(x * x - x + 2) - 1) / x))
+
+
+def test_sweep_threshold_zoom(tmp_path):
+    # the first 1e-7 above a = 1/3, where t_d runs away as ln(1/(3a - 1))
+    out = tmp_path / "s.csv"
+    assert run("sweep", "--a-min", "0.3333333", "--a-max", "0.3333334",
+               "--a-steps", "11", "--output", str(out)) == 0
+    summary = json.loads((tmp_path / "s_summary.json").read_text())
+    assert len(summary) == 11
+    for row in summary:
+        finite = Fraction(row["a"]) > Fraction(1, 3)
+        assert row["kind"] == ("finite" if finite else "asymptotic")
+        if finite:
+            want = mp_death_time(row["a"])
+            assert abs(row["t_d"] - want) <= 1e-12 * want
+        else:
+            assert row["t_d"] is None
+    assert summary[-1]["kind"] == "finite" and summary[-1]["t_d"] > 15.0
+
+
+def floats_above_third(n: int) -> list[float]:
+    out = [math.nextafter(1.0 / 3.0, 1.0)]
+    while len(out) < n:
+        out.append(math.nextafter(out[-1], 1.0))
+    return out
+
+
+@pytest.mark.parametrize("a", [repr(x) for x in floats_above_third(8)] + ["0.33333334"])
+def test_td_bisect_just_above_threshold(capsys, a):
+    assert run("td", "--a", a) == 0
+    got = json.loads(capsys.readouterr().out)["t_d"]
+    want = mp_death_time(float(a))
+    assert abs(got - want) <= 1e-8 + 8.0 * np.finfo(float).eps / math.exp(-want)
+
+
+def old_sweep_csv(a_min, a_max, a_steps, t_max, t_steps, rate, natural_units) -> bytes:
+    """The sweep CSV as the per-cell loop formatted it before rows were streamed."""
+    def fmt(x):
+        return "%.17g" % float(x)
+
+    a_grid = np.linspace(a_min, a_max, a_steps)
+    t_grid = np.linspace(0.0, t_max, t_steps)
+    surface = sweep(a_grid, t_grid, rate)
+    scale = rate if natural_units else 1.0
+    lines = ["a,t,concurrence"]
+    for i, a in enumerate(a_grid):
+        for j, t in enumerate(t_grid):
+            lines.append(f"{fmt(a)},{fmt(t * scale)},{fmt(surface[i, j])}")
+    return ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.parametrize("case", [
+    (0.0, 1.0, 101, 3.0, 200, 1.0, True),
+    (0.00045237955350981864, 1.0, 201, 3.0, 10, 1.0, True),
+    (0.3, 0.9, 7, 5.0, 13, 2.7, True),
+    (0.1, 1.0, 5, 2.0, 9, 0.3, False),
+    (1.0, 1.0, 1, 1.0, 1, 1.0, True),
+])
+def test_sweep_csv_is_byte_identical_to_per_cell_format(tmp_path, case):
+    a_min, a_max, a_steps, t_max, t_steps, rate, natural = case
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--a-min", repr(a_min), "--a-max", repr(a_max),
+            "--a-steps", str(a_steps), "--t-max", repr(t_max), "--t-steps", str(t_steps),
+            "--rate", repr(rate), "--output", str(out)]
+    if not natural:
+        argv.append("--no-natural-units")
+    assert run(*argv) == 0
+    assert out.read_bytes() == old_sweep_csv(*case)
+
+
+def test_sweep_writes_nothing_unless_it_succeeds(tmp_path, monkeypatch, capsys):
+    def fail(a_grid):
+        raise NumericalError("forced")
+
+    monkeypatch.setattr(cli, "death_time_s", fail)
+    out = tmp_path / "sweep.csv"
+    assert run("sweep", "--a-steps", "5", "--t-steps", "4", "--output", str(out)) == 3
+    assert "numerical failure: forced" in capsys.readouterr().err
+    assert not out.exists()
+    assert not (tmp_path / "sweep_summary.json").exists()
+
+
+def strict_json(text: str):
+    def reject(name):
+        raise AssertionError(f"non-standard JSON constant {name}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+TD_A1_EXACT = math.log((2.0 + math.sqrt(2.0)) / 2.0)
+
+
+def test_tiny_rate_reports_natural_units_and_never_infinity(tmp_path, capsys):
+    for method in ("exact", "bisect"):
+        assert run("td", "--a", "1", "--rate", "1e-310", "--method", method,
+                   "--no-natural-units") == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "numerical failure" in captured.err and "overflows" in captured.err
+        assert run("td", "--a", "1", "--rate", "1e-310", "--method", method) == 0
+        record = strict_json(capsys.readouterr().out)
+        assert record["gamma_rate"] == 1e-310
+        assert abs(record["t_d"] - TD_A1_EXACT) < (1e-15 if method == "exact" else 1e-9)
+    out = tmp_path / "sweep.csv"
+    assert run("sweep", "--rate", "1e-310", "--output", str(out)) == 0
+    summary = strict_json((tmp_path / "sweep_summary.json").read_text())
+    assert summary[-1]["a"] == 1.0
+    assert abs(summary[-1]["t_d"] - TD_A1_EXACT) < 1e-15
+    raw = tmp_path / "raw.csv"
+    assert run("sweep", "--rate", "1e-310", "--no-natural-units", "--output", str(raw)) == 3
+    assert not raw.exists()
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("slack", ["nan", "-1", "inf"])

@@ -1,11 +1,19 @@
+import math
+
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from esdkit.channel import apply_channel, coefficients_from_gammas, coefficients_markov
 from esdkit.entanglement import concurrence
+from esdkit.errors import NumericalError
 from esdkit.esd import (
+    FINITE_DEATH_THRESHOLD,
     EsdVerdict,
     concurrence_markov,
+    death_time_s,
     disentanglement_time,
     disentanglement_time_exact,
     family_concurrence_x,
@@ -227,3 +235,55 @@ def test_non_finite_arguments_are_rejected(bad):
         disentanglement_time(1.0, bad)
     with pytest.raises(ValueError):
         sweep(np.array([0.5]), np.array([0.0, 1.0]), bad)
+
+
+def mp_death_time(a: float) -> float:
+    """-ln(1 - w2_d) at 60 digits, from the unrationalized root."""
+    with mpmath.workdps(60):
+        x = mpmath.mpf(a)
+        w2_d = (mpmath.sqrt(x * x - x + 2) - 1) / x
+        return float(-mpmath.log(1 - w2_d))
+
+
+def ulps_above_threshold(k: int) -> float:
+    a = FINITE_DEATH_THRESHOLD
+    for _ in range(k):
+        a = math.nextafter(a, 1.0)
+    return a
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    wide=st.lists(st.floats(min_value=FINITE_DEATH_THRESHOLD, max_value=1.0, exclude_min=True),
+                  min_size=1, max_size=20),
+    ulps=st.lists(st.integers(min_value=1, max_value=4096), max_size=10),
+)
+def test_closed_form_matches_mpmath_to_the_threshold(wide, ulps):
+    a = np.array(wide + [ulps_above_threshold(k) for k in ulps])
+    s_d = death_time_s(a)
+    for x, got in zip(a.tolist(), s_d.tolist()):
+        want = mp_death_time(x)
+        assert abs(got - want) <= 2e-15 * want, (x, got, want)
+        # the scalar wrapper is the same formula, bit for bit
+        assert disentanglement_time_exact(x, 1.0).t_d == got
+
+
+def test_closed_form_marks_no_death_at_or_below_threshold():
+    a = np.array([0.0, 0.2, FINITE_DEATH_THRESHOLD, ulps_above_threshold(1), 1.0])
+    s_d = death_time_s(a)
+    assert s_d[:3].tolist() == [np.inf] * 3
+    assert np.all(np.isfinite(s_d[3:]))
+    assert death_time_s(1.0).shape == ()
+    with pytest.raises(ValueError, match="a=1.5"):
+        death_time_s(np.array([0.5, 1.5]))
+    with pytest.raises(ValueError):
+        death_time_s(np.nan)
+
+
+@pytest.mark.parametrize("solver", [disentanglement_time, disentanglement_time_exact])
+def test_model_time_overflow_is_a_numerical_error(solver):
+    with pytest.raises(NumericalError, match="overflows"):
+        solver(1.0, 1e-310)
+    # the solve itself is in rate*t, so a tiny rate that leaves t_d finite works
+    assert abs(solver(1.0, 1e-300).t_d * 1e-300 - TD_ORACLE[1.0]) < 1e-9
+    assert solver(0.2, 1e-310).kind == "asymptotic"
