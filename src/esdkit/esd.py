@@ -65,8 +65,10 @@ def family_trajectory(a: float, gamma_a: float, gamma_b: float | None = None) ->
     return XState(p1, p2, p3, p4, z23=(c.gamma_a * c.gamma_b * third) + 0.0j)
 
 
-def _f_of_w2(a: float, w2: float) -> float:
-    return 1.0 - math.sqrt(a * (1.0 - a + 2.0 * w2 + w2 * w2 * a))
+def _family_factor(a: np.ndarray | float, w2: np.ndarray | float) -> np.ndarray:
+    """Concurrence factor f = 1 - sqrt(a (1 - a + 2 w2 + w2^2 a)), elementwise
+    for floats or broadcasting arrays; w2 = 1 - g2 is the transferred weight."""
+    return 1.0 - np.sqrt(a * (1.0 - a + 2.0 * w2 + w2 * w2 * a))
 
 
 def concurrence_markov(a: float, rate: float, t: float) -> float:
@@ -78,7 +80,7 @@ def concurrence_markov(a: float, rate: float, t: float) -> float:
     if not (math.isfinite(t) and t >= 0.0):
         raise ValueError(f"time must be finite and nonnegative, got {t}")
     g2 = math.exp(-rate * t)
-    return (2.0 / 3.0) * max(0.0, g2 * _f_of_w2(a, 1.0 - g2))
+    return float((2.0 / 3.0) * max(0.0, g2 * _family_factor(a, 1.0 - g2)))
 
 
 def _check_rate(rate: float) -> None:
@@ -143,7 +145,7 @@ def disentanglement_time(a: float, rate: float) -> EsdVerdict:
         return _verdict(a, s_exact, rate)
 
     def f(s: float) -> float:
-        return _f_of_w2(a, 1.0 - math.exp(-s))
+        return _family_factor(a, 1.0 - math.exp(-s))
 
     lo, hi = 0.0, BISECTION_WINDOW
     samples = [f(hi * k / 100.0) for k in range(101)]
@@ -178,10 +180,7 @@ def sweep(a_grid: np.ndarray, t_grid: np.ndarray, rate: float) -> np.ndarray:
             and np.isfinite(t_grid[-1]) and math.isfinite(rate) and rate >= 0.0):
         raise ValueError("a in [0, 1], finite t >= 0, finite rate >= 0 required")
     g2 = np.exp(-rate * t_grid)[None, :]
-    w2 = 1.0 - g2
-    a = a_grid[:, None]
-    f = 1.0 - np.sqrt(a * (1.0 - a + 2.0 * w2 + w2 * w2 * a))
-    return (2.0 / 3.0) * np.maximum(0.0, g2 * f)
+    return (2.0 / 3.0) * np.maximum(0.0, g2 * _family_factor(a_grid[:, None], 1.0 - g2))
 
 
 @dataclass(frozen=True)

@@ -6,24 +6,27 @@ One damped atom with a structured reservoir obeys the Volterra equation
 
 where alpha is the reservoir correlation kernel.  The time-local decay
 coefficient follows as F(t) = -(db/dt + i*omega_atom*b)/b, and the residual
-amplitude gamma(t) = exp(-integral F_real) feeds the damping channel.  A
-single-pole (exponential) kernel reduces the equation to a linear 2x2 ODE via
-the auxiliary memory integral; tabulated kernels are handled by an implicit
-trapezoid scheme whose history sum is blocked: halves of the grid are joined
-by FFT products (Hairer, Lubich & Schlichte 1985), O(n log^2 n) in place of
-the O(n^2) full-history dot, equal to it to round-off.
+amplitude gamma(t) = exp(-integral Re F) feeds the damping channel.
+
+A single-pole (exponential) kernel reduces the equation to a linear 2x2 ODE
+via the auxiliary memory integral; fixed-step RK4 then makes every grid value
+a power of one 2x2 stage matrix, formed by doubling.  Tabulated kernels are
+handled by an implicit trapezoid scheme whose history sum is blocked: halves
+of the grid are joined by FFT products (Hairer, Lubich & Schlichte 1985),
+O(n log^2 n) in place of the O(n^2) full-history dot, equal to it to
+round-off.  Only numpy is needed.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, replace
 from typing import Union
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
-from scipy.signal import fftconvolve, lfilter
+# numpy >= 2 loads numpy.fft on first attribute access; load it with this
+# module so the first solve does not pay for the import.
+import numpy.fft  # noqa: F401
 
 from .errors import ConvergenceError, SingularCoefficientError
 
@@ -156,27 +159,26 @@ def _rk4_stage_matrix(m: np.ndarray, h: float) -> np.ndarray:
 
 
 def _propagate_powers(phi: np.ndarray, y0: np.ndarray, n: int) -> np.ndarray:
-    """All powers phi^j y0 for j = 0..n, via the 2x2 eigenbasis of phi.
+    """All powers phi^j y0 for j = 0..n, by doubling.
 
-    Falls back to stepwise multiplication when the stage matrix is close to
-    defective.  The growth guard rejects unstable steps before the powers
-    can overflow.
+    Columns [k, 2k) are phi^k times columns [0, k), so the n + 1 columns take
+    about log2(n) products, and no eigenbasis (ill-conditioned near a
+    defective phi, such as the critically damped kernel) is formed.  The
+    growth guard rejects unstable steps before the powers can overflow.
     """
-    w, v = np.linalg.eig(phi)
-    if np.max(np.abs(w)) > 1.0 + 1e-9:
+    amplification = float(np.max(np.abs(np.linalg.eigvals(phi))))
+    if amplification > 1.0 + 1e-9:
         raise ConvergenceError(
-            f"unstable step: stage amplification {np.max(np.abs(w)):.6f} > 1; reduce dt"
+            f"unstable step: stage amplification {amplification:.6f} > 1; reduce dt"
         )
-    if abs(w[0] - w[1]) > 1e-10 * max(1.0, float(np.max(np.abs(w)))):
-        coeffs = np.linalg.solve(v, y0)
-        pows = w[:, None] ** np.arange(n + 1)[None, :]
-        return (v * coeffs[None, :]) @ pows
     out = np.empty((2, n + 1), dtype=complex)
-    y = y0.astype(complex)
-    out[:, 0] = y
-    for j in range(1, n + 1):
-        y = phi @ y
-        out[:, j] = y
+    out[:, 0] = y0
+    k, power = 1, phi
+    while k <= n:
+        width = min(k, n + 1 - k)
+        out[:, k:k + width] = power @ out[:, :width]
+        power = power @ power
+        k *= 2
     return out
 
 
@@ -292,8 +294,10 @@ def solve_amplitude(
     blocked FFT convolution of _solve_tabulated: O(n log^2 n) for n steps,
     equal to the direct full-history trapezoid sum to round-off (bit-equal
     below 2*FFT_LEAF steps).  Either gate failing raises ConvergenceError;
-    pass tol=inf to skip the gate (convergence studies).  The contractivity |b| <= 1 is enforced for exponential kernels
-    and warned about for tabulated data, which need not be physical.
+    pass tol=inf to skip the gate (convergence studies).
+
+    The contractivity |b| <= 1 is enforced for exponential kernels and warned
+    about for tabulated data, which need not be physical.
     """
     grid = uniform_grid(t_max, dt)
     if isinstance(kernel, ExponentialKernel):
@@ -329,18 +333,12 @@ def volterra_residual(sol: AmplitudeSolution, kernel: Kernel) -> np.ndarray:
     b = sol.b
     h = sol.dt
     n = b.size - 1
-    if isinstance(kernel, ExponentialKernel):
-        decay = np.exp(-(kernel.memory_rate + 1j * kernel.center_frequency) * h)
-        u = np.empty(n + 1, dtype=complex)
-        u[0] = 0.0
-        u[1:] = 0.5 * decay * b[:-1] + 0.5 * b[1:]
-        s = lfilter([1.0], [1.0, -decay], u)
-        q = h * (0.5 * kernel.strength * kernel.memory_rate) * s
-    else:
-        alpha = kernel.evaluate(sol.t)
-        full = fftconvolve(alpha, b)[: n + 1]
-        q = h * (full - 0.5 * alpha * b[0] - 0.5 * alpha[0] * b)
-        q[0] = 0.0
+    alpha = kernel.evaluate(sol.t)
+    # A transform longer than 2n holds the whole linear convolution: nothing wraps.
+    size = 1 << (2 * n).bit_length()
+    full = np.fft.ifft(np.fft.fft(alpha, size) * np.fft.fft(b, size))[: n + 1]
+    q = h * (full - 0.5 * alpha * b[0] - 0.5 * alpha[0] * b)
+    q[0] = 0.0
     bdot = np.gradient(b, h, edge_order=2)
     return np.abs(bdot + 1j * sol.omega_atom * b + q)
 
@@ -383,7 +381,8 @@ def gamma_of_t(sol: AmplitudeSolution) -> AmplitudeSolution:
     """
     if sol.f is None:
         raise ValueError("coefficient_f must run before gamma_of_t")
-    integral = cumulative_trapezoid(sol.f.real, dx=sol.dt, initial=0.0)
+    f = sol.f.real
+    integral = np.concatenate(([0.0], np.cumsum(sol.dt * (f[1:] + f[:-1]) / 2.0)))
     return replace(sol, gamma=np.exp(-integral))
 
 

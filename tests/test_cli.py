@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -25,6 +29,22 @@ def run(*argv: str) -> int:
 
 def load_csv(path) -> np.ndarray:
     return np.loadtxt(path, delimiter=",", skiprows=1, comments="#", ndmin=2)
+
+
+def test_cli_import_needs_no_scipy_and_loads_lazy_numpy_modules():
+    # numpy >= 2 loads numpy.random and numpy.fft on first use; esdkit imports
+    # them up front so a run does not pay for them, and it needs no scipy.
+    probe = (
+        "import json, sys, esdkit.cli; print(json.dumps("
+        "[sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'),"
+        " 'numpy.random' in sys.modules, 'numpy.fft' in sys.modules]))"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert json.loads(out.stdout) == [[], True, True]
 
 
 def test_evolve_header_format_and_units(tmp_path):

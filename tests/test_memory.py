@@ -144,6 +144,15 @@ def test_step_halving_order():
     assert np.log2(errs[1] / errs[2]) > 3.5
 
 
+@pytest.mark.parametrize("dt", [1e-3, 1e-4, 2e-5])
+def test_critically_damped_amplitude(dt):
+    # strength 1, memory rate 2: the two poles merge, b = e^{-t}(1 + t), and
+    # the RK4 stage matrix is nearly defective, so its eigenbasis is
+    # ill-conditioned; the powers must not lose accuracy there
+    sol = solve_amplitude(ExponentialKernel(1.0, 2.0, 0.0), 0.0, 3.0, dt)
+    assert np.max(np.abs(sol.b - np.exp(-sol.t) * (1.0 + sol.t))) < 1e-11
+
+
 def test_repeat_solves_are_identical():
     a = solve_amplitude(ExponentialKernel(1.0, 10.0, 0.5), 1.5, 2.0, 1e-3)
     b = solve_amplitude(ExponentialKernel(1.0, 10.0, 0.5), 1.5, 2.0, 1e-3)
@@ -268,10 +277,69 @@ def test_volterra_residual_is_second_order():
     assert 3.0 < ratio < 5.0
 
 
+def one_pole_memory(sol: AmplitudeSolution, kernel: ExponentialKernel) -> np.ndarray:
+    """Trapezoid memory integral of a single-pole kernel by its one-pole
+    recurrence, one step at a time."""
+    decay = np.exp(-(kernel.memory_rate + 1j * kernel.center_frequency) * sol.dt)
+    s = np.zeros(sol.b.size, dtype=complex)
+    for k in range(1, sol.b.size):
+        s[k] = decay * s[k - 1] + 0.5 * decay * sol.b[k - 1] + 0.5 * sol.b[k]
+    return sol.dt * (0.5 * kernel.strength * kernel.memory_rate) * s
+
+
+def trapezoid_memory(sol: AmplitudeSolution, kernel) -> np.ndarray:
+    """Trapezoid memory integral by the full O(n^2) dot at every grid point."""
+    alpha = kernel.evaluate(sol.t)
+    q = np.zeros(sol.b.size, dtype=complex)
+    for i in range(1, sol.b.size):
+        w = alpha[i::-1] * sol.b[: i + 1]
+        q[i] = sol.dt * (w.sum() - 0.5 * w[0] - 0.5 * w[-1])
+    return q
+
+
+def residual_from(sol: AmplitudeSolution, q: np.ndarray) -> np.ndarray:
+    bdot = np.gradient(sol.b, sol.dt, edge_order=2)
+    return np.abs(bdot + 1j * sol.omega_atom * sol.b + q)
+
+
+@pytest.mark.parametrize(
+    "kernel, omega_atom",
+    [(ExponentialKernel(1.0, 5.0), 0.0), (ExponentialKernel(2.0, 3.0, 1.5), 1.0)],
+)
+def test_volterra_residual_matches_direct_sums_exponential(kernel, omega_atom):
+    sol = solve_amplitude(kernel, omega_atom, 2.0, 2e-3)
+    res = volterra_residual(sol, kernel)
+    np.testing.assert_allclose(res, residual_from(sol, one_pole_memory(sol, kernel)),
+                               rtol=0, atol=1e-13)
+    np.testing.assert_allclose(res, residual_from(sol, trapezoid_memory(sol, kernel)),
+                               rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("n", [2, 7, 256, 1000])
+def test_volterra_residual_matches_direct_sum_tabulated(n):
+    kernel = decaying_table(n, 2.0, 1.5 - 0.5j, 2.0, 3.0)
+    sol = solve_quietly(kernel, 0.7, 2.0, n, np.inf)
+    np.testing.assert_allclose(
+        volterra_residual(sol, kernel), residual_from(sol, trapezoid_memory(sol, kernel)),
+        rtol=0, atol=1e-13,
+    )
+
+
 def test_gamma_identity():
     sol = full_solution(ExponentialKernel(1.0, 10.0), 0.0, 3.0, 5e-4)
     assert sol.gamma[0] == 1.0
     assert gamma_identity_defect(sol) < 1e-6
+
+
+@pytest.mark.parametrize("c0, c1", [(0.7, 0.0), (0.3, -1.25), (0.0, 2.0)])
+def test_gamma_of_t_is_exact_for_linear_decay_rate(c0, c1):
+    # the trapezoid rule integrates a linear Re f exactly: only cumsum round-off
+    t = uniform_grid(3.0, 1e-3)
+    f = (c0 + c1 * t) + 0.4j
+    sol = gamma_of_t(AmplitudeSolution(t=t, b=np.ones_like(f), omega_atom=0.0, f=f))
+    assert sol.gamma[0] == 1.0
+    np.testing.assert_allclose(sol.gamma, np.exp(-(c0 * t + 0.5 * c1 * t * t)),
+                               rtol=1e-13, atol=0)
 
 
 def test_gamma_without_coupling_is_one():
