@@ -141,8 +141,10 @@ EVOLVE_SPEC: dict[str, tuple[Callable[[str], Any], Any]] = {
 
 def cmd_evolve(args: argparse.Namespace) -> int:
     _resolve(args, EVOLVE_SPEC)
-    if args.rate < 0.0:
-        raise ValueError(f"negative rate {args.rate}")
+    if not 0.0 <= args.rate < math.inf:
+        raise ValueError(f"rate must be finite and non-negative, got {args.rate}")
+    if not (math.isfinite(args.omega_a) and math.isfinite(args.omega_b)):
+        raise ValueError(f"omega_a={args.omega_a} and omega_b={args.omega_b} must be finite")
     if args.memory_rate is not None and args.kernel_file is not None:
         raise ValueError("choose either --memory-rate or --kernel-file, not both")
 

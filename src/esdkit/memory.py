@@ -10,7 +10,7 @@ amplitude gamma(t) = exp(-integral Re F) feeds the damping channel.
 
 A single-pole (exponential) kernel reduces the equation to a linear 2x2 ODE
 via the auxiliary memory integral; fixed-step RK4 then makes every grid value
-a power of one 2x2 stage matrix, formed by doubling.  Tabulated kernels are
+a power of one 2x2 step matrix, formed by doubling.  Tabulated kernels are
 handled by an implicit trapezoid scheme whose history sum is blocked: halves
 of the grid are joined by FFT products (Hairer, Lubich & Schlichte 1985),
 O(n log^2 n) in place of the O(n^2) full-history dot, equal to it to
@@ -53,10 +53,11 @@ class ExponentialKernel:
     center_frequency: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.strength < 0.0:
-            raise ValueError(f"negative kernel strength {self.strength}")
-        if self.memory_rate <= 0.0:
-            raise ValueError(f"memory_rate must be positive, got {self.memory_rate}")
+        params = (self.strength, self.memory_rate, self.center_frequency)
+        if not (0.0 <= self.strength < np.inf and 0.0 < self.memory_rate < np.inf
+                and np.isfinite(self.center_frequency)):
+            raise ValueError(f"kernel parameters {params} must be finite, strength >= 0 and "
+                             "memory_rate > 0")
 
     def evaluate(self, tau: np.ndarray) -> np.ndarray:
         tau = np.asarray(tau, dtype=float)
@@ -138,24 +139,28 @@ class AmplitudeSolution:
 
 def uniform_grid(t_max: float, dt: float) -> np.ndarray:
     """Uniform grid 0..t_max with step dt; t_max must be a whole number of steps."""
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if t_max < dt:
-        raise ValueError(f"t_max={t_max} shorter than one step dt={dt}")
+    if not 0.0 < dt < np.inf:
+        raise ValueError(f"dt must be finite and positive, got {dt}")
+    if not dt <= t_max < np.inf:
+        raise ValueError(f"t_max={t_max} must be finite and at least one step dt={dt}")
     n = int(round(t_max / dt))
     if abs(n * dt - t_max) > 1e-8 * max(1.0, abs(t_max)):
         raise ValueError(f"t_max={t_max} is not an integer multiple of dt={dt}")
     return np.arange(n + 1) * dt
 
 
-def _rk4_stage_matrix(m: np.ndarray, h: float) -> np.ndarray:
-    hm = h * m
-    phi = np.eye(2, dtype=complex)
-    term = np.eye(2, dtype=complex)
-    for k in range(1, 5):
-        term = term @ hm / k
-        phi = phi + term
-    return phi
+def rk4_step_matrix(l1: np.ndarray, l2: np.ndarray, l4: np.ndarray, h: float) -> np.ndarray:
+    """One classical RK4 step of y' = L(t) y as a matrix, for (..., d, d) stacks.
+
+    l1, l2 and l4 are L at t, t + h/2 and t + h.  The stages are
+    k2 = L2 (I + h/2 L1), k3 = L2 (I + h/2 k2), k4 = L4 (I + h k3), and the
+    step is I + h/6 (L1 + 2 k2 + 2 k3 + k4): sum_{k<=4} (h m)^k / k! for L = m.
+    """
+    eye = np.eye(l1.shape[-1])
+    k2 = l2 @ (eye + 0.5 * h * l1)
+    k3 = l2 @ (eye + 0.5 * h * k2)
+    k4 = l4 @ (eye + h * k3)
+    return eye + (h / 6.0) * (l1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def _propagate_powers(phi: np.ndarray, y0: np.ndarray, n: int) -> np.ndarray:
@@ -188,20 +193,17 @@ def _solve_exponential(
     # Auxiliary pair (b, z) with z the running memory integral; the pair obeys
     # a constant-coefficient linear system, so fixed-step RK4 is one matrix
     # power per step.
-    m = np.array(
-        [
-            [-1j * omega_atom, -1.0],
-            [0.5 * kernel.strength * kernel.memory_rate,
-             -(kernel.memory_rate + 1j * kernel.center_frequency)],
-        ],
-        dtype=complex,
-    )
+    m = np.array([
+        [-1j * omega_atom, -1.0],
+        [0.5 * kernel.strength * kernel.memory_rate,
+         -(kernel.memory_rate + 1j * kernel.center_frequency)],
+    ])
     y0 = np.array([1.0, 0.0], dtype=complex)
     n = grid.size - 1
     h = float(grid[1] - grid[0])
-    b = _propagate_powers(_rk4_stage_matrix(m, h), y0, n)[0]
+    b = _propagate_powers(rk4_step_matrix(m, m, m, h), y0, n)[0]
     if np.isfinite(tol):
-        b_fine = _propagate_powers(_rk4_stage_matrix(m, 0.5 * h), y0, 2 * n)[0][::2]
+        b_fine = _propagate_powers(rk4_step_matrix(m, m, m, 0.5 * h), y0, 2 * n)[0][::2]
         drift = float(np.max(np.abs(b - b_fine)))
         if drift > tol:
             raise ConvergenceError(
@@ -290,15 +292,15 @@ def solve_amplitude(
     Exponential kernels integrate the equivalent linear pair with fixed-step
     RK4 and gate accuracy by a step-halving comparison; tabulated kernels use
     an implicit trapezoid scheme and gate by an accumulated
-    predictor-corrector error estimate.  The tabulated history sum is the
-    blocked FFT convolution of _solve_tabulated: O(n log^2 n) for n steps,
-    equal to the direct full-history trapezoid sum to round-off (bit-equal
-    below 2*FFT_LEAF steps).  Either gate failing raises ConvergenceError;
-    pass tol=inf to skip the gate (convergence studies).
+    predictor-corrector error estimate (history summed as in _solve_tabulated).
+    Either gate failing raises ConvergenceError; pass tol=inf to skip the
+    gate (convergence studies), while NaN or a negative tol is a ValueError.
 
     The contractivity |b| <= 1 is enforced for exponential kernels and warned
     about for tabulated data, which need not be physical.
     """
+    if not tol >= 0.0:
+        raise ValueError(f"tol must be non-negative (inf skips the gate), got {tol}")
     grid = uniform_grid(t_max, dt)
     if isinstance(kernel, ExponentialKernel):
         b = _solve_exponential(kernel, omega_atom, grid, tol)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -10,7 +11,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from esdkit import cli
+from esdkit import cli, selfcheck
 from esdkit.errors import NumericalError
 from esdkit.esd import sweep
 from esdkit.memory import ExponentialKernel
@@ -168,6 +169,26 @@ def test_evolve_non_finite_kernel_table_exit_2(tmp_path, capsys, row):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, value", [
+    (["--t-max", "inf"], "t_max=inf"),
+    (["--memory-rate", "inf"], "(1.0, inf, 0.0) must be finite"),
+    (["--rate", "nan"], "rate must be finite and non-negative, got nan"),
+    (["--rate", "inf"], "rate must be finite and non-negative, got inf"),
+    (["--omega-a", "nan"], "omega_a=nan"),
+    (["--omega-b", "inf"], "omega_b=inf"),
+    (["--memory-rate", "5", "--mem-tol", "nan"],
+     "tol must be non-negative (inf skips the gate), got nan"),
+])
+def test_evolve_non_finite_numbers_exit_2(tmp_path, capsys, argv, value):
+    out = tmp_path / "x.csv"
+    code = run("evolve", *argv, "--output", str(out))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert value in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_evolve_rejects_conflicting_kernel_options(tmp_path, capsys):
     code = run(
         "evolve", "--memory-rate", "5", "--kernel-file", "x.dat",
@@ -299,6 +320,24 @@ def test_check_failure_exits_4(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "FAIL - forced" in out
     assert "0/1 checks passed" in out
+
+
+def test_stacked_bound_check_names_the_first_violation(monkeypatch):
+    # check_bound_random makes one call on 200 seeds x 3 gammas; a violation
+    # is reported at the first (seed, gamma) in seed-major order.
+    real = selfcheck.check_bound
+
+    def forced(rho, c, **kw):
+        rep = real(rho, c, **kw)
+        satisfied = rep.satisfied.copy()
+        satisfied[7, 0] = satisfied[5, 2] = satisfied[5, 1] = False
+        return dataclasses.replace(rep, satisfied=satisfied)
+
+    assert selfcheck.check_bound_random()[0]
+    monkeypatch.setattr(selfcheck, "check_bound", forced)
+    passed, detail = selfcheck.check_bound_random()
+    assert not passed
+    assert detail.startswith("violated at seed 5, gamma 0.5: gap ")
 
 
 def test_bad_arguments_exit_2(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from esdkit import master
 from esdkit.channel import apply_channel, coefficients_from_gammas, coefficients_markov
 from esdkit.entanglement import concurrence
 from esdkit.errors import IntegratorError
@@ -15,8 +16,14 @@ from esdkit.master import (
     table_rates,
     to_interaction_picture,
 )
-from esdkit.memory import ExponentialKernel, full_solution, solve_amplitude
-from esdkit.states import pure_state, random_state, standard_family, xstate_to_dense
+from esdkit.memory import ExponentialKernel, full_solution, solve_amplitude, uniform_grid
+from esdkit.states import (
+    pure_state,
+    random_state,
+    random_xstate,
+    standard_family,
+    xstate_to_dense,
+)
 
 ATOMS = AtomParams(omega_a=1.3, omega_b=0.7)
 
@@ -193,3 +200,121 @@ def test_table_rates_validation():
             2.0,
             1e-3,
         )
+
+
+def _herm(rho):
+    return 0.5 * (rho + rho.conj().T)
+
+
+def reference_integrate(rho0, rates, atoms, t_max, dt):
+    """The per-stage RK4 loop that integrate_master replaced: master_rhs at
+    every stage, each stage argument re-Hermitianized, phases by a running
+    trapezoid sum of scalar rate calls."""
+    rho = np.asarray(rho0, dtype=complex)
+    grid = uniform_grid(t_max, dt)
+    n = grid.size - 1
+    states = np.empty((n + 1, 4, 4), dtype=complex)
+    phase_a = np.empty(n + 1)
+    phase_b = np.empty(n + 1)
+    states[0] = rho
+    phase_a[0] = 0.0
+    phase_b[0] = 0.0
+
+    def nu(t):
+        return (
+            atoms.omega_a + complex(rates.f(t)).imag,
+            atoms.omega_b + complex(rates.g(t)).imag,
+        )
+
+    half = 0.5 * dt
+    nu_a_left, nu_b_left = nu(0.0)
+    for i in range(n):
+        t = grid[i]
+        k1 = master_rhs(rho, t, rates, atoms)
+        k2 = master_rhs(_herm(rho + half * k1), t + half, rates, atoms)
+        k3 = master_rhs(_herm(rho + half * k2), t + half, rates, atoms)
+        k4 = master_rhs(_herm(rho + dt * k3), t + dt, rates, atoms)
+        rho = _herm(rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+        states[i + 1] = rho
+        nu_a_right, nu_b_right = nu(float(grid[i + 1]))
+        phase_a[i + 1] = phase_a[i] + half * (nu_a_left + nu_a_right)
+        phase_b[i + 1] = phase_b[i] + half * (nu_b_left + nu_b_right)
+        nu_a_left, nu_b_left = nu_a_right, nu_b_right
+    return states, phase_a, phase_b
+
+
+def _structured_rates():
+    return table_rates(full_solution(ExponentialKernel(1.0, 20.0, 5.0), 5.0, 1.0, 2e-4))
+
+
+RATE_CASES = {
+    "equal": (lambda: markov_rates(1.0), ATOMS),
+    "unequal": (lambda: markov_rates(0.8, 1.7), AtomParams(1.1, 0.4)),
+    "zero": (lambda: markov_rates(0.0), ATOMS),
+    "table": (_structured_rates, AtomParams(5.0, 5.0)),
+}
+
+
+@pytest.mark.parametrize("state", ["random", "x"])
+@pytest.mark.parametrize("case", sorted(RATE_CASES))
+def test_step_propagators_match_the_per_stage_loop(case, state):
+    make_rates, atoms = RATE_CASES[case]
+    rates = make_rates()
+    rho0 = random_state(13) if state == "random" else xstate_to_dense(random_xstate(13))
+    traj = integrate_master(rho0, rates, atoms, 1.0, 1e-3)
+    states, phase_a, phase_b = reference_integrate(rho0, rates, atoms, 1.0, 1e-3)
+    assert np.max(np.abs(traj.states - states)) <= 1e-12
+    assert np.array_equal(traj.phase_a, phase_a)
+    assert np.array_equal(traj.phase_b, phase_b)
+    # no projection, yet the stored states stay Hermitian
+    assert traj.max_hermiticity_defect() <= 1e-14
+
+
+@pytest.mark.parametrize("block", [1, 7, 16, 205])
+def test_propagator_block_does_not_change_outputs(monkeypatch, block):
+    rates = _structured_rates()
+    rho0 = random_state(4)
+    want = integrate_master(rho0, rates, AtomParams(5.0, 4.0), 0.2, 1e-3)
+    monkeypatch.setattr(master, "PROPAGATOR_BLOCK", block)  # 205 = n + 5
+    got = integrate_master(rho0, rates, AtomParams(5.0, 4.0), 0.2, 1e-3)
+    assert np.array_equal(got.states, want.states)
+    assert np.array_equal(got.phase_a, want.phase_a)
+    assert np.array_equal(got.phase_b, want.phase_b)
+
+
+def test_table_rates_take_arrays():
+    rates = _structured_rates()
+    t = np.linspace(0.0, 1.0, 37)
+    got = rates.f(t)
+    assert got.shape == t.shape
+    assert np.array_equal(got, [complex(rates.f(float(x))) for x in t])
+    with pytest.raises(ValueError, match="t=1.5 outside"):
+        rates.g(np.array([0.5, 1.5, 0.2]))
+    with pytest.raises(ValueError, match="t=-0.1 outside"):
+        rates.g(np.array([0.5, -0.1]))
+    with pytest.raises(ValueError, match="outside"):
+        rates.f(1.0 + 1e-6)
+
+
+@pytest.mark.parametrize("rate_a, rate_b", [
+    (np.nan, None), (np.inf, None), (1.0, np.nan), (1.0, np.inf), (-np.inf, 1.0),
+])
+def test_markov_rates_reject_non_finite(rate_a, rate_b):
+    with pytest.raises(ValueError, match="finite"):
+        markov_rates(rate_a, rate_b)
+
+
+def test_rhs_on_a_stack_is_the_rhs_of_each_member():
+    rhos = np.stack([random_state(s) for s in range(5)])
+    rates, atoms = markov_rates(0.8, 1.7), AtomParams(1.1, 0.4)
+    stacked = master_rhs(rhos, 0.0, rates, atoms)
+    for rho, out in zip(rhos, stacked):
+        assert np.array_equal(out, master_rhs(rho, 0.0, rates, atoms))
+
+
+def test_interaction_picture_of_a_stack_is_pointwise():
+    traj = integrate_master(random_state(2), markov_rates(0.6), ATOMS, 0.1, 1e-2)
+    rotated = to_interaction_picture(traj.states, traj.phase_a, traj.phase_b)
+    for k in range(traj.t.size):
+        want = to_interaction_picture(traj.states[k], traj.phase_a[k], traj.phase_b[k])
+        assert np.array_equal(rotated[k], want)

@@ -16,6 +16,7 @@ from esdkit.memory import (
     gamma_identity_defect,
     gamma_of_t,
     load_kernel_table,
+    rk4_step_matrix,
     solve_amplitude,
     uniform_grid,
     volterra_residual,
@@ -391,3 +392,60 @@ def test_solution_grid_properties():
     assert sol.dt == 0.01
     assert sol.t.size == 101
     assert isinstance(sol, AmplitudeSolution)
+
+
+@pytest.mark.parametrize("params", [
+    (np.nan, 1.0, 0.0), (np.inf, 1.0, 0.0), (1.0, np.inf, 0.0), (1.0, np.nan, 0.0),
+    (1.0, 1.0, np.nan), (1.0, 1.0, -np.inf),
+])
+def test_exponential_kernel_rejects_non_finite_parameters(params):
+    with pytest.raises(ValueError, match="must be finite"):
+        ExponentialKernel(*params)
+
+
+@pytest.mark.parametrize("t_max, dt", [
+    (np.inf, 1e-3), (np.nan, 1e-3), (1.0, np.nan), (1.0, np.inf), (-np.inf, 1e-3),
+])
+def test_uniform_grid_rejects_non_finite(t_max, dt):
+    with pytest.raises(ValueError, match="finite"):
+        uniform_grid(t_max, dt)
+
+
+@pytest.mark.parametrize("tol", [np.nan, -1.0, -np.inf])
+def test_tolerance_must_be_non_negative(tol):
+    for kernel in (ExponentialKernel(1.0, 5.0), TabulatedKernel(
+            tau=np.arange(11) * 0.1, alpha=np.exp(-np.arange(11) * 0.1) + 0.0j)):
+        with pytest.raises(ValueError, match="tol"):
+            solve_amplitude(kernel, 0.0, 1.0, 0.1, tol=tol)
+    # inf is the documented "no gate"
+    solve_amplitude(ExponentialKernel(1.0, 5.0), 0.0, 1.0, 0.1, tol=np.inf)
+
+
+def test_rk4_step_matrix_constant_generator_is_the_taylor_sum():
+    rng = np.random.default_rng(4)
+    m = rng.standard_normal((3, 5, 5)) + 1j * rng.standard_normal((3, 5, 5))
+    h = 0.05
+    got = rk4_step_matrix(m, m, m, h)
+    term, want = np.broadcast_to(np.eye(5), m.shape), np.eye(5)
+    for k in range(1, 5):
+        term = term @ (h * m) / k
+        want = want + term
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+    # stacked calls are the single calls, bit for bit
+    for i in range(3):
+        assert np.array_equal(rk4_step_matrix(m[i], m[i], m[i], h), got[i])
+
+
+def test_rk4_step_matrix_is_one_rk4_step_of_a_time_dependent_system():
+    # classical RK4 with stages at t, t + h/2 (twice) and t + h on y' = L(t) y
+    rng = np.random.default_rng(9)
+    l1, l2, l4 = (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+                  for _ in range(3))
+    y = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    h = 0.1
+    k1 = l1 @ y
+    k2 = l2 @ (y + 0.5 * h * k1)
+    k3 = l2 @ (y + 0.5 * h * k2)
+    k4 = l4 @ (y + h * k3)
+    want = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    np.testing.assert_allclose(rk4_step_matrix(l1, l2, l4, h) @ y, want, rtol=0, atol=1e-14)
