@@ -115,9 +115,9 @@ def _blocks(n: int, size: int) -> list[slice]:
     return [slice(i, min(i + size, n)) for i in range(0, n, size)]
 
 
-def _write_lines(path: str, lines: list[str]) -> None:
+def _write_text(path: str, chunks: list[str]) -> None:
     with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.writelines(chunks)
 
 
 # ---------------------------------------------------------------- evolve
@@ -139,12 +139,17 @@ EVOLVE_SPEC: dict[str, tuple[Callable[[str], Any], Any]] = {
 }
 
 
+EVOLVE_ROW = ",".join(["%.17g"] * 7) + "\n"
+
+
 def cmd_evolve(args: argparse.Namespace) -> int:
     _resolve(args, EVOLVE_SPEC)
     if not 0.0 <= args.rate < math.inf:
         raise ValueError(f"rate must be finite and non-negative, got {args.rate}")
     if not (math.isfinite(args.omega_a) and math.isfinite(args.omega_b)):
         raise ValueError(f"omega_a={args.omega_a} and omega_b={args.omega_b} must be finite")
+    if args.mem_dt is not None and not 0.0 < args.mem_dt < math.inf:
+        raise ValueError(f"mem_dt must be finite and positive, got {args.mem_dt}")
     if args.memory_rate is not None and args.kernel_file is not None:
         raise ValueError("choose either --memory-rate or --kernel-file, not both")
 
@@ -183,19 +188,19 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     traces = np.einsum("tii->t", traj.states)
 
     scale = args.rate if (args.natural_units and args.rate > 0.0) else 1.0
+    t_col = grid * scale
+    trace_err = np.abs(traces.real - 1.0)
+    bound_rhs = c0 * (ga * gb)
     header = "t,concurrence,local_coh_A,local_coh_B,trace_err,bound_rhs,kraus_vs_master_maxdiff"
-    lines = [header]
+    chunks = [header + "\n"]
     for block in _blocks(grid.size, STACK_BLOCK):
         evolved = apply_channel(rho0, coefficients_from_gammas(ga[block], gb[block]))
         conc = concurrence(evolved).value
         maxdiff = np.max(np.abs(evolved - traj.states[block]), axis=(-2, -1))
-        for k, i in enumerate(range(grid.size)[block]):
-            trace_err = abs(float(traces[i].real) - 1.0)
-            bound_rhs = c0 * float(ga[i] * gb[i])
-            lines.append(",".join(_fmt(v) for v in (
-                grid[i] * scale, conc[k], ga[i], gb[i], trace_err, bound_rhs, maxdiff[k],
-            )))
-    _write_lines(args.output, lines)
+        rows = np.stack([t_col[block], conc, ga[block], gb[block], trace_err[block],
+                         bound_rhs[block], maxdiff], axis=-1)
+        chunks.append("".join([EVOLVE_ROW % tuple(row) for row in rows.tolist()]))
+    _write_text(args.output, chunks)
     print(f"wrote {args.output} ({grid.size} rows)")
     return 0
 
@@ -219,6 +224,12 @@ def _summary_path(output: str) -> str:
     return f"{stem}_summary.json"
 
 
+# One summary record as json.dump(indent=2) lays out a dict in a list, with
+# kind, t_d and gamma_rate still to fill; json writes floats by repr, so a and
+# a finite t_d go in by %r.
+SUMMARY_RECORD = '  {\n    "a": %%r,\n    "kind": "%s",\n    "t_d": %s,\n    "gamma_rate": %s\n  }'
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     _resolve(args, SWEEP_SPEC)
     if args.a_steps < 1 or args.t_steps < 1:
@@ -234,25 +245,31 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         t_d = s_d if args.natural_units else s_d / args.rate
     if not np.all(np.isfinite(t_d[finite])):
         raise NumericalError(f"death times overflow model time at rate {args.rate!r}")
-    summary = [
-        {"a": a, "kind": "finite" if fin else "asymptotic", "t_d": t if fin else None,
-         "gamma_rate": args.rate}
-        for a, fin, t in zip(a_grid.tolist(), finite.tolist(), t_d.tolist())
-    ]
+    # sweep() admitted only a in [0, 1] and a finite rate, and t_d is finite
+    # where it is reported, so no NaN or Infinity can reach the summary.
+    gamma_rate = json.dumps(args.rate, allow_nan=False)
+    finite_record = SUMMARY_RECORD % ("finite", "%r", gamma_rate)
+    asymptotic_record = SUMMARY_RECORD % ("asymptotic", "null", gamma_rate)
 
     # Nothing is written until every number is in hand, so a failed run
-    # leaves no partial output.
+    # leaves no partial output.  Each CSV row of one a is one % on a template
+    # holding the formatted times.
     scale = args.rate if args.natural_units else 1.0
-    times = [_fmt(t) for t in (t_grid * scale).tolist()]
+    row_template = "".join(["%%s,%s,%%.17g\n" % _fmt(t) for t in (t_grid * scale).tolist()])
     with open(args.output, "w", newline="") as fh:
         fh.write("a,t,concurrence\n")
-        for a, row in zip(a_grid.tolist(), surface.tolist()):
-            head = _fmt(a)
-            fh.write("".join(["%s,%s,%.17g\n" % (head, t, c) for t, c in zip(times, row)]))
+        for a, row in zip(a_grid.tolist(), surface):
+            cells = [_fmt(a)] * (2 * t_grid.size)
+            cells[1::2] = row.tolist()
+            fh.write(row_template % tuple(cells))
     spath = _summary_path(args.output)
     with open(spath, "w", newline="") as fh:
-        json.dump(summary, fh, indent=2, allow_nan=False)
-        fh.write("\n")
+        fh.write("[\n")
+        fh.write(",\n".join([
+            finite_record % (a, t) if fin else asymptotic_record % (a,)
+            for a, fin, t in zip(a_grid.tolist(), finite.tolist(), t_d.tolist())
+        ]))
+        fh.write("\n]\n")
     print(f"wrote {args.output} ({a_grid.size * t_grid.size} rows) and {spath}")
     return 0
 
@@ -306,11 +323,14 @@ BOUND_SPEC: dict[str, tuple[Callable[[str], Any], Any]] = {
 }
 
 
+BOUND_ROW = "%d,%.17g,%.17g,%.17g,%d,%.17g,%.17g\n"
+
+
 def cmd_bound(args: argparse.Namespace) -> int:
     _resolve(args, BOUND_SPEC)
     if args.samples < 1:
         raise ValueError("samples must be at least 1")
-    lines = ["seed,gamma,lhs,rhs,satisfied,first_branch_gap,side_branch_max"]
+    chunks = ["seed,gamma,lhs,rhs,satisfied,first_branch_gap,side_branch_max\n"]
     gammas = np.array(args.gammas)
     coeffs = coefficients_from_gammas(gammas, gammas)
     violations = 0
@@ -322,18 +342,19 @@ def cmd_bound(args: argparse.Namespace) -> int:
         rep = check_bound(rhos[:, None], coeffs, slack=args.slack)
         worst_gap = max(worst_gap, float(np.max(rep.lhs - rep.rhs)))
         violations += int(np.count_nonzero(~rep.satisfied))
-        for k, seed in enumerate(seeds[block]):
-            for j, g in enumerate(args.gammas):
-                lines.append(",".join((
-                    str(seed), _fmt(g), _fmt(rep.lhs[k, j]), _fmt(rep.rhs[k, j]),
-                    str(int(rep.satisfied[k, j])), _fmt(rep.first_branch_gap[k, j]),
-                    _fmt(rep.side_branch_max[k, j]),
-                )))
+        rows = np.stack(np.broadcast_arrays(
+            gammas, rep.lhs, rep.rhs, rep.satisfied, rep.first_branch_gap, rep.side_branch_max,
+        ), axis=-1).reshape(-1, 6)
+        # Seeds stay Python ints: a float column would round seeds above 2**53.
+        row_seeds = [seed for seed in seeds[block] for _ in args.gammas]
+        chunks.append("".join([
+            BOUND_ROW % (seed, *row) for seed, row in zip(row_seeds, rows.tolist())
+        ]))
     total = args.samples * len(args.gammas)
-    lines.append(
-        f"# satisfied {total - violations}/{total}, worst lhs-rhs gap {worst_gap:.3e}"
+    chunks.append(
+        f"# satisfied {total - violations}/{total}, worst lhs-rhs gap {worst_gap:.3e}\n"
     )
-    _write_lines(args.output, lines)
+    _write_text(args.output, chunks)
     print(f"wrote {args.output} ({total} checks, {violations} violations)")
     return 4 if violations else 0
 

@@ -115,7 +115,13 @@ Kernel = Union[ExponentialKernel, TabulatedKernel]
 def load_kernel_table(path) -> TabulatedKernel:
     """Read a kernel table: whitespace-separated "tau alpha_re alpha_im" rows,
     '#' starts a comment, tau uniform starting at 0."""
-    data = np.loadtxt(path, comments="#", ndmin=2)
+    with warnings.catch_warnings():
+        # An empty table is refused below; numpy's warning about it would
+        # only reach stderr, or raise under -W error.
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        data = np.loadtxt(path, comments="#", ndmin=2)
+    if data.size == 0:
+        raise ValueError(f"kernel table {path} has no data rows")
     if data.shape[1] != 3:
         raise ValueError(f"expected 3 columns (tau alpha_re alpha_im), got {data.shape[1]}")
     return TabulatedKernel(tau=data[:, 0], alpha=data[:, 1] + 1j * data[:, 2])

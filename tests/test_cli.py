@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,9 +13,15 @@ import numpy as np
 import pytest
 
 from esdkit import cli, selfcheck
+from esdkit.channel import apply_channel, coefficients_from_gammas
+from esdkit.entanglement import check_bound, concurrence, concurrence_x
 from esdkit.errors import NumericalError
-from esdkit.esd import sweep
-from esdkit.memory import ExponentialKernel
+from esdkit.esd import death_time_s, sweep
+from esdkit.master import (
+    AtomParams, integrate_master, interaction_trajectory, markov_rates, table_rates,
+)
+from esdkit.memory import ExponentialKernel, full_solution, uniform_grid
+from esdkit.states import random_state, standard_family, xstate_to_dense
 from esdkit.selfcheck import CheckResult
 
 EVOLVE_HEADER = (
@@ -186,6 +193,31 @@ def test_evolve_non_finite_numbers_exit_2(tmp_path, capsys, argv, value):
     assert code == 2
     assert value in err
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mem_dt", ["0", "-1", "inf", "nan"])
+def test_evolve_bad_mem_dt_exit_2(tmp_path, capsys, mem_dt):
+    out = tmp_path / "x.csv"
+    code = run("evolve", "--memory-rate", "5", "--mem-dt", mem_dt, "--output", str(out))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"mem_dt must be finite and positive, got {float(mem_dt)}" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", ["", "# tau re im\n# no rows\n"])
+def test_evolve_empty_kernel_table_exit_2(tmp_path, capsys, text):
+    table = tmp_path / "empty.dat"
+    table.write_text(text)
+    out = tmp_path / "x.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run("evolve", "--kernel-file", str(table), "--output", str(out))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"error: kernel table {table} has no data rows\n"
     assert not out.exists()
 
 
@@ -433,6 +465,127 @@ def test_sweep_csv_is_byte_identical_to_per_cell_format(tmp_path, case):
         argv.append("--no-natural-units")
     assert run(*argv) == 0
     assert out.read_bytes() == old_sweep_csv(*case)
+
+
+SUMMARY_CASES = [
+    (0.0, 1.0, 101, 3.0, 200, 1.0, True),
+    (0.00045237955350981864, 1.0, 201, 3.0, 10, 1.0, True),
+    (0.3, 0.9, 7, 5.0, 13, 2.7, True),
+    (0.1, 1.0, 5, 2.0, 9, 0.3, False),
+    (1.0, 1.0, 1, 1.0, 1, 1.0, True),
+    (0.0, 0.3, 4, 1.0, 2, 1.0, True),
+    (0.5, 1.0, 6, 1.0, 2, 1.0, True),
+    (0.0, 1.0, 101, 3.0, 200, 1e-310, True),
+    (0.0, 1.0, 101, 3.0, 200, 0.37, False),
+]
+
+
+def old_sweep_summary(a_min, a_max, a_steps, t_max, t_steps, rate, natural_units) -> bytes:
+    """The sweep summary as json.dump wrote it from a list of dicts."""
+    a_grid = np.linspace(a_min, a_max, a_steps)
+    s_d = death_time_s(a_grid)
+    finite = np.isfinite(s_d)
+    t_d = s_d if natural_units else s_d / rate
+    records = [
+        {"a": a, "kind": "finite" if fin else "asymptotic", "t_d": t if fin else None,
+         "gamma_rate": rate}
+        for a, fin, t in zip(a_grid.tolist(), finite.tolist(), t_d.tolist())
+    ]
+    return (json.dumps(records, indent=2, allow_nan=False) + "\n").encode()
+
+
+@pytest.mark.parametrize("case", SUMMARY_CASES)
+def test_sweep_summary_is_byte_identical_to_json_dump(tmp_path, case):
+    a_min, a_max, a_steps, t_max, t_steps, rate, natural = case
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--a-min", repr(a_min), "--a-max", repr(a_max),
+            "--a-steps", str(a_steps), "--t-max", repr(t_max), "--t-steps", str(t_steps),
+            "--rate", repr(rate), "--output", str(out)]
+    if not natural:
+        argv.append("--no-natural-units")
+    assert run(*argv) == 0
+    assert (tmp_path / "sweep_summary.json").read_bytes() == old_sweep_summary(*case)
+
+
+def fmt_row(values) -> str:
+    return ",".join("%.17g" % float(v) for v in values)
+
+
+def old_evolve_csv(a=1.0, rate=1.0, t_max=3.0, omega_a=1.0, omega_b=1.0,
+                   memory_rate=None, mem_dt=None, natural_units=True) -> bytes:
+    """The evolve CSV as the per-row, per-cell loop formatted it."""
+    dt = 1e-3
+    x0 = standard_family(a)
+    rho0 = xstate_to_dense(x0)
+    c0 = concurrence_x(x0)
+    grid = uniform_grid(t_max, dt)
+    if memory_rate is None:
+        rates = markov_rates(rate, rate)
+        ga = gb = np.exp(-0.5 * rate * grid)
+    else:
+        kernel = ExponentialKernel(rate, memory_rate, 0.0)
+        steps = max(1, math.ceil(t_max / mem_dt - 1e-9))
+        sol_a = full_solution(kernel, omega_a, t_max, t_max / steps, tol=1e-8)
+        sol_b = sol_a if omega_b == omega_a else full_solution(
+            kernel, omega_b, t_max, t_max / steps, tol=1e-8
+        )
+        rates = table_rates(sol_a, sol_b)
+        ga = np.interp(grid, sol_a.t, sol_a.gamma)
+        gb = np.interp(grid, sol_b.t, sol_b.gamma)
+    traj = interaction_trajectory(
+        integrate_master(rho0, rates, AtomParams(omega_a, omega_b), t_max, dt)
+    )
+    traces = np.einsum("tii->t", traj.states)
+    scale = rate if (natural_units and rate > 0.0) else 1.0
+    lines = [EVOLVE_HEADER]
+    for i in range(grid.size):
+        evolved = apply_channel(rho0, coefficients_from_gammas(ga[i], gb[i]))
+        lines.append(fmt_row((
+            grid[i] * scale, concurrence(evolved).value, ga[i], gb[i],
+            abs(float(traces[i].real) - 1.0), c0 * float(ga[i] * gb[i]),
+            np.max(np.abs(evolved - traj.states[i])),
+        )))
+    return ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.parametrize("argv, params", [
+    ([], {}),
+    (["--a", "0.8", "--rate", "0.7", "--omega-a", "1.3", "--omega-b", "0.7",
+      "--t-max", "4", "--no-natural-units"],
+     dict(a=0.8, rate=0.7, omega_a=1.3, omega_b=0.7, t_max=4.0, natural_units=False)),
+    (["--a", "0.6", "--memory-rate", "5", "--mem-dt", "1e-3"],
+     dict(a=0.6, memory_rate=5.0, mem_dt=1e-3)),
+])
+def test_evolve_csv_is_byte_identical_to_per_cell_format(tmp_path, argv, params):
+    out = tmp_path / "evolve.csv"
+    assert run("evolve", *argv, "--output", str(out)) == 0
+    assert out.read_bytes() == old_evolve_csv(**params)
+
+
+def old_bound_csv(samples, seed, gammas) -> bytes:
+    """The bound CSV as the per-cell loop formatted it, one state at a time."""
+    lines = ["seed,gamma,lhs,rhs,satisfied,first_branch_gap,side_branch_max"]
+    coeffs = coefficients_from_gammas(np.array(gammas), np.array(gammas))
+    worst, bad = -math.inf, 0
+    for s in range(seed, seed + samples):
+        rep = check_bound(random_state(s), coeffs)
+        worst = max(worst, float(np.max(rep.lhs - rep.rhs)))
+        bad += int(np.count_nonzero(~rep.satisfied))
+        for j, g in enumerate(gammas):
+            lines.append(f"{s},{fmt_row((g, rep.lhs[j], rep.rhs[j]))},"
+                         f"{int(rep.satisfied[j])},"
+                         f"{fmt_row((rep.first_branch_gap[j], rep.side_branch_max[j]))}")
+    total = samples * len(gammas)
+    lines.append(f"# satisfied {total - bad}/{total}, worst lhs-rhs gap {worst:.3e}")
+    return ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.parametrize("gammas", ["0.9,0.5,0.1", "1,0,0.25,0.7"])
+def test_bound_csv_is_byte_identical_to_per_cell_format(tmp_path, gammas):
+    out = tmp_path / "bound.csv"
+    assert run("bound", "--samples", "25", "--seed", "7", "--gammas", gammas,
+               "--output", str(out)) == 0
+    assert out.read_bytes() == old_bound_csv(25, 7, [float(g) for g in gammas.split(",")])
 
 
 def test_sweep_writes_nothing_unless_it_succeeds(tmp_path, monkeypatch, capsys):
