@@ -236,6 +236,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ValueError("a_steps and t_steps must be at least 1")
     if args.rate <= 0.0:
         raise ValueError(f"rate must be positive, got {args.rate}")
+    for name in ("a_min", "a_max"):
+        if not 0.0 <= getattr(args, name) <= 1.0:
+            raise ValueError(f"{name} must be finite and in [0, 1], got {getattr(args, name)}")
+    if args.a_min > args.a_max:
+        raise ValueError(f"a_min {args.a_min} must not exceed a_max {args.a_max}")
+    if not (math.isfinite(args.t_max) and args.t_max >= 0.0):
+        raise ValueError(f"t_max must be finite and nonnegative, got {args.t_max}")
     a_grid = np.linspace(args.a_min, args.a_max, args.a_steps)
     t_grid = np.linspace(0.0, args.t_max, args.t_steps)
     surface = sweep(a_grid, t_grid, args.rate)
@@ -330,6 +337,8 @@ def cmd_bound(args: argparse.Namespace) -> int:
     _resolve(args, BOUND_SPEC)
     if args.samples < 1:
         raise ValueError("samples must be at least 1")
+    if args.seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {args.seed}")
     chunks = ["seed,gamma,lhs,rhs,satisfied,first_branch_gap,side_branch_max\n"]
     gammas = np.array(args.gammas)
     coeffs = coefficients_from_gammas(gammas, gammas)

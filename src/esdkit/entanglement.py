@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import DampingCoefficients, _kraus_terms
-from .linalg import dagger, first_bad, hermiticity_defect, member, psd_sqrt
+from .linalg import _psd_sqrt_from_eigen, dagger, first_bad, hermiticity_defect, member
 from .states import XState, assert_density_matrix
 
 # Eigenvalues of the Hermitian product below this fraction of the largest are
@@ -58,7 +58,8 @@ def concurrence(
 
     Validates Hermiticity to herm_tol and positivity down to -eig_floor,
     then takes max(0, r1 - r2 - r3 - r4) over the descending square roots of
-    the eigenvalues of sqrt(rho) flipped(rho) sqrt(rho).
+    the eigenvalues of sqrt(rho) flipped(rho) sqrt(rho).  One Hermitian
+    eigendecomposition of each input feeds both the check and sqrt(rho).
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim < 2 or rho.shape[-2:] != (4, 4):
@@ -68,11 +69,12 @@ def concurrence(
     if bad is not None:
         raise ValueError(f"input{member(bad)} is not Hermitian: defect {defect[bad]:.3e}")
     rho = 0.5 * (rho + dagger(rho))
-    w_min = np.linalg.eigvalsh(rho)[..., 0]
-    bad = first_bad(w_min < -eig_floor)
+    # rho is now exactly Hermitian, so this is the decomposition psd_sqrt(rho) would make.
+    w, v = np.linalg.eigh(rho)
+    bad = first_bad(w[..., 0] < -eig_floor)
     if bad is not None:
-        raise ValueError(f"input{member(bad)} is not PSD: min eigenvalue {w_min[bad]:.3e}")
-    s = psd_sqrt(rho, tol=herm_tol)
+        raise ValueError(f"input{member(bad)} is not PSD: min eigenvalue {w[bad][0]:.3e}")
+    s = _psd_sqrt_from_eigen(w, v)
     m = s @ spin_flipped(rho) @ s
     m = 0.5 * (m + dagger(m))
     lam = np.linalg.eigvalsh(m)
@@ -138,7 +140,8 @@ def check_bound(
 
     rho0 may be a stack (..., 4, 4) whose leading axes broadcast against
     array amplitudes in c (and exponent); each state is validated once and
-    the six concurrences of every pair come from one stacked call.  When
+    its C(rho0) computed once, and the five concurrences of every pair come
+    from the same stacked call.  When
     exponent is omitted it is taken as -log(gamma_a * gamma_b), the value
     consistent with the supplied coefficients.  slack must be finite and
     nonnegative.
@@ -151,11 +154,12 @@ def check_bound(
     rho0 = assert_density_matrix(rho0)
     t1, t2, t3, t4 = _kraus_terms(rho0, c)
     pair_shape = np.broadcast_shapes(t1.shape, np.shape(exponent) + (4, 4))
-    # One stacked call: C(rho), C(channel), then the four branches, for every pair.
-    conc = concurrence(np.stack([
-        np.broadcast_to(m, pair_shape) for m in (rho0, t1 + t2 + t3 + t4, t1, t2, t3, t4)
-    ])).value
-    c0, lhs, first = conc[0], conc[1], conc[2]
+    # One stacked call: C(rho) per state, then C(channel) and the four branches per pair.
+    pairs = np.stack([np.broadcast_to(m, pair_shape) for m in (t1 + t2 + t3 + t4, t1, t2, t3, t4)])
+    conc = concurrence(np.concatenate([rho0.reshape(-1, 4, 4), pairs.reshape(-1, 4, 4)])).value
+    n0 = rho0.size // 16
+    c0 = np.broadcast_to(conc[:n0].reshape(rho0.shape[:-2]), pair_shape[:-2]).copy()
+    lhs, first, *sides = conc[n0:].reshape(pairs.shape[:-2])
     rhs = np.asarray(decay_bound(np.minimum(c0, 1.0), exponent))
     report = {
         "initial": c0,
@@ -163,7 +167,7 @@ def check_bound(
         "rhs": rhs,
         "satisfied": lhs <= rhs + slack,
         "first_branch_gap": np.abs(first - np.exp(-exponent) * c0),
-        "side_branch_max": np.max(conc[3:], axis=0),
+        "side_branch_max": np.max(sides, axis=0),
     }
     if lhs.ndim == 0:
         return BoundReport(**{k: v.item() for k, v in report.items()})

@@ -105,9 +105,15 @@ def psd_sqrt(h: np.ndarray, tol: float = HERMITIAN_TOL, clamp: float = EIG_CLAMP
     anything more negative raises ValueError.  Positive eigenvalues below
     RELATIVE_RANK_FLOOR times the largest are zeroed too: for rank-deficient
     inputs they are pure round-off, and their square roots would otherwise
-    leak ~1e-9 off the true support.
+    leak ~1e-9 off the true support.  concurrence reuses the root's formula
+    on an eigendecomposition it already holds.
     """
     w, v = hermitian_eigen(h, tol=tol)
+    return _psd_sqrt_from_eigen(w, v, clamp)
+
+
+def _psd_sqrt_from_eigen(w: np.ndarray, v: np.ndarray, clamp: float = EIG_CLAMP) -> np.ndarray:
+    """psd_sqrt from the (w, v) that hermitian_eigen returns, without a second solve."""
     bad = first_bad(w[..., 0] < -clamp)
     if bad is not None:
         raise ValueError(

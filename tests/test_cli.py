@@ -640,6 +640,29 @@ def test_bound_rejects_bad_slack_exit_2(tmp_path, capsys, slack):
     assert not out.exists()
 
 
+def test_bound_rejects_negative_seed_exit_2(tmp_path, capsys):
+    out = tmp_path / "bound.csv"
+    assert run("bound", "--samples", "3", "--seed", "-1", "--output", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err == "error: seed must be nonnegative, got -1\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("grid, message", [
+    (["--t-max", "-1"], "t_max must be finite and nonnegative, got -1.0"),
+    (["--t-max", "nan"], "t_max must be finite and nonnegative, got nan"),
+    (["--a-min", "0.5", "--a-max", "0.2"], "a_min 0.5 must not exceed a_max 0.2"),
+    (["--a-min", "nan"], "a_min must be finite and in [0, 1], got nan"),
+    (["--a-max", "1.5"], "a_max must be finite and in [0, 1], got 1.5"),
+])
+def test_sweep_bad_grid_bounds_exit_2(tmp_path, capsys, grid, message):
+    out = tmp_path / "sweep.csv"
+    assert run("sweep", *grid, "--a-steps", "3", "--t-steps", "4", "--output", str(out)) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+    assert not (tmp_path / "sweep_summary.json").exists()
+
+
 @pytest.mark.parametrize("rate", ["nan", "inf"])
 def test_td_non_finite_rate_exit_2(capsys, rate):
     for method in ("bisect", "exact"):

@@ -151,6 +151,24 @@ def test_psd_sqrt_clamps_dust_but_rejects_negative():
         psd_sqrt(np.diag([1.0, 0.5, -1e-6, 0.2]).astype(complex))
 
 
+def psd_sqrt_reference(h: np.ndarray) -> np.ndarray:
+    """psd_sqrt of PSD input as one function body: decompose, zero eigenvalues
+    below 1e-14 of the largest, then the symmetrized (v sqrt(w)) v^dagger."""
+    w, v = hermitian_eigen(h)
+    w = np.where(w < 1e-14 * np.maximum(w[..., -1:], 0.0), 0.0, w)
+    s = (v * np.sqrt(w)[..., None, :]) @ dagger(v)
+    return 0.5 * (s + dagger(s))
+
+
+@pytest.mark.parametrize("rank", [4, 3, 1])
+def test_psd_sqrt_bits_match_single_body_reference(rank):
+    rng = np.random.default_rng(41 + rank)
+    g = rng.standard_normal((50, 4, rank)) + 1j * rng.standard_normal((50, 4, rank))
+    h = g @ dagger(g)
+    assert psd_sqrt(h).tobytes() == psd_sqrt_reference(h).tobytes()
+    assert psd_sqrt(h[7]).tobytes() == psd_sqrt_reference(h[7]).tobytes()
+
+
 def test_elementary_identities():
     rng = np.random.default_rng(31)
     a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))

@@ -118,6 +118,40 @@ def test_stack_with_one_non_psd_member_names_its_index():
         psd_sqrt(rhos)
 
 
+def stack_with_min_eigenvalue(w_min: float) -> np.ndarray:
+    """Five Ginibre states whose member 2 is replaced by a rotated diagonal
+    matrix with smallest eigenvalue w_min."""
+    rhos = np.stack([random_state(s) for s in range(5)])
+    rng = np.random.default_rng(5)
+    u, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    rhos[2] = (u * np.array([0.5, 0.3, 0.2, w_min])) @ dagger(u)
+    rhos[2] = 0.5 * (rhos[2] + dagger(rhos[2]))
+    return rhos
+
+
+def test_concurrence_psd_check_and_clamp_share_one_eigendecomposition():
+    with pytest.raises(ValueError, match=r"input 2 is not PSD: min eigenvalue -5\.000e-09"):
+        concurrence(stack_with_min_eigenvalue(-5e-9))
+    # A looser eig_floor still meets the square root's -1e-8 clamp.
+    clamp = r"matrix 2 is not PSD: min eigenvalue -5\.000e-08 < -1\.0e-08"
+    with pytest.raises(ValueError, match=clamp):
+        concurrence(stack_with_min_eigenvalue(-5e-8), eig_floor=1e-7)
+    rhos = stack_with_min_eigenvalue(-5e-10)
+    value = concurrence(rhos).value
+    assert np.all(np.isfinite(value))
+    assert bits(value[2]) == bits(concurrence(rhos[2]).value)
+
+
+def test_check_bound_initial_is_one_concurrence_per_state():
+    rhos = np.stack([random_state(s) for s in range(6)])
+    gammas = np.array([0.9, 0.5, 0.1])
+    initial = check_bound(rhos[:, None], coefficients_from_gammas(gammas, gammas)).initial
+    assert initial.shape == (6, 3)
+    for i, rho in enumerate(rhos):
+        c0 = concurrence(rho).value
+        assert [bits(x) for x in initial[i]] == [bits(c0)] * 3
+
+
 def test_stack_errors_name_the_first_bad_member():
     rhos = np.stack([random_state(s) for s in range(6)])
     rhos[4, 0, 1] += 1e-6  # not Hermitian
