@@ -4,8 +4,8 @@ Subcommands: evolve (trajectory CSV, Kraus vs master cross-check), sweep
 (concurrence surface CSV + death-time summary JSON), td (death time for one
 family parameter), bound (decay-bound Monte Carlo), check (invariant suites).
 
-Exit codes: 0 success, 2 bad arguments or unreadable input, 3 numerical
-failure, 4 invariant or bound violation.
+Exit codes: 0 success, 2 bad arguments, unreadable input or a grid too
+large to allocate, 3 numerical failure, 4 invariant or bound violation.
 
 A config file (--config) holds "key = value" lines, '#' comments; keys are
 the long option names with hyphens or underscores.  Explicit flags win over
@@ -465,6 +465,10 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # numpy names the allocation: "Unable to allocate 711. PiB for an array ..."
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -120,12 +120,14 @@ PROPAGATOR_BLOCK = 16
 @dataclass(frozen=True)
 class Trajectory:
     """States on the integration grid plus the accumulated H' phases
-    (phase_a(t) = integral of omega_A + Im F, likewise for B)."""
+    (phase_a(t) = integral of omega_A + Im F, likewise for B) and the least
+    eigenvalue over all stored states, which the positivity check found."""
 
     t: np.ndarray
     states: np.ndarray
     phase_a: np.ndarray
     phase_b: np.ndarray
+    min_eigenvalue: float
 
     def max_trace_drift(self) -> float:
         traces = np.einsum("tii->t", self.states)
@@ -146,9 +148,15 @@ def integrate_master(
 
     The equation is linear in rho, so each step is one 16x16 matrix on
     rho.ravel(), rk4_step_matrix of the generator at t, t + dt/2 and t + dt.
-    The rates are evaluated once on those 2n + 1 stage times.  No Hermitian
-    projection is applied.  After the run the stored states are checked for
-    positivity; an eigenvalue below -1e-8 raises IntegratorError.
+    The rates are evaluated once on those 2n + 1 stage times.  The matrices
+    are built PROPAGATOR_BLOCK steps at a time, and a block whose stage
+    coefficients are bitwise those of the block last built applies that
+    block's matrices again: the build is deterministic, so they are the bits
+    a rebuild would give.  Constant rates thus build two blocks, the first
+    and a short last one.  No Hermitian projection is applied.  After the
+    run the stored states are checked for positivity; an eigenvalue below
+    -1e-8 raises IntegratorError, and otherwise the least eigenvalue is
+    returned as Trajectory.min_eigenvalue.
     """
     rho = assert_density_matrix(rho0)
     if rho.shape != (4, 4):
@@ -166,10 +174,15 @@ def integrate_master(
     states = np.empty((n + 1, 4, 4), dtype=complex)
     flat = states.reshape(n + 1, 16)
     flat[0] = rho.ravel()
+    held = b""  # the stage coefficients, as bytes, that built `steps`
     for lo in range(0, n, PROPAGATOR_BLOCK):
         hi = min(lo + PROPAGATOR_BLOCK, n)
-        gen = (coeffs[2 * lo:2 * hi + 1] @ _PIECES).reshape(-1, 16, 16)
-        steps = rk4_step_matrix(gen[:-1:2], gen[1::2], gen[2::2], dt)
+        stage = coeffs[2 * lo:2 * hi + 1]
+        key = stage.tobytes()
+        if key != held:
+            gen = (stage @ _PIECES).reshape(-1, 16, 16)
+            steps = rk4_step_matrix(gen[:-1:2], gen[1::2], gen[2::2], dt)
+            held = key
         for i, step in enumerate(steps, start=lo):
             np.matmul(step, flat[i], out=flat[i + 1])
 
@@ -178,7 +191,8 @@ def integrate_master(
         raise IntegratorError(
             f"integration produced eigenvalue {min_eig:.3e} < {POSITIVITY_FLOOR:.1e}"
         )
-    return Trajectory(t=grid, states=states, phase_a=phase_a, phase_b=phase_b)
+    return Trajectory(t=grid, states=states, phase_a=phase_a, phase_b=phase_b,
+                      min_eigenvalue=min_eig)
 
 
 def to_interaction_picture(

@@ -251,17 +251,22 @@ def _solve_tabulated(
 
     def steps(lo: int, hi: int) -> None:
         nonlocal err_acc
+        # b_{i-1}, bdot_{i-1} and bdot_{i-2}, carried from step to step
+        b_prev, bdot_prev = b[lo - 1], bdot[lo - 1]
+        bdot_prev2 = bdot[lo - 2] if lo > 1 else None
         for i in range(lo, hi):
             # Trapezoid memory sum with the unknown b_i split off into the denominator.
             r = h * (0.5 * alpha[i] * b[0] + (hist[i] + alpha[i - lo:0:-1] @ b[lo:i]))
-            bi = (b[i - 1] + 0.5 * h * (bdot[i - 1] - r)) / denom
+            bi = (b_prev + 0.5 * h * (bdot_prev - r)) / denom
             if i == 1:
-                pred = b[0] + h * bdot[0]
+                pred = b_prev + h * bdot_prev
             else:
-                pred = b[i - 1] + h * (1.5 * bdot[i - 1] - 0.5 * bdot[i - 2])
+                pred = b_prev + h * (1.5 * bdot_prev - 0.5 * bdot_prev2)
             err_acc += abs(bi - pred) / 6.0
             b[i] = bi
-            bdot[i] = -1j * omega_atom * bi - (r + 0.5 * h * alpha[0] * bi)
+            bdot_i = -1j * omega_atom * bi - (r + 0.5 * h * alpha[0] * bi)
+            bdot[i] = bdot_i
+            b_prev, bdot_prev, bdot_prev2 = bi, bdot_i, bdot_prev
 
     def block(lo: int, hi: int) -> None:
         span = hi - lo

@@ -688,3 +688,16 @@ def test_block_size_does_not_change_outputs(tmp_path, monkeypatch):
         assert run("bound", "--samples", "9", "--seed", "3", "--output", str(bd)) == 0
         runs[block] = (ev.read_bytes(), bd.read_bytes())
     assert runs[1] == runs[7] == runs[128]
+
+
+# Each grid is 1e17 points, 711 PiB: beyond any 64-bit address space, so the
+# allocation fails at once whatever the overcommit setting.
+@pytest.mark.parametrize("argv", [
+    ["evolve", "--t-max", "1e14"],
+    ["sweep", "--t-steps", "100000000000000000"],
+])
+def test_grid_too_large_to_allocate_exits_2(tmp_path, capsys, argv):
+    assert run(*argv, "--output", str(tmp_path / "out.csv")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: Unable to allocate 711. PiB")
+    assert list(tmp_path.iterdir()) == []

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from esdkit.channel import apply_channel, coefficients_from_gammas, coefficients
 from esdkit.entanglement import concurrence
 from esdkit.errors import IntegratorError
 from esdkit.master import (
+    POSITIVITY_FLOOR,
     AtomParams,
     RateFunctions,
     integrate_master,
@@ -16,7 +19,9 @@ from esdkit.master import (
     table_rates,
     to_interaction_picture,
 )
-from esdkit.memory import ExponentialKernel, full_solution, solve_amplitude, uniform_grid
+from esdkit.memory import (
+    ExponentialKernel, full_solution, rk4_step_matrix, solve_amplitude, uniform_grid,
+)
 from esdkit.states import (
     pure_state,
     random_state,
@@ -280,6 +285,92 @@ def test_propagator_block_does_not_change_outputs(monkeypatch, block):
     assert np.array_equal(got.states, want.states)
     assert np.array_equal(got.phase_a, want.phase_a)
     assert np.array_equal(got.phase_b, want.phase_b)
+
+
+def integrate_building_every_block(rho0, rates, atoms, t_max, dt):
+    """integrate_master's stepping with the step matrices of every block
+    built afresh: the reference that a stale reuse would differ from."""
+    n = uniform_grid(t_max, dt).size - 1
+    stage_t = np.arange(2 * n + 1) * (0.5 * dt)
+    f, g, _ = np.broadcast_arrays(rates.f(stage_t), rates.g(stage_t), stage_t)
+    coeffs = np.stack([atoms.omega_a + f.imag, f.real, atoms.omega_b + g.imag, g.real], axis=1)
+    flat = np.empty((n + 1, 16), dtype=complex)
+    flat[0] = np.asarray(rho0, dtype=complex).ravel()
+    for lo in range(0, n, master.PROPAGATOR_BLOCK):
+        hi = min(lo + master.PROPAGATOR_BLOCK, n)
+        gen = (coeffs[2 * lo:2 * hi + 1] @ master._PIECES).reshape(-1, 16, 16)
+        for i, step in enumerate(rk4_step_matrix(gen[:-1:2], gen[1::2], gen[2::2], dt), lo):
+            flat[i + 1] = step @ flat[i]
+    return flat.reshape(n + 1, 4, 4)
+
+
+def count_step_builds(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args[0].shape[0])
+        return rk4_step_matrix(*args)
+
+    monkeypatch.setattr(master, "rk4_step_matrix", counting)
+    return calls
+
+
+def test_step_matrices_are_built_once_per_distinct_block(monkeypatch):
+    calls = count_step_builds(monkeypatch)
+    integrate_master(random_state(6), markov_rates(1.0), ATOMS, 3.0, 1e-3)
+    # 3000 steps: one full block serves 187 blocks, then the short last one
+    assert calls == [master.PROPAGATOR_BLOCK, 3000 % master.PROPAGATOR_BLOCK]
+    calls.clear()
+    integrate_master(random_state(6), _structured_rates(), AtomParams(5.0, 4.0), 0.2, 1e-3)
+    assert len(calls) == math.ceil(200 / master.PROPAGATOR_BLOCK)
+
+
+def jump_rates(stage, before, after):
+    """A rate that jumps from before to after at the given stage index (stage
+    times are multiples of dt/2 = 5e-4); the jump sits between stage times."""
+    t_jump = (stage - 0.5) * 5e-4
+    return lambda t: np.where(np.asarray(t) < t_jump, before, after)
+
+
+# Block k holds stage rows 32k..32k+32, so row 128 is the last of block 3
+# and the first of block 4.  200 steps make 13 blocks, the last 8 steps long.
+JUMPS = {
+    "f mid-block": (2 * (3 * 16 + 7) + 1, "f"),
+    "g on a block boundary": (128, "g"),
+    "f one stage after a boundary": (129, "f"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(JUMPS))
+def test_piecewise_constant_rates_reuse_only_equal_blocks(monkeypatch, name):
+    stage, atom = JUMPS[name]
+    jump = jump_rates(stage, 0.5 + 0.3j, 1.5 - 0.2j)
+    steady = lambda t: 0.4 + 0.1j  # noqa: E731
+    rates = RateFunctions(f=jump, g=steady) if atom == "f" else RateFunctions(f=steady, g=jump)
+    rho0 = random_state(8)
+    want = integrate_building_every_block(rho0, rates, ATOMS, 0.2, 1e-3)
+    calls = count_step_builds(monkeypatch)
+    traj = integrate_master(rho0, rates, ATOMS, 0.2, 1e-3)
+    assert np.array_equal(traj.states, want)
+    # block 0, the block holding the jump, the first block wholly after it,
+    # and the short last block
+    assert calls == [16, 16, 16, 8]
+
+
+def test_markov_run_reusing_blocks_matches_building_every_block():
+    rho0 = xstate_to_dense(standard_family(0.8))
+    traj = integrate_master(rho0, markov_rates(1.0, 0.6), AtomParams(1.1, 0.4), 3.0, 1e-3)
+    want = integrate_building_every_block(rho0, markov_rates(1.0, 0.6), AtomParams(1.1, 0.4),
+                                          3.0, 1e-3)
+    assert np.array_equal(traj.states, want)
+
+
+def test_trajectory_reports_its_min_eigenvalue():
+    traj = integrate_master(random_state(12), markov_rates(1.0), ATOMS, 3.0, 1e-3)
+    assert traj.min_eigenvalue == float(np.linalg.eigvalsh(traj.states).min())
+    assert POSITIVITY_FLOOR <= traj.min_eigenvalue
+    # a local unitary keeps the spectrum, and the picture change keeps the record
+    assert interaction_trajectory(traj).min_eigenvalue == traj.min_eigenvalue
 
 
 def test_table_rates_take_arrays():
