@@ -7,9 +7,12 @@ family parameter), bound (decay-bound Monte Carlo), check (invariant suites).
 Exit codes: 0 success, 2 bad arguments, unreadable input or a grid too
 large to allocate, 3 numerical failure, 4 invariant or bound violation.
 
-A config file (--config) holds "key = value" lines, '#' comments; keys are
-the long option names with hyphens or underscores.  Explicit flags win over
-config values, config values win over built-in defaults.
+Each subcommand's options are declared once, in its option table: the name,
+converter, built-in default and help text give the flag --name-with-hyphens
+and the config key.  A config file (--config) holds "key = value" lines, '#'
+comments; keys are the long option names with hyphens or underscores.
+Explicit flags win over config values, config values win over built-in
+defaults.
 
 CSV output: comma-separated, LF line endings, '.' decimal separator, floats
 at 17 significant digits, one '#' summary line at the end where noted.
@@ -31,7 +34,7 @@ import numpy as np
 from .channel import apply_channel, coefficients_from_gammas, coefficients_markov
 from .entanglement import check_bound, concurrence, concurrence_x
 from .errors import NumericalError
-from .esd import death_time_s, disentanglement_time, disentanglement_time_exact, sweep
+from .esd import death_time_s, disentanglement_time_exact, sweep
 from .master import (
     AtomParams,
     integrate_master,
@@ -89,18 +92,19 @@ def _load_config(path: str) -> dict[str, str]:
     return cfg
 
 
-def _resolve(args: argparse.Namespace, spec: dict[str, tuple[Callable[[str], Any], Any]]) -> None:
+# Option name (underscores) -> (converter, built-in default, help text).
+Spec = dict[str, tuple[Callable[[str], Any], Any, str]]
+
+
+def _resolve(args: argparse.Namespace, spec: Spec) -> None:
     """Fill unset options from the config file, then from built-in defaults."""
     cfg = _load_config(args.config) if args.config else {}
     unknown = sorted(set(cfg) - set(spec))
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-    for name, (convert, default) in spec.items():
-        if getattr(args, name, None) is None:
-            if name in cfg:
-                setattr(args, name, convert(cfg[name]))
-            else:
-                setattr(args, name, default)
+    for name, (convert, default, _help) in spec.items():
+        if getattr(args, name) is None:
+            setattr(args, name, convert(cfg[name]) if name in cfg else default)
 
 
 # (state, channel) pairs per stacked pass in evolve and bound.  It bounds the
@@ -122,20 +126,20 @@ def _write_text(path: str, chunks: list[str]) -> None:
 
 # ---------------------------------------------------------------- evolve
 
-EVOLVE_SPEC: dict[str, tuple[Callable[[str], Any], Any]] = {
-    "a": (float, 1.0),
-    "rate": (float, 1.0),
-    "t_max": (float, 3.0),
-    "dt": (float, 1e-3),
-    "omega_a": (float, 1.0),
-    "omega_b": (float, 1.0),
-    "memory_rate": (float, None),
-    "kernel_center": (float, 0.0),
-    "kernel_file": (str, None),
-    "mem_dt": (float, None),
-    "mem_tol": (float, 1e-8),
-    "natural_units": (_parse_bool, True),
-    "output": (str, "evolve.csv"),
+EVOLVE_SPEC: Spec = {
+    "a": (float, 1.0, "family parameter in [0, 1]"),
+    "rate": (float, 1.0, "damping rate"),
+    "t_max": (float, 3.0, "final time"),
+    "dt": (float, 1e-3, "integration step"),
+    "omega_a": (float, 1.0, "atom A frequency"),
+    "omega_b": (float, 1.0, "atom B frequency"),
+    "memory_rate": (float, None, "reservoir memory rate; enables the structured kernel"),
+    "kernel_center": (float, 0.0, "reservoir center frequency"),
+    "kernel_file": (str, None, "tabulated kernel: rows 'tau alpha_re alpha_im'"),
+    "mem_dt": (float, None, "amplitude-solver step"),
+    "mem_tol": (float, 1e-8, "amplitude-solver convergence gate"),
+    "natural_units": (_parse_bool, True, "report times as rate*t"),
+    "output": (str, "evolve.csv", "CSV path"),
 }
 
 
@@ -143,7 +147,6 @@ EVOLVE_ROW = ",".join(["%.17g"] * 7) + "\n"
 
 
 def cmd_evolve(args: argparse.Namespace) -> int:
-    _resolve(args, EVOLVE_SPEC)
     if not 0.0 <= args.rate < math.inf:
         raise ValueError(f"rate must be finite and non-negative, got {args.rate}")
     if not (math.isfinite(args.omega_a) and math.isfinite(args.omega_b)):
@@ -171,7 +174,12 @@ def cmd_evolve(args: argparse.Namespace) -> int:
             target = args.mem_dt if args.mem_dt is not None else min(
                 args.dt, 0.005 / args.memory_rate
             )
-        steps = max(1, math.ceil(args.t_max / target - 1e-9))
+        ratio = args.t_max / target
+        if ratio == math.inf:
+            raise ValueError(
+                f"t_max={args.t_max} / amplitude step {target} overflows: too many steps"
+            )
+        steps = max(1, math.ceil(ratio - 1e-9))
         mem_dt = args.t_max / steps
         sol_a = full_solution(kernel, args.omega_a, args.t_max, mem_dt, tol=args.mem_tol)
         sol_b = sol_a if args.omega_b == args.omega_a else full_solution(
@@ -207,15 +215,15 @@ def cmd_evolve(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------- sweep
 
-SWEEP_SPEC: dict[str, tuple[Callable[[str], Any], Any]] = {
-    "a_min": (float, 0.0),
-    "a_max": (float, 1.0),
-    "a_steps": (int, 101),
-    "t_max": (float, 3.0),
-    "t_steps": (int, 200),
-    "rate": (float, 1.0),
-    "natural_units": (_parse_bool, True),
-    "output": (str, "sweep.csv"),
+SWEEP_SPEC: Spec = {
+    "a_min": (float, 0.0, "least family parameter"),
+    "a_max": (float, 1.0, "greatest family parameter"),
+    "a_steps": (int, 101, "family parameters on the grid"),
+    "t_max": (float, 3.0, "final time"),
+    "t_steps": (int, 200, "times on the grid"),
+    "rate": (float, 1.0, "damping rate"),
+    "natural_units": (_parse_bool, True, "report times as rate*t"),
+    "output": (str, "sweep.csv", "CSV path; the summary goes to <stem>_summary.json"),
 }
 
 
@@ -231,7 +239,6 @@ SUMMARY_RECORD = '  {\n    "a": %%r,\n    "kind": "%s",\n    "t_d": %s,\n    "ga
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    _resolve(args, SWEEP_SPEC)
     if args.a_steps < 1 or args.t_steps < 1:
         raise ValueError("a_steps and t_steps must be at least 1")
     if args.rate <= 0.0:
@@ -248,8 +255,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     surface = sweep(a_grid, t_grid, args.rate)
     s_d = death_time_s(a_grid)
     finite = np.isfinite(s_d)
-    with np.errstate(over="ignore"):  # an overflowing t_d is reported below
+    with np.errstate(over="ignore"):  # an overflowing time or t_d is reported below
+        t_col = t_grid * args.rate if args.natural_units else t_grid
         t_d = s_d if args.natural_units else s_d / args.rate
+    if not math.isfinite(t_col[-1]):
+        raise NumericalError(f"time t_max*rate overflows at t_max {args.t_max!r}, "
+                             f"rate {args.rate!r}")
     if not np.all(np.isfinite(t_d[finite])):
         raise NumericalError(f"death times overflow model time at rate {args.rate!r}")
     # sweep() admitted only a in [0, 1] and a finite rate, and t_d is finite
@@ -261,8 +272,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     # Nothing is written until every number is in hand, so a failed run
     # leaves no partial output.  Each CSV row of one a is one % on a template
     # holding the formatted times.
-    scale = args.rate if args.natural_units else 1.0
-    row_template = "".join(["%%s,%s,%%.17g\n" % _fmt(t) for t in (t_grid * scale).tolist()])
+    row_template = "".join(["%%s,%s,%%.17g\n" % _fmt(t) for t in t_col.tolist()])
     with open(args.output, "w", newline="") as fh:
         fh.write("a,t,concurrence\n")
         for a, row in zip(a_grid.tolist(), surface):
@@ -283,26 +293,22 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------- td
 
-TD_SPEC: dict[str, tuple[Callable[[str], Any], Any]] = {
-    "a": (float, 1.0),
-    "rate": (float, 1.0),
-    "method": (str, "bisect"),
-    "natural_units": (_parse_bool, True),
-    "output": (str, None),
+TD_SPEC: Spec = {
+    "a": (float, 1.0, "family parameter in [0, 1]"),
+    "rate": (float, 1.0, "damping rate"),
+    "natural_units": (_parse_bool, True, "report times as rate*t"),
+    "output": (str, None, "JSON path; stdout when unset"),
 }
 
 
 def cmd_td(args: argparse.Namespace) -> int:
-    _resolve(args, TD_SPEC)
-    if args.method not in ("bisect", "exact"):
-        raise ValueError(f'method must be "bisect" or "exact", got {args.method!r}')
-    solver = disentanglement_time if args.method == "bisect" else disentanglement_time_exact
+    """Death time from the closed form; the bisection in esd is its cross-check."""
     if not (math.isfinite(args.rate) and args.rate > 0.0):
         raise ValueError(f"rate must be finite and positive, got {args.rate}")
     # In natural units the reported rate*t_d is the death time at unit rate,
     # finite however small the rate; a model-time t_d that overflows raises
     # NumericalError.
-    verdict = solver(args.a, 1.0 if args.natural_units else args.rate)
+    verdict = disentanglement_time_exact(args.a, 1.0 if args.natural_units else args.rate)
     payload = {
         "a": args.a,
         "kind": verdict.kind,
@@ -321,12 +327,12 @@ def cmd_td(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------- bound
 
-BOUND_SPEC: dict[str, tuple[Callable[[str], Any], Any]] = {
-    "samples": (int, 200),
-    "seed": (int, 0),
-    "gammas": (_parse_gammas, (0.9, 0.5, 0.1)),
-    "slack": (float, 1e-10),
-    "output": (str, "bound.csv"),
+BOUND_SPEC: Spec = {
+    "samples": (int, 200, "random states drawn"),
+    "seed": (int, 0, "seed of the first state; the rest count up"),
+    "gammas": (_parse_gammas, (0.9, 0.5, 0.1), "comma-separated residual amplitudes"),
+    "slack": (float, 1e-10, "tolerance of each bound check"),
+    "output": (str, "bound.csv", "CSV path"),
 }
 
 
@@ -334,7 +340,6 @@ BOUND_ROW = "%d,%.17g,%.17g,%.17g,%d,%.17g,%.17g\n"
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
-    _resolve(args, BOUND_SPEC)
     if args.samples < 1:
         raise ValueError("samples must be at least 1")
     if args.seed < 0:
@@ -342,23 +347,26 @@ def cmd_bound(args: argparse.Namespace) -> int:
     chunks = ["seed,gamma,lhs,rhs,satisfied,first_branch_gap,side_branch_max\n"]
     gammas = np.array(args.gammas)
     coeffs = coefficients_from_gammas(gammas, gammas)
-    violations = 0
-    worst_gap = -math.inf
+    try:
+        # Every check's numbers, filled block by block: a sample count too
+        # large to hold fails here, before any state is drawn.
+        table = np.empty((args.samples, gammas.size, 6))
+    except ValueError as exc:  # beyond numpy's index range
+        raise ValueError(f"samples={args.samples}: {exc}") from None
     seeds = range(args.seed, args.seed + args.samples)
-    for block in _blocks(args.samples, max(1, STACK_BLOCK // len(args.gammas))):
+    for block in _blocks(args.samples, max(1, STACK_BLOCK // gammas.size)):
         rhos = np.stack([random_state(seed) for seed in seeds[block]])
         # Rows are seed-major, then gamma: the report arrays have shape (seeds, gammas).
         rep = check_bound(rhos[:, None], coeffs, slack=args.slack)
-        worst_gap = max(worst_gap, float(np.max(rep.lhs - rep.rhs)))
-        violations += int(np.count_nonzero(~rep.satisfied))
-        rows = np.stack(np.broadcast_arrays(
+        table[block] = np.stack(np.broadcast_arrays(
             gammas, rep.lhs, rep.rhs, rep.satisfied, rep.first_branch_gap, rep.side_branch_max,
-        ), axis=-1).reshape(-1, 6)
+        ), axis=-1)
         # Seeds stay Python ints: a float column would round seeds above 2**53.
         row_seeds = [seed for seed in seeds[block] for _ in args.gammas]
-        chunks.append("".join([
-            BOUND_ROW % (seed, *row) for seed, row in zip(row_seeds, rows.tolist())
-        ]))
+        chunks.append("".join([BOUND_ROW % (seed, *row) for seed, row in
+                               zip(row_seeds, table[block].reshape(-1, 6).tolist())]))
+    violations = int(np.count_nonzero(table[..., 3] == 0.0))
+    worst_gap = float(np.max(table[..., 1] - table[..., 2]))
     total = args.samples * len(args.gammas)
     chunks.append(
         f"# satisfied {total - violations}/{total}, worst lhs-rhs gap {worst_gap:.3e}\n"
@@ -385,73 +393,39 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------- parser
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="key = value file; flags win over it")
-    parser.add_argument(
-        "--natural-units", action=argparse.BooleanOptionalAction, default=None,
-        help="report times as rate*t (default on)",
-    )
+COMMANDS: dict[str, tuple[Callable[[argparse.Namespace], int], Spec, str]] = {
+    "evolve": (cmd_evolve, EVOLVE_SPEC, "trajectory CSV with Kraus vs master cross-check"),
+    "sweep": (cmd_sweep, SWEEP_SPEC, "concurrence surface CSV + death-time summary JSON"),
+    "td": (cmd_td, TD_SPEC, "death time for one family parameter (JSON)"),
+    "bound": (cmd_bound, BOUND_SPEC, "decay-bound Monte Carlo over random states"),
+    "check": (cmd_check, {}, "run the module invariant suites"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per COMMANDS entry, one flag per option-table entry.
+
+    Every flag defaults to None, so _resolve can tell an unset option from
+    an explicit one.
+    """
     parser = argparse.ArgumentParser(
         prog="esdkit",
         description="Two-qubit damping trajectories, concurrence, sudden death.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("evolve", help="trajectory CSV with Kraus vs master cross-check")
-    p.add_argument("--a", type=float, help="family parameter in [0, 1] (default 1)")
-    p.add_argument("--rate", type=float, help="damping rate (default 1)")
-    p.add_argument("--t-max", type=float, dest="t_max", help="final time (default 3)")
-    p.add_argument("--dt", type=float, help="integration step (default 1e-3)")
-    p.add_argument("--omega-a", type=float, dest="omega_a", help="atom A frequency")
-    p.add_argument("--omega-b", type=float, dest="omega_b", help="atom B frequency")
-    p.add_argument("--memory-rate", type=float, dest="memory_rate",
-                   help="reservoir memory rate; enables the structured kernel")
-    p.add_argument("--kernel-center", type=float, dest="kernel_center",
-                   help="reservoir center frequency (default 0)")
-    p.add_argument("--kernel-file", dest="kernel_file",
-                   help="tabulated kernel: rows 'tau alpha_re alpha_im'")
-    p.add_argument("--mem-dt", type=float, dest="mem_dt", help="amplitude-solver step")
-    p.add_argument("--mem-tol", type=float, dest="mem_tol",
-                   help="amplitude-solver convergence gate (default 1e-8)")
-    p.add_argument("--output", help="CSV path (default evolve.csv)")
-    _add_common(p)
-    p.set_defaults(func=cmd_evolve)
-
-    p = sub.add_parser("sweep", help="concurrence surface CSV + death-time summary JSON")
-    p.add_argument("--a-min", type=float, dest="a_min")
-    p.add_argument("--a-max", type=float, dest="a_max")
-    p.add_argument("--a-steps", type=int, dest="a_steps")
-    p.add_argument("--t-max", type=float, dest="t_max")
-    p.add_argument("--t-steps", type=int, dest="t_steps")
-    p.add_argument("--rate", type=float)
-    p.add_argument("--output", help="CSV path (default sweep.csv)")
-    _add_common(p)
-    p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("td", help="death time for one family parameter (JSON)")
-    p.add_argument("--a", type=float)
-    p.add_argument("--rate", type=float)
-    p.add_argument("--method", choices=("bisect", "exact"))
-    p.add_argument("--output", help="JSON path (default stdout)")
-    _add_common(p)
-    p.set_defaults(func=cmd_td)
-
-    p = sub.add_parser("bound", help="decay-bound Monte Carlo over random states")
-    p.add_argument("--samples", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--gammas", type=_parse_gammas,
-                   help="comma-separated residual amplitudes (default 0.9,0.5,0.1)")
-    p.add_argument("--slack", type=float)
-    p.add_argument("--output", help="CSV path (default bound.csv)")
-    p.add_argument("--config")
-    p.set_defaults(func=cmd_bound)
-
-    p = sub.add_parser("check", help="run the module invariant suites")
-    p.set_defaults(func=cmd_check)
-
+    for command, (func, spec, help_text) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        p.set_defaults(func=func, spec=spec, config=None)
+        if spec:
+            p.add_argument("--config", help="key = value file; flags win over it")
+        for name, (convert, default, text) in spec.items():
+            flag = "--" + name.replace("_", "-")
+            if default is not None:
+                text = f"{text} (default {default})"
+            if convert is _parse_bool:
+                p.add_argument(flag, action=argparse.BooleanOptionalAction, help=text)
+            else:
+                p.add_argument(flag, type=convert, help=text)
     return parser
 
 
@@ -462,6 +436,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        _resolve(args, args.spec)
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

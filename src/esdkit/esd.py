@@ -179,8 +179,11 @@ def sweep(a_grid: np.ndarray, t_grid: np.ndarray, rate: float) -> np.ndarray:
     if not (a_grid[0] >= 0.0 and a_grid[-1] <= 1.0 and t_grid[0] >= 0.0
             and np.isfinite(t_grid[-1]) and math.isfinite(rate) and rate >= 0.0):
         raise ValueError("a in [0, 1], finite t >= 0, finite rate >= 0 required")
-    g2 = np.exp(-rate * t_grid)[None, :]
-    return (2.0 / 3.0) * np.maximum(0.0, g2 * _family_factor(a_grid[:, None], 1.0 - g2))
+    with np.errstate(over="ignore"):  # rate*t beyond the float range: g2 is exactly 0
+        g2 = np.exp(-rate * t_grid)[None, :]
+    surface = (2.0 / 3.0) * np.maximum(0.0, g2 * _family_factor(a_grid[:, None], 1.0 - g2))
+    surface += 0.0  # an underflowed g2 times a negative factor is -0.0; report +0.0
+    return surface
 
 
 @dataclass(frozen=True)

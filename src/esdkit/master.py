@@ -153,10 +153,11 @@ def integrate_master(
     coefficients are bitwise those of the block last built applies that
     block's matrices again: the build is deterministic, so they are the bits
     a rebuild would give.  Constant rates thus build two blocks, the first
-    and a short last one.  No Hermitian projection is applied.  After the
-    run the stored states are checked for positivity; an eigenvalue below
-    -1e-8 raises IntegratorError, and otherwise the least eigenvalue is
-    returned as Trajectory.min_eigenvalue.
+    and a short last one.  No Hermitian projection is applied.  A step or phase
+    that overflows raises IntegratorError.  After the run the stored states
+    are checked for positivity; an eigenvalue below -1e-8 raises
+    IntegratorError, and otherwise the least eigenvalue is returned as
+    Trajectory.min_eigenvalue.
     """
     rho = assert_density_matrix(rho0)
     if rho.shape != (4, 4):
@@ -169,22 +170,27 @@ def integrate_master(
     f, g, _ = np.broadcast_arrays(rates.f(stage_t), rates.g(stage_t), stage_t)
     coeffs = np.stack([atoms.omega_a + f.imag, f.real, atoms.omega_b + g.imag, g.real], axis=1)
     nu = coeffs[::2, ::2]  # omega + Im rate at the grid points, atoms A and B
-    phase_a, phase_b = np.vstack(([0.0, 0.0], np.cumsum(half * (nu[:-1] + nu[1:]), axis=0))).T
-
     states = np.empty((n + 1, 4, 4), dtype=complex)
     flat = states.reshape(n + 1, 16)
     flat[0] = rho.ravel()
     held = b""  # the stage coefficients, as bytes, that built `steps`
-    for lo in range(0, n, PROPAGATOR_BLOCK):
-        hi = min(lo + PROPAGATOR_BLOCK, n)
-        stage = coeffs[2 * lo:2 * hi + 1]
-        key = stage.tobytes()
-        if key != held:
-            gen = (stage @ _PIECES).reshape(-1, 16, 16)
-            steps = rk4_step_matrix(gen[:-1:2], gen[1::2], gen[2::2], dt)
-            held = key
-        for i, step in enumerate(steps, start=lo):
-            np.matmul(step, flat[i], out=flat[i + 1])
+    # An unstable step overflows to inf or nan; that is refused after the run.
+    with np.errstate(over="ignore", invalid="ignore"):
+        phases = np.vstack(([0.0, 0.0], np.cumsum(half * (nu[:-1] + nu[1:]), axis=0)))
+        for lo in range(0, n, PROPAGATOR_BLOCK):
+            hi = min(lo + PROPAGATOR_BLOCK, n)
+            stage = coeffs[2 * lo:2 * hi + 1]
+            key = stage.tobytes()
+            if key != held:
+                gen = (stage @ _PIECES).reshape(-1, 16, 16)
+                steps = rk4_step_matrix(gen[:-1:2], gen[1::2], gen[2::2], dt)
+                held = key
+            for i, step in enumerate(steps, start=lo):
+                np.matmul(step, flat[i], out=flat[i + 1])
+    # A cumulative sum stays non-finite once it is, so the last phases tell.
+    if not (np.isfinite(phases[-1]).all() and np.isfinite(flat).all()):
+        raise IntegratorError(f"integration overflowed at dt={dt}; reduce dt")
+    phase_a, phase_b = phases.T
 
     min_eig = float(np.min(np.linalg.eigvalsh(states)))
     if min_eig < POSITIVITY_FLOOR:

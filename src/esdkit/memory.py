@@ -149,7 +149,10 @@ def uniform_grid(t_max: float, dt: float) -> np.ndarray:
         raise ValueError(f"dt must be finite and positive, got {dt}")
     if not dt <= t_max < np.inf:
         raise ValueError(f"t_max={t_max} must be finite and at least one step dt={dt}")
-    n = int(round(t_max / dt))
+    ratio = t_max / dt
+    if ratio == np.inf:
+        raise ValueError(f"t_max={t_max} / dt={dt} overflows: too many steps")
+    n = int(round(ratio))
     if abs(n * dt - t_max) > 1e-8 * max(1.0, abs(t_max)):
         raise ValueError(f"t_max={t_max} is not an integer multiple of dt={dt}")
     return np.arange(n + 1) * dt
@@ -161,12 +164,15 @@ def rk4_step_matrix(l1: np.ndarray, l2: np.ndarray, l4: np.ndarray, h: float) ->
     l1, l2 and l4 are L at t, t + h/2 and t + h.  The stages are
     k2 = L2 (I + h/2 L1), k3 = L2 (I + h/2 k2), k4 = L4 (I + h k3), and the
     step is I + h/6 (L1 + 2 k2 + 2 k3 + k4): sum_{k<=4} (h m)^k / k! for L = m.
+    A step too large for the floats comes back with inf or nan entries, and
+    no warning; the caller refuses it.
     """
     eye = np.eye(l1.shape[-1])
-    k2 = l2 @ (eye + 0.5 * h * l1)
-    k3 = l2 @ (eye + 0.5 * h * k2)
-    k4 = l4 @ (eye + h * k3)
-    return eye + (h / 6.0) * (l1 + 2.0 * k2 + 2.0 * k3 + k4)
+    with np.errstate(over="ignore", invalid="ignore"):
+        k2 = l2 @ (eye + 0.5 * h * l1)
+        k3 = l2 @ (eye + 0.5 * h * k2)
+        k4 = l4 @ (eye + h * k3)
+        return eye + (h / 6.0) * (l1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def _propagate_powers(phi: np.ndarray, y0: np.ndarray, n: int) -> np.ndarray:
@@ -175,8 +181,11 @@ def _propagate_powers(phi: np.ndarray, y0: np.ndarray, n: int) -> np.ndarray:
     Columns [k, 2k) are phi^k times columns [0, k), so the n + 1 columns take
     about log2(n) products, and no eigenbasis (ill-conditioned near a
     defective phi, such as the critically damped kernel) is formed.  The
-    growth guard rejects unstable steps before the powers can overflow.
+    growth guard rejects unstable steps before the powers can overflow, and
+    a step that overflowed when it was built.
     """
+    if not np.isfinite(phi).all():
+        raise ConvergenceError("unstable step: the step matrix overflows; reduce dt")
     amplification = float(np.max(np.abs(np.linalg.eigvals(phi))))
     if amplification > 1.0 + 1e-9:
         raise ConvergenceError(

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import warnings
@@ -266,12 +267,9 @@ def test_sweep_single_point(tmp_path):
 
 
 def test_td_both_methods(capsys):
-    assert run("td", "--a", "0.6666666666666666", "--method", "bisect") == 0
-    bisect = json.loads(capsys.readouterr().out)
-    assert bisect["kind"] == "finite"
-    assert abs(bisect["t_d"] - np.log(2.0)) < 1e-6
-    assert run("td", "--a", "0.6666666666666666", "--method", "exact") == 0
+    assert run("td", "--a", "0.6666666666666666") == 0
     exact = json.loads(capsys.readouterr().out)
+    assert exact["kind"] == "finite"
     assert abs(exact["t_d"] - np.log(2.0)) < 1e-12
     assert run("td", "--a", "0.2") == 0
     asym = json.loads(capsys.readouterr().out)
@@ -292,13 +290,33 @@ def test_td_natural_units_scaling(capsys, tmp_path):
 
 def test_config_precedence(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("# defaults for this study\na = 0.6666666666666666\nmethod = exact\n")
+    cfg.write_text("# defaults for this study\na = 0.6666666666666666\n")
     assert run("td", "--config", str(cfg)) == 0
     from_cfg = json.loads(capsys.readouterr().out)
     assert abs(from_cfg["t_d"] - np.log(2.0)) < 1e-12
     assert run("td", "--config", str(cfg), "--a", "1") == 0
     flag_wins = json.loads(capsys.readouterr().out)
-    assert abs(flag_wins["t_d"] - TD_A1) < 1e-9
+    assert abs(flag_wins["t_d"] - TD_A1) < 1e-12
+    old = tmp_path / "method.cfg"
+    old.write_text("method = exact\n")
+    assert run("td", "--config", str(old)) == 2
+    assert capsys.readouterr().err == "error: unknown config keys: method\n"
+
+
+def test_option_tables_give_flags_config_keys_and_defaults(tmp_path):
+    parser = cli.build_parser()
+    for command, (func, spec, _help) in cli.COMMANDS.items():
+        args = parser.parse_args([command])
+        cli._resolve(args, spec)
+        assert args.func is func
+        assert {name: getattr(args, name) for name in spec} == {
+            name: default for name, (_convert, default, _text) in spec.items()
+        }
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("a-steps = 7\nnatural_units = off\n")
+    args = parser.parse_args(["sweep", "--config", str(cfg), "--t-steps", "5"])
+    cli._resolve(args, cli.SWEEP_SPEC)
+    assert (args.a_steps, args.natural_units, args.t_steps, args.rate) == (7, False, 5, 1.0)
 
 
 def test_config_rejects_unknown_keys(tmp_path, capsys):
@@ -611,16 +629,14 @@ TD_A1_EXACT = math.log((2.0 + math.sqrt(2.0)) / 2.0)
 
 
 def test_tiny_rate_reports_natural_units_and_never_infinity(tmp_path, capsys):
-    for method in ("exact", "bisect"):
-        assert run("td", "--a", "1", "--rate", "1e-310", "--method", method,
-                   "--no-natural-units") == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "numerical failure" in captured.err and "overflows" in captured.err
-        assert run("td", "--a", "1", "--rate", "1e-310", "--method", method) == 0
-        record = strict_json(capsys.readouterr().out)
-        assert record["gamma_rate"] == 1e-310
-        assert abs(record["t_d"] - TD_A1_EXACT) < (1e-15 if method == "exact" else 1e-9)
+    assert run("td", "--a", "1", "--rate", "1e-310", "--no-natural-units") == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "numerical failure" in captured.err and "overflows" in captured.err
+    assert run("td", "--a", "1", "--rate", "1e-310") == 0
+    record = strict_json(capsys.readouterr().out)
+    assert record["gamma_rate"] == 1e-310
+    assert abs(record["t_d"] - TD_A1_EXACT) < 1e-15
     out = tmp_path / "sweep.csv"
     assert run("sweep", "--rate", "1e-310", "--output", str(out)) == 0
     summary = strict_json((tmp_path / "sweep_summary.json").read_text())
@@ -665,9 +681,8 @@ def test_sweep_bad_grid_bounds_exit_2(tmp_path, capsys, grid, message):
 
 @pytest.mark.parametrize("rate", ["nan", "inf"])
 def test_td_non_finite_rate_exit_2(capsys, rate):
-    for method in ("bisect", "exact"):
-        assert run("td", "--a", "1", "--rate", rate, "--method", method) == 2
-        assert "rate" in capsys.readouterr().err
+    assert run("td", "--a", "1", "--rate", rate) == 2
+    assert "rate" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("rate", ["nan", "inf"])
@@ -700,4 +715,56 @@ def test_grid_too_large_to_allocate_exits_2(tmp_path, capsys, argv):
     assert run(*argv, "--output", str(tmp_path / "out.csv")) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: out of memory: Unable to allocate 711. PiB")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["evolve", "--t-max", "1e308"], 2,
+     "error: t_max=1e+308 / dt=0.001 overflows: too many steps"),
+    (["evolve", "--t-max", "0.01", "--memory-rate", "1e308"], 2,
+     "error: t_max=0.01 / amplitude step 5e-311 overflows: too many steps"),
+    (["sweep", "--rate", "1e308"], 3,
+     "numerical failure: time t_max*rate overflows at t_max 3.0, rate 1e+308"),
+    (["sweep", "--t-max", "1e308", "--rate", "10"], 3,
+     "numerical failure: time t_max*rate overflows at t_max 1e+308, rate 10.0"),
+    (["evolve", "--rate", "10000"], 3,
+     "numerical failure: integration overflowed at dt=0.001; reduce dt"),
+    (["evolve", "--rate", "1e308"], 3,
+     "numerical failure: integration overflowed at dt=0.001; reduce dt"),
+    (["evolve", "--omega-a", "1e308"], 3,
+     "numerical failure: integration overflowed at dt=0.001; reduce dt"),
+    (["evolve", "--memory-rate", "5", "--kernel-center", "1e308"], 3,
+     "numerical failure: unstable step: the step matrix overflows; reduce dt"),
+])
+def test_overflow_exits_with_its_code_and_no_warning(tmp_path, capsys, argv, code, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(*argv, "--output", str(tmp_path / "out.csv")) == code
+    assert capsys.readouterr().err == message + "\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_sweep_csv_has_no_negative_zero(tmp_path):
+    out = tmp_path / "sweep.csv"
+    assert run("sweep", "--t-max", "800", "--output", str(out)) == 0
+    cells = [line.rsplit(",", 1)[1] for line in out.read_text().splitlines()[1:]]
+    assert "0" in cells and "-0" not in cells
+
+
+def test_bound_impossible_sample_count_exits_2_at_once(tmp_path):
+    # Were the count accepted, the run would eat the host's memory; it runs
+    # only in a child capped at 1 GiB of address space.
+    def cap() -> None:
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    argv = [sys.executable, "-W", "error", "-m", "esdkit", "bound",
+            "--samples", "99999999999999999999", "--output", "bound.csv"]
+    out = subprocess.run(argv, cwd=tmp_path, env={**os.environ, "PYTHONPATH": path},
+                         preexec_fn=cap, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 2
+    assert "Traceback" not in out.stderr
+    assert out.stderr.startswith("error: samples=99999999999999999999: ")
+    assert len(out.stderr.strip()) > len("error: samples=99999999999999999999:")
     assert list(tmp_path.iterdir()) == []

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -210,6 +211,22 @@ def test_local_vs_nonlocal_report():
     assert np.all(rep0.concurrence > 0.0)
     with pytest.raises(ValueError):
         local_vs_nonlocal_report(0.5, 1.0, np.array([]))
+
+
+def test_surface_zero_after_underflow_is_positive():
+    # e^(-rate*t) underflows to 0 past rate*t ~ 745, and 0 times a negative
+    # factor would be -0.0; past 1.8e308 rate*t overflows, still exactly 0
+    t_grid = np.linspace(0.0, 800.0, 201)
+    a_grid = np.linspace(0.0, 1.0, 101)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        surface = sweep(a_grid, t_grid, 1.0)
+        huge = sweep(a_grid, t_grid[:3], 1e308)
+    assert np.exp(-t_grid[-1]) == 0.0 and (surface[:, -1] == 0.0).all()
+    assert not np.signbit(surface).any()
+    assert not np.signbit(huge).any() and (huge[:, 1:] == 0.0).all()
+    assert not np.signbit(local_vs_nonlocal_report(1.0, 1.0, t_grid).concurrence).any()
+    assert math.copysign(1.0, concurrence_markov(1.0, 1.0, 800.0)) == 1.0
 
 
 def test_verdict_is_frozen_and_comparable():

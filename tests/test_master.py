@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -115,6 +116,21 @@ def test_negative_rates_trip_the_positivity_guard():
     )
     with pytest.raises(IntegratorError):
         integrate_master(rho0, pumped, AtomParams(0.0, 0.0), 2.0, 1e-3)
+
+
+@pytest.mark.parametrize("rates, atoms", [
+    (markov_rates(1e4), ATOMS),
+    (markov_rates(1e308), ATOMS),
+    (markov_rates(1.0), AtomParams(1e308, 1.0)),
+])
+def test_overflowing_step_raises_integrator_error(rates, atoms):
+    # rate*dt = 10 is far outside the RK4 stability region; omega_A = 1e308
+    # overflows the step matrix and the phase sum alike
+    rho0 = xstate_to_dense(standard_family(1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(IntegratorError, match="reduce dt"):
+            integrate_master(rho0, rates, atoms, 1.0, 1e-3)
 
 
 def test_integrate_master_validates_input():

@@ -195,6 +195,19 @@ def direct_trapezoid(alpha: np.ndarray, omega_atom: float, h: float):
     return b, err_acc
 
 
+def test_overflowing_exponential_step_raises_convergence_error():
+    kernel = ExponentialKernel(5.0, 5.0, 1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError, match="overflows; reduce dt"):
+            solve_amplitude(kernel, 1.0, 1.0, 1e-3)
+
+
+def test_uniform_grid_refuses_an_overflowing_step_count():
+    with pytest.raises(ValueError, match="overflows: too many steps"):
+        uniform_grid(1e308, 1e-3)
+
+
 def decaying_table(n: int, t_max: float, weight: complex, rate: float, center: float):
     tau = np.arange(n + 1) * (t_max / n)
     return TabulatedKernel(tau=tau, alpha=weight * np.exp(-(rate + 1j * center) * tau))
