@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import I4, SIGMA_MINUS, dagger, first_bad, kron
+from .linalg import I4, SIGMA_MINUS, dagger, first_bad
 from .states import assert_density_matrix
 
 COMPLETENESS_TOL = 1e-12
@@ -95,10 +95,10 @@ def build_kraus(c: DampingCoefficients) -> list[np.ndarray]:
     drop_a = c.omega_a * SIGMA_MINUS
     drop_b = c.omega_b * SIGMA_MINUS
     return [
-        kron(keep_a, keep_b),
-        kron(keep_a, drop_b),
-        kron(drop_a, keep_b),
-        kron(drop_a, drop_b),
+        np.kron(keep_a, keep_b),
+        np.kron(keep_a, drop_b),
+        np.kron(drop_a, keep_b),
+        np.kron(drop_a, drop_b),
     ]
 
 

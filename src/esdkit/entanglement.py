@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import DampingCoefficients, _kraus_terms
-from .linalg import _psd_sqrt_from_eigen, dagger, first_bad, hermiticity_defect, member
+from .linalg import (HERMITIAN_TOL, _psd_sqrt_from_eigen, dagger, first_bad,
+                     hermiticity_defect, member)
 from .states import XState, assert_density_matrix
 
 # Eigenvalues of the Hermitian product below this fraction of the largest are
@@ -48,15 +49,11 @@ def spin_flipped(rho: np.ndarray) -> np.ndarray:
     return _FLIP_PHASES * rho[..., ::-1, ::-1].conj()
 
 
-def concurrence(
-    rho: np.ndarray,
-    herm_tol: float = 1e-10,
-    eig_floor: float = 1e-9,
-) -> ConcurrenceResult:
+def concurrence(rho: np.ndarray, eig_floor: float = 1e-9) -> ConcurrenceResult:
     """Concurrence of a (possibly unnormalized) PSD 4x4 matrix, or of each
     matrix in a stack (..., 4, 4).
 
-    Validates Hermiticity to herm_tol and positivity down to -eig_floor,
+    Validates Hermiticity to HERMITIAN_TOL and positivity down to -eig_floor,
     then takes max(0, r1 - r2 - r3 - r4) over the descending square roots of
     the eigenvalues of sqrt(rho) flipped(rho) sqrt(rho).  One Hermitian
     eigendecomposition of each input feeds both the check and sqrt(rho).
@@ -65,7 +62,7 @@ def concurrence(
     if rho.ndim < 2 or rho.shape[-2:] != (4, 4):
         raise ValueError(f"expected 4x4 matrices, got {rho.shape}")
     defect = np.asarray(hermiticity_defect(rho))
-    bad = first_bad(~(defect <= herm_tol))
+    bad = first_bad(~(defect <= HERMITIAN_TOL))
     if bad is not None:
         raise ValueError(f"input{member(bad)} is not Hermitian: defect {defect[bad]:.3e}")
     rho = 0.5 * (rho + dagger(rho))
@@ -130,27 +127,20 @@ class BoundReport:
     side_branch_max: float | np.ndarray
 
 
-def check_bound(
-    rho0: np.ndarray,
-    c: DampingCoefficients,
-    exponent: float | np.ndarray | None = None,
-    slack: float = 1e-10,
-) -> BoundReport:
+def check_bound(rho0: np.ndarray, c: DampingCoefficients, slack: float = 1e-10) -> BoundReport:
     """Evaluate the decay bound on one state and channel, or on a stack.
 
     rho0 may be a stack (..., 4, 4) whose leading axes broadcast against
-    array amplitudes in c (and exponent); each state is validated once and
-    its C(rho0) computed once, and the five concurrences of every pair come
-    from the same stacked call.  When
-    exponent is omitted it is taken as -log(gamma_a * gamma_b), the value
+    array amplitudes in c; each state is validated once and its C(rho0)
+    computed once, and the five concurrences of every pair come from the same
+    stacked call.  The decay exponent is -log(gamma_a * gamma_b), the value
     consistent with the supplied coefficients.  slack must be finite and
     nonnegative.
     """
     if not (math.isfinite(slack) and slack >= 0.0):
         raise ValueError(f"slack must be finite and nonnegative, got {slack}")
-    if exponent is None:
-        with np.errstate(divide="ignore"):
-            exponent = -np.log(np.multiply(c.gamma_a, c.gamma_b))
+    with np.errstate(divide="ignore"):
+        exponent = -np.log(np.multiply(c.gamma_a, c.gamma_b))
     rho0 = assert_density_matrix(rho0)
     t1, t2, t3, t4 = _kraus_terms(rho0, c)
     pair_shape = np.broadcast_shapes(t1.shape, np.shape(exponent) + (4, 4))

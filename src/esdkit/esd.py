@@ -1,12 +1,12 @@
-"""Sudden death of entanglement under Markov damping.
+"""Sudden death of entanglement under damping.
 
-For the standard one-parameter family the concurrence along the damping
-trajectory is (2/3) * max(0, g2 * f(g2)) with g2 = exp(-rate*t) and
-f = 1 - sqrt(a * (1 - a + 2 w2 + w2^2 a)), w2 = 1 - g2.  The zero of f has a
-closed form, death_time_s, which is the production death time; death happens
-at finite time exactly when a > 1/3, otherwise the concurrence only vanishes
-asymptotically.  The bisection disentanglement_time is kept as an independent
-cross-check of it.
+The standard family damped to residual amplitudes gamma_A, gamma_B is the X
+state family_image, of concurrence (2/3) max(0, gamma_A gamma_B f) with
+f = 1 - sqrt(a (1 - a + (wa2 + wb2) + wa2 wb2 a)), w2 = 1 - gamma^2 per atom.
+At equal Markov rates gamma_A gamma_B = g2 = exp(-rate*t), wa2 = wb2 = 1 - g2,
+and the zero of f has a closed form, death_time_s, the production death time:
+finite exactly when a > 1/3.  The bisection disentanglement_time and
+family_concurrence_x are kept as independent cross-checks.
 """
 
 from __future__ import annotations
@@ -16,10 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import coefficients_from_gammas
 from .entanglement import concurrence_x
 from .errors import NumericalError
-from .states import XState, standard_family
+from .states import XState
 
 FINITE_DEATH_THRESHOLD = 1.0 / 3.0
 # Search window and tolerances for the bisection path, in the dimensionless
@@ -44,31 +43,54 @@ class EsdVerdict:
     t_d: float | None
 
 
-def family_trajectory(a: float, gamma_a: float, gamma_b: float | None = None) -> XState:
-    """Damped image of the standard family at residual amplitudes gamma.
+def _family_factor(a, wa2, wb2) -> np.ndarray:
+    """Concurrence factor f = 1 - sqrt(a (1 - a + (wa2 + wb2) + wa2 wb2 a)),
+    elementwise over floats or broadcasting arrays.  One w2 passed twice gives
+    the equal-rate factor bit for bit: wa2 + wb2 is then exactly 2 w2."""
+    return 1.0 - np.sqrt(a * (1.0 - a + (wa2 + wb2) + wa2 * wb2 * a))
 
-    Populations pick up the transferred weight of the excited levels; the
-    surviving coherence is gamma_a*gamma_b/3.
-    """
+
+def _family_inputs(a: float, gamma_a, gamma_b) -> tuple[np.ndarray, ...]:
+    """(gamma_a, wa2, gamma_b, wb2), validated, with w2 = (1 - gamma)(1 + gamma):
+    exact to a few ulps as gamma -> 1, where f's square root amplifies errors."""
     if not 0.0 <= a <= 1.0:
         raise ValueError(f"family parameter a={a} outside [0, 1]")
-    if gamma_b is None:
-        gamma_b = gamma_a
-    c = coefficients_from_gammas(gamma_a, gamma_b)
-    ga2, gb2 = c.gamma_a ** 2, c.gamma_b ** 2
-    wa2, wb2 = c.omega_a ** 2, c.omega_b ** 2
+    checked = []
+    for name, g in (("A", gamma_a), ("B", gamma_b)):
+        g = np.asarray(g, dtype=float)
+        bad = ~((g >= 0.0) & (g <= 1.0))
+        if bad.any():
+            raise ValueError(f"atom {name}: gamma={float(g[bad].flat[0])!r} outside [0, 1]")
+        checked += [g, (1.0 - g) * (1.0 + g)]
+    return tuple(checked)
+
+
+def family_image(a: float, gamma_a, gamma_b) -> tuple[np.ndarray, ...]:
+    """X entries (p1, p2, p3, p4, z23) of the damped standard family,
+    elementwise over broadcasting residual amplitudes gamma_a, gamma_b in
+    [0, 1] (a ValueError names the atom otherwise).  Populations pick up the
+    transferred weights w2 = 1 - gamma^2; the coherence z23 is real."""
+    ga, wa2, gb, wb2 = _family_inputs(a, gamma_a, gamma_b)
+    ga2, gb2 = ga * ga, gb * gb
     third = 1.0 / 3.0
     p1 = ga2 * gb2 * a * third
     p2 = ga2 * (1.0 + wb2 * a) * third
     p3 = gb2 * (1.0 + wa2 * a) * third
-    p4 = (1.0 - a + wa2 + wb2 + wa2 * wb2 * a) * third
-    return XState(p1, p2, p3, p4, z23=(c.gamma_a * c.gamma_b * third) + 0.0j)
+    p4 = (1.0 - a + (wa2 + wb2) + wa2 * wb2 * a) * third
+    return p1, p2, p3, p4, ga * gb * third
 
 
-def _family_factor(a: np.ndarray | float, w2: np.ndarray | float) -> np.ndarray:
-    """Concurrence factor f = 1 - sqrt(a (1 - a + 2 w2 + w2^2 a)), elementwise
-    for floats or broadcasting arrays; w2 = 1 - g2 is the transferred weight."""
-    return 1.0 - np.sqrt(a * (1.0 - a + 2.0 * w2 + w2 * w2 * a))
+def family_trajectory(a: float, gamma_a: float, gamma_b: float | None = None) -> XState:
+    """One damped family state from family_image, as an XState."""
+    p1, p2, p3, p4, z23 = family_image(a, gamma_a, gamma_a if gamma_b is None else gamma_b)
+    return XState(float(p1), float(p2), float(p3), float(p4), z23=complex(z23))
+
+
+def family_concurrence(a: float, gamma_a, gamma_b) -> np.ndarray:
+    """Concurrence (2/3) max(0, gamma_a gamma_b f) of the damped family,
+    elementwise over broadcasting residual amplitudes in [0, 1]."""
+    ga, wa2, gb, wb2 = _family_inputs(a, gamma_a, gamma_b)
+    return (2.0 / 3.0) * np.maximum(0.0, (ga * gb) * _family_factor(a, wa2, wb2))
 
 
 def concurrence_markov(a: float, rate: float, t: float) -> float:
@@ -80,7 +102,8 @@ def concurrence_markov(a: float, rate: float, t: float) -> float:
     if not (math.isfinite(t) and t >= 0.0):
         raise ValueError(f"time must be finite and nonnegative, got {t}")
     g2 = math.exp(-rate * t)
-    return float((2.0 / 3.0) * max(0.0, g2 * _family_factor(a, 1.0 - g2)))
+    w2 = 1.0 - g2
+    return float((2.0 / 3.0) * max(0.0, g2 * _family_factor(a, w2, w2)))
 
 
 def _check_rate(rate: float) -> None:
@@ -145,7 +168,8 @@ def disentanglement_time(a: float, rate: float) -> EsdVerdict:
         return _verdict(a, s_exact, rate)
 
     def f(s: float) -> float:
-        return _family_factor(a, 1.0 - math.exp(-s))
+        w2 = 1.0 - math.exp(-s)
+        return _family_factor(a, w2, w2)
 
     lo, hi = 0.0, BISECTION_WINDOW
     samples = [f(hi * k / 100.0) for k in range(101)]
@@ -181,7 +205,8 @@ def sweep(a_grid: np.ndarray, t_grid: np.ndarray, rate: float) -> np.ndarray:
         raise ValueError("a in [0, 1], finite t >= 0, finite rate >= 0 required")
     with np.errstate(over="ignore"):  # rate*t beyond the float range: g2 is exactly 0
         g2 = np.exp(-rate * t_grid)[None, :]
-    surface = (2.0 / 3.0) * np.maximum(0.0, g2 * _family_factor(a_grid[:, None], 1.0 - g2))
+    w2 = 1.0 - g2
+    surface = (2.0 / 3.0) * np.maximum(0.0, g2 * _family_factor(a_grid[:, None], w2, w2))
     surface += 0.0  # an underflowed g2 times a negative factor is -0.0; report +0.0
     return surface
 

@@ -71,54 +71,43 @@ def hermiticity_defect(a: np.ndarray) -> float | np.ndarray:
     return float(defect) if defect.ndim == 0 else defect
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two single-qubit (2x2) operators."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != (2, 2) or b.shape != (2, 2):
-        raise ValueError(f"expected two 2x2 operators, got shapes {a.shape} and {b.shape}")
-    return np.kron(a, b)
-
-
-def hermitian_eigen(h: np.ndarray, tol: float = HERMITIAN_TOL) -> tuple[np.ndarray, np.ndarray]:
+def hermitian_eigen(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of Hermitian 2x2 or 4x4 matrices, or a stack of them.
 
     Returns (w, v) with eigenvalues ascending along the last axis and
     orthonormal eigenvector columns, so h = v @ diag(w) @ v^dagger.  Rejects
-    any matrix whose Hermiticity defect exceeds tol.
+    any matrix whose Hermiticity defect exceeds HERMITIAN_TOL.
     """
     h = _as_square(h)
     defect = np.asarray(hermiticity_defect(h))
-    bad = first_bad(~(defect <= tol))
+    bad = first_bad(~(defect <= HERMITIAN_TOL))
     if bad is not None:
-        raise ValueError(
-            f"matrix{member(bad)} is not Hermitian: defect {defect[bad]:.3e} > {tol:.1e}"
-        )
+        raise ValueError(f"matrix{member(bad)} is not Hermitian: "
+                         f"defect {defect[bad]:.3e} > {HERMITIAN_TOL:.1e}")
     w, v = np.linalg.eigh(0.5 * (h + dagger(h)))
     return w, v
 
 
-def psd_sqrt(h: np.ndarray, tol: float = HERMITIAN_TOL, clamp: float = EIG_CLAMP) -> np.ndarray:
+def psd_sqrt(h: np.ndarray) -> np.ndarray:
     """Hermitian square root of a positive semidefinite matrix, or of each in a stack.
 
-    Eigenvalues in [-clamp, 0) are treated as round-off and set to zero;
+    Eigenvalues in [-EIG_CLAMP, 0) are treated as round-off and set to zero;
     anything more negative raises ValueError.  Positive eigenvalues below
     RELATIVE_RANK_FLOOR times the largest are zeroed too: for rank-deficient
     inputs they are pure round-off, and their square roots would otherwise
     leak ~1e-9 off the true support.  concurrence reuses the root's formula
     on an eigendecomposition it already holds.
     """
-    w, v = hermitian_eigen(h, tol=tol)
-    return _psd_sqrt_from_eigen(w, v, clamp)
+    return _psd_sqrt_from_eigen(*hermitian_eigen(h))
 
 
-def _psd_sqrt_from_eigen(w: np.ndarray, v: np.ndarray, clamp: float = EIG_CLAMP) -> np.ndarray:
+def _psd_sqrt_from_eigen(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     """psd_sqrt from the (w, v) that hermitian_eigen returns, without a second solve."""
-    bad = first_bad(w[..., 0] < -clamp)
+    bad = first_bad(w[..., 0] < -EIG_CLAMP)
     if bad is not None:
         raise ValueError(
             f"matrix{member(bad)} is not PSD: "
-            f"min eigenvalue {w[bad][0]:.3e} < -{clamp:.1e}"
+            f"min eigenvalue {w[bad][0]:.3e} < -{EIG_CLAMP:.1e}"
         )
     floor = RELATIVE_RANK_FLOOR * np.maximum(w[..., -1:], 0.0)
     w = np.where(w < floor, 0.0, w)

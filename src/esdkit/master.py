@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import IntegratorError
-from .linalg import I2, SIGMA_MINUS, dagger, kron
+from .linalg import I2, SIGMA_MINUS, dagger
 from .memory import AmplitudeSolution, rk4_step_matrix, uniform_grid
 from .states import assert_density_matrix
 
@@ -26,8 +26,8 @@ POSITIVITY_FLOOR = -1e-8
 
 _DIAG_A = np.array([0.5, 0.5, -0.5, -0.5])
 _DIAG_B = np.array([0.5, -0.5, 0.5, -0.5])
-_SM_A = kron(SIGMA_MINUS, I2)
-_SM_B = kron(I2, SIGMA_MINUS)
+_SM_A = np.kron(SIGMA_MINUS, I2)
+_SM_B = np.kron(I2, SIGMA_MINUS)
 _SP_A = dagger(_SM_A)
 _SP_B = dagger(_SM_B)
 _N_A = _SP_A @ _SM_A

@@ -32,6 +32,8 @@ from .errors import ConvergenceError, SingularCoefficientError
 
 DEFAULT_TOL = 1e-8
 B_FLOOR = 1e-6
+# Allowed excess of |b| over 1 in solve_amplitude, and of gamma in gamma_of_t.
+CONTRACTIVITY_SLACK = 1e-9
 WEAK_COUPLING_F_FLOOR = -1e-9
 # Blocks of the tabulated solve shorter than 2*FFT_LEAF steps sum their
 # history directly; longer ones are halved and joined by an FFT product.
@@ -155,7 +157,10 @@ def uniform_grid(t_max: float, dt: float) -> np.ndarray:
     n = int(round(ratio))
     if abs(n * dt - t_max) > 1e-8 * max(1.0, abs(t_max)):
         raise ValueError(f"t_max={t_max} is not an integer multiple of dt={dt}")
-    return np.arange(n + 1) * dt
+    try:
+        return np.arange(n + 1) * dt
+    except ValueError as exc:  # beyond numpy's index range
+        raise ValueError(f"t_max={t_max} / dt={dt} gives {n + 1:.3g} grid points: {exc}") from None
 
 
 def rk4_step_matrix(l1: np.ndarray, l2: np.ndarray, l4: np.ndarray, h: float) -> np.ndarray:
@@ -324,22 +329,17 @@ def solve_amplitude(
     grid = uniform_grid(t_max, dt)
     if isinstance(kernel, ExponentialKernel):
         b = _solve_exponential(kernel, omega_atom, grid, tol)
-        overshoot = float(np.max(np.abs(b))) - 1.0
-        if overshoot > 1e-9:
-            raise ConvergenceError(
-                f"|b| exceeds 1 by {overshoot:.3e}: the step is unstable; reduce dt"
-            )
     elif isinstance(kernel, TabulatedKernel):
         b = _solve_tabulated(kernel, omega_atom, grid, tol)
-        overshoot = float(np.max(np.abs(b))) - 1.0
-        if overshoot > 1e-9:
-            warnings.warn(
-                f"|b| exceeds 1 by {overshoot:.3e}; tabulated kernel may be unphysical",
-                RuntimeWarning,
-                stacklevel=2,
-            )
     else:
         raise ValueError(f"unsupported kernel type {type(kernel).__name__}")
+    overshoot = float(np.max(np.abs(b))) - 1.0
+    if overshoot > CONTRACTIVITY_SLACK:
+        if isinstance(kernel, ExponentialKernel):
+            raise ConvergenceError(
+                f"|b| exceeds 1 by {overshoot:.3e}: the step is unstable; reduce dt")
+        warnings.warn(f"|b| exceeds 1 by {overshoot:.3e}; tabulated kernel may be unphysical",
+                      RuntimeWarning, stacklevel=2)
     b[0] = 1.0
     return AmplitudeSolution(t=grid, b=b, omega_atom=omega_atom)
 
@@ -399,13 +399,16 @@ def coefficient_f(sol: AmplitudeSolution, b_floor: float = B_FLOOR) -> Amplitude
 def gamma_of_t(sol: AmplitudeSolution) -> AmplitudeSolution:
     """Fill in gamma(t) = exp(-integral of Re f), the residual amplitude.
 
-    Requires coefficient_f to have run; gamma(0) = 1 exactly.
+    Requires coefficient_f to have run; gamma(0) = 1 exactly.  An excess over
+    1 of at most CONTRACTIVITY_SLACK is round-off in f and is clipped to 1.
     """
     if sol.f is None:
         raise ValueError("coefficient_f must run before gamma_of_t")
     f = sol.f.real
     integral = np.concatenate(([0.0], np.cumsum(sol.dt * (f[1:] + f[:-1]) / 2.0)))
-    return replace(sol, gamma=np.exp(-integral))
+    gamma = np.exp(-integral)
+    gamma[(gamma > 1.0) & (gamma <= 1.0 + CONTRACTIVITY_SLACK)] = 1.0
+    return replace(sol, gamma=gamma)
 
 
 def gamma_identity_defect(sol: AmplitudeSolution) -> float:
@@ -419,14 +422,8 @@ def gamma_identity_defect(sol: AmplitudeSolution) -> float:
     return float(np.max(np.abs(sol.gamma - np.abs(sol.b))))
 
 
-def full_solution(
-    kernel: Kernel,
-    omega_atom: float,
-    t_max: float,
-    dt: float,
-    tol: float = DEFAULT_TOL,
-    b_floor: float = B_FLOOR,
-) -> AmplitudeSolution:
+def full_solution(kernel: Kernel, omega_atom: float, t_max: float, dt: float,
+                  tol: float = DEFAULT_TOL) -> AmplitudeSolution:
     """solve_amplitude + coefficient_f + gamma_of_t in one call."""
     sol = solve_amplitude(kernel, omega_atom, t_max, dt, tol=tol)
-    return gamma_of_t(coefficient_f(sol, b_floor=b_floor))
+    return gamma_of_t(coefficient_f(sol))

@@ -32,7 +32,6 @@ from . import (
     hermitian_eigen,
     integrate_master,
     interaction_trajectory,
-    kron,
     markov_rates,
     partial_trace,
     psd_sqrt,
@@ -41,7 +40,6 @@ from . import (
     random_xstate,
     solve_amplitude,
     standard_family,
-    uniform_grid,
     volterra_residual,
     xstate_to_dense,
 )
@@ -67,7 +65,7 @@ def _random_local_unitary(seed: int) -> np.ndarray:
     for _ in range(2):
         w, v = np.linalg.eigh(_random_hermitian(rng, 2))
         blocks.append(v @ np.diag(np.exp(1j * w)) @ dagger(v))
-    return kron(blocks[0], blocks[1])
+    return np.kron(blocks[0], blocks[1])
 
 
 def check_linalg_eigen() -> tuple[bool, str]:
@@ -88,16 +86,6 @@ def check_linalg_sqrt() -> tuple[bool, str]:
         s = psd_sqrt(rho)
         worst = max(worst, float(np.max(np.abs(s @ s - rho))))
     return worst < 1e-12, f"max square-back defect {worst:.2e}"
-
-
-def check_linalg_kron() -> tuple[bool, str]:
-    worst = 0.0
-    for seed in range(20):
-        rng = np.random.default_rng(seed)
-        a, b, c, d = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-                      for _ in range(4))
-        worst = max(worst, float(np.max(np.abs(kron(a, b) @ kron(c, d) - kron(a @ c, b @ d)))))
-    return worst < 1e-12, f"max mixed-product defect {worst:.2e}"
 
 
 def check_states_family() -> tuple[bool, str]:
@@ -289,7 +277,6 @@ def check_esd_threshold() -> tuple[bool, str]:
 _CHECKS: list[tuple[str, Callable[[], tuple[bool, str]]]] = [
     ("linalg: eigendecomposition reconstructs Hermitian inputs", check_linalg_eigen),
     ("linalg: psd_sqrt squares back to the input", check_linalg_sqrt),
-    ("linalg: kron satisfies the mixed-product identity", check_linalg_kron),
     ("states: standard family is a valid state for all a", check_states_family),
     ("states: X round trip is lossless", check_states_roundtrip),
     ("states: partial trace factorizes product states", check_states_partial_trace),

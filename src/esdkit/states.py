@@ -15,10 +15,11 @@ import numpy as np
 # module so the first seeded draw does not pay for the import.
 import numpy.random  # noqa: F401
 
-from .linalg import dagger, first_bad, hermiticity_defect, member
+from .linalg import HERMITIAN_TOL, dagger, first_bad, hermiticity_defect, member
 
 TRACE_TOL = 1e-10
 EIG_FLOOR = -1e-9
+OFF_X_TOL = 1e-10
 PROB_SUM_TOL = 1e-12
 COHERENCE_SLACK = 1e-12
 
@@ -36,16 +37,12 @@ def pure_state(vec: np.ndarray) -> np.ndarray:
     return np.outer(vec, vec.conj())
 
 
-def assert_density_matrix(
-    rho: np.ndarray,
-    herm_tol: float = 1e-10,
-    trace_tol: float = TRACE_TOL,
-    eig_floor: float = EIG_FLOOR,
-) -> np.ndarray:
+def assert_density_matrix(rho: np.ndarray) -> np.ndarray:
     """Validate a 4x4 (or 2x2) density matrix, or a stack (..., n, n) of them,
     and return it as complex ndarray.
 
-    Checks Hermiticity, unit trace, and positivity down to eig_floor.
+    Checks Hermiticity to HERMITIAN_TOL, unit trace to TRACE_TOL, and
+    positivity down to EIG_FLOOR.
     Raises ValueError on any violation, naming the first bad stack member.
     """
     rho = np.asarray(rho, dtype=complex)
@@ -53,18 +50,18 @@ def assert_density_matrix(
         raise ValueError(f"expected 2x2 or 4x4 matrices, got shape {rho.shape}")
     defect = np.asarray(hermiticity_defect(rho))
     tr = np.trace(rho, axis1=-2, axis2=-1)
-    sane = (defect <= herm_tol) & (np.abs(tr - 1.0) <= trace_tol)
+    sane = (defect <= HERMITIAN_TOL) & (np.abs(tr - 1.0) <= TRACE_TOL)
     # Failed members get the zero matrix so the eigensolver never sees non-finite input.
     sym = np.where(sane[..., None, None], 0.5 * (rho + dagger(rho)), 0.0)
     w_min = np.linalg.eigvalsh(sym)[..., 0]
-    i = first_bad(~sane | (w_min < eig_floor))
+    i = first_bad(~sane | (w_min < EIG_FLOOR))
     if i is None:
         return rho
-    if not defect[i] <= herm_tol:
+    if not defect[i] <= HERMITIAN_TOL:
         raise ValueError(f"state{member(i)} is not Hermitian: defect {defect[i]:.3e}")
-    if not abs(tr[i] - 1.0) <= trace_tol:
+    if not abs(tr[i] - 1.0) <= TRACE_TOL:
         raise ValueError(
-            f"state{member(i)} trace {tr[i]:.12g} is not 1 within {trace_tol:.1e}"
+            f"state{member(i)} trace {tr[i]:.12g} is not 1 within {TRACE_TOL:.1e}"
         )
     raise ValueError(f"state{member(i)} is not positive: min eigenvalue {w_min[i]:.3e}")
 
@@ -118,10 +115,10 @@ def xstate_to_dense(x: XState) -> np.ndarray:
     return rho
 
 
-def dense_to_xstate(rho: np.ndarray, off_x_tol: float = 1e-10) -> XState:
+def dense_to_xstate(rho: np.ndarray) -> XState:
     """Project a dense matrix back to the XState carrier.
 
-    Entries outside the X pattern must vanish to off_x_tol, otherwise the
+    Entries outside the X pattern must vanish to OFF_X_TOL, otherwise the
     matrix does not represent an X state and ValueError is raised.
     """
     rho = np.asarray(rho, dtype=complex)
@@ -132,7 +129,7 @@ def dense_to_xstate(rho: np.ndarray, off_x_tol: float = 1e-10) -> XState:
     for i, j in ((0, 3), (3, 0), (1, 2), (2, 1)):
         mask[i, j] = False
     worst = float(np.max(np.abs(rho[mask])))
-    if worst > off_x_tol:
+    if worst > OFF_X_TOL:
         raise ValueError(f"matrix is not X-shaped: off-pattern entry {worst:.3e}")
     return XState(
         float(rho[0, 0].real),

@@ -13,11 +13,11 @@ import mpmath
 import numpy as np
 import pytest
 
-from esdkit import cli, selfcheck
+from esdkit import channel, cli, entanglement, selfcheck
 from esdkit.channel import apply_channel, coefficients_from_gammas
 from esdkit.entanglement import check_bound, concurrence, concurrence_x
 from esdkit.errors import NumericalError
-from esdkit.esd import death_time_s, sweep
+from esdkit.esd import death_time_s, family_concurrence, family_trajectory, sweep
 from esdkit.master import (
     AtomParams, integrate_master, interaction_trajectory, markov_rates, table_rates,
 )
@@ -531,7 +531,8 @@ def fmt_row(values) -> str:
 
 def old_evolve_csv(a=1.0, rate=1.0, t_max=3.0, omega_a=1.0, omega_b=1.0,
                    memory_rate=None, mem_dt=None, natural_units=True) -> bytes:
-    """The evolve CSV as the per-row, per-cell loop formatted it."""
+    """The evolve CSV as the per-row, per-cell loop formatted it, with the
+    concurrence and the image the master is compared with from the closed form."""
     dt = 1e-3
     x0 = standard_family(a)
     rho0 = xstate_to_dense(x0)
@@ -557,11 +558,11 @@ def old_evolve_csv(a=1.0, rate=1.0, t_max=3.0, omega_a=1.0, omega_b=1.0,
     scale = rate if (natural_units and rate > 0.0) else 1.0
     lines = [EVOLVE_HEADER]
     for i in range(grid.size):
-        evolved = apply_channel(rho0, coefficients_from_gammas(ga[i], gb[i]))
+        image = xstate_to_dense(family_trajectory(a, float(ga[i]), float(gb[i])))
         lines.append(fmt_row((
-            grid[i] * scale, concurrence(evolved).value, ga[i], gb[i],
+            grid[i] * scale, family_concurrence(a, ga[i], gb[i]), ga[i], gb[i],
             abs(float(traces[i].real) - 1.0), c0 * float(ga[i] * gb[i]),
-            np.max(np.abs(evolved - traj.states[i])),
+            np.max(np.abs(image - traj.states[i])),
         )))
     return ("\n".join(lines) + "\n").encode()
 
@@ -705,16 +706,30 @@ def test_block_size_does_not_change_outputs(tmp_path, monkeypatch):
     assert runs[1] == runs[7] == runs[128]
 
 
-# Each grid is 1e17 points, 711 PiB: beyond any 64-bit address space, so the
-# allocation fails at once whatever the overcommit setting.
+# The --t-max and --t-steps grids are 1e17 points, 711 PiB: beyond any 64-bit
+# address space, so the allocation fails at once whatever the overcommit
+# setting.  The --dt and --a-steps grids exceed numpy's index range, which
+# numpy refuses before allocating; the message names the option.
+GRID_TOO_LARGE = {
+    "--t-max": "error: out of memory: Unable to allocate 711. PiB",
+    "--t-steps": "error: out of memory: Unable to allocate 711. PiB",
+    "--dt": "error: t_max=3.0 / dt=1e-300 gives 3e+300 grid points: "
+            "Maximum allowed size exceeded\n",
+    "--a-steps": "error: a_steps=99999999999999999999, t_steps=200: "
+                 "Maximum allowed size exceeded\n",
+}
+
+
 @pytest.mark.parametrize("argv", [
     ["evolve", "--t-max", "1e14"],
     ["sweep", "--t-steps", "100000000000000000"],
+    ["evolve", "--dt", "1e-300"],
+    ["sweep", "--a-steps", "99999999999999999999"],
 ])
 def test_grid_too_large_to_allocate_exits_2(tmp_path, capsys, argv):
     assert run(*argv, "--output", str(tmp_path / "out.csv")) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: out of memory: Unable to allocate 711. PiB")
+    assert err.startswith(GRID_TOO_LARGE[argv[1]])
     assert list(tmp_path.iterdir()) == []
 
 
@@ -768,3 +783,84 @@ def test_bound_impossible_sample_count_exits_2_at_once(tmp_path):
     assert out.stderr.startswith("error: samples=99999999999999999999: ")
     assert len(out.stderr.strip()) > len("error: samples=99999999999999999999:")
     assert list(tmp_path.iterdir()) == []
+
+
+DENSE_ROUTE_ARGV = [[], ["--memory-rate", "5", "--mem-dt", "1e-3", "--omega-b", "1.3"]]
+
+
+@pytest.mark.parametrize("argv", DENSE_ROUTE_ARGV)
+def test_evolve_needs_no_dense_route(tmp_path, monkeypatch, argv):
+    # Every esdkit namespace that binds a dense route gets a stub that raises.
+    dense = (channel.apply_channel, channel.coefficients_from_gammas, entanglement.concurrence)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("evolve called a dense route")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "esdkit":
+            for attr, obj in list(vars(module).items()):
+                if any(obj is fn for fn in dense):
+                    monkeypatch.setattr(module, attr, refuse)
+    assert run("evolve", *argv, "--output", str(tmp_path / "evolve.csv")) == 0
+
+
+def mp_family_concurrence(a, ga, gb) -> float:
+    """(2/3) max(0, ga gb f) in 50-digit arithmetic at the given float gammas."""
+    with mpmath.workdps(50):
+        a, ga, gb = mpmath.mpf(a), mpmath.mpf(ga), mpmath.mpf(gb)
+        wa2, wb2 = 1 - ga * ga, 1 - gb * gb
+        f = 1 - mpmath.sqrt(a * (1 - a + wa2 + wb2 + wa2 * wb2 * a))
+        return float(max(mpmath.mpf(0), 2 * ga * gb * f / 3))
+
+
+@pytest.mark.parametrize("argv", DENSE_ROUTE_ARGV)
+def test_evolve_columns_match_the_dense_routes(tmp_path, argv):
+    out = tmp_path / "evolve.csv"
+    assert run("evolve", *argv, "--output", str(out)) == 0
+    data = load_csv(out)
+    conc, ga, gb, maxdiff = data[:, 1], data[:, 2], data[:, 3], data[:, 6]
+    omega_b = 1.3 if argv else 1.0
+    if argv:
+        kernel = ExponentialKernel(1.0, 5.0)
+        rates = table_rates(full_solution(kernel, 1.0, 3.0, 1e-3),
+                            full_solution(kernel, omega_b, 3.0, 1e-3))
+    else:
+        rates = markov_rates(1.0)
+    rho0 = xstate_to_dense(standard_family(1.0))
+    states = interaction_trajectory(
+        integrate_master(rho0, rates, AtomParams(1.0, omega_b), 3.0, 1e-3)).states
+    evolved = apply_channel(rho0, coefficients_from_gammas(ga, gb))
+    assert np.max(np.abs(conc - concurrence(evolved).value)) <= 1e-10
+    dense_maxdiff = np.max(np.abs(evolved - states), axis=(-2, -1))
+    assert np.max(np.abs(maxdiff - dense_maxdiff)) <= 1e-13
+    reference = [mp_family_concurrence(1.0, x, y) for x, y in zip(ga, gb)]
+    assert np.max(np.abs(conc - reference)) <= 1e-15
+
+
+def test_near_free_reservoir_keeps_gamma_at_most_1(tmp_path):
+    # Round-off in the differentiated decay coefficient put gamma at 1 + 1.25e-13.
+    out = tmp_path / "free.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("evolve", "--memory-rate", "1e-300", "--t-max", "0.01",
+                   "--output", str(out)) == 0
+    data = load_csv(out)
+    assert data.shape == (11, 7)
+    assert np.all(data[:, 2:4] <= 1.0)
+
+
+def test_warning_as_error_exits_3_without_output(tmp_path, capsys):
+    # A kernel with negative spectral weight lets |b| grow past 1: solve_amplitude
+    # warns, and the warning is an error here.
+    tau = np.arange(3001) * 1e-3
+    table = tmp_path / "unphysical.txt"
+    write_table(table, tau, -0.5 * np.exp(-tau) + 0.0j)
+    out = tmp_path / "out.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("evolve", "--kernel-file", str(table), "--mem-tol", "inf",
+                   "--t-max", "2", "--output", str(out)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: |b| exceeds 1 by ")
+    assert err.endswith("; tabulated kernel may be unphysical\n")
+    assert not out.exists()

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy import kron
 
 from esdkit.channel import coefficients_from_gammas, coefficients_markov, kraus_term
 from esdkit.entanglement import (
@@ -9,7 +10,7 @@ from esdkit.entanglement import (
     decay_bound,
     spin_flipped,
 )
-from esdkit.linalg import SIGMA_Y, kron
+from esdkit.linalg import SIGMA_Y
 from esdkit.states import (
     XState,
     pure_state,

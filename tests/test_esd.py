@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from esdkit.channel import apply_channel, coefficients_from_gammas, coefficients_markov
-from esdkit.entanglement import concurrence
+from esdkit.entanglement import concurrence, concurrence_x
 from esdkit.errors import NumericalError
 from esdkit.esd import (
     FINITE_DEATH_THRESHOLD,
@@ -17,7 +17,10 @@ from esdkit.esd import (
     death_time_s,
     disentanglement_time,
     disentanglement_time_exact,
+    _family_factor,
+    family_concurrence,
     family_concurrence_x,
+    family_image,
     family_trajectory,
     local_vs_nonlocal_report,
     sweep,
@@ -304,3 +307,44 @@ def test_model_time_overflow_is_a_numerical_error(solver):
     # the solve itself is in rate*t, so a tiny rate that leaves t_d finite works
     assert abs(solver(1.0, 1e-300).t_d * 1e-300 - TD_ORACLE[1.0]) < 1e-9
     assert solver(0.2, 1e-310).kind == "asymptotic"
+
+
+def test_two_atom_factor_keeps_equal_rate_bits():
+    # sweep, concurrence_markov and the bisection pass one w2 twice; the
+    # factor must be bit for bit the equal-rate 1 - sqrt(a (1 - a + 2 w2 + w2^2 a)).
+    a = np.linspace(0.0, 1.0, 201)[:, None]
+    w2 = 1.0 - np.exp(-np.linspace(0.0, 40.0, 401))[None, :]
+    equal_rate = 1.0 - np.sqrt(a * (1.0 - a + 2.0 * w2 + w2 * w2 * a))
+    assert _family_factor(a, w2, w2).tobytes() == equal_rate.tobytes()
+
+
+def test_family_image_rows_are_family_trajectory():
+    rng = np.random.default_rng(5)
+    ga, gb = rng.uniform(0.0, 1.0, size=(2, 40))
+    for a in (0.0, 0.34, 1.0):
+        entries = np.stack(family_image(a, ga, gb), axis=-1)
+        for i in range(ga.size):
+            x = family_trajectory(a, float(ga[i]), float(gb[i]))
+            assert list(entries[i]) == [x.p1, x.p2, x.p3, x.p4, x.z23.real]
+            assert x.z23.imag == 0.0 and x.z14 == 0.0
+
+
+def test_family_concurrence_matches_x_and_dense_routes():
+    rng = np.random.default_rng(6)
+    ga, gb = rng.uniform(0.0, 1.0, size=(2, 60))
+    for a in (0.0, 0.2, 1.0 / 3.0, 0.34, 0.5, 0.7, 1.0):
+        closed = family_concurrence(a, ga, gb)
+        via_x = [concurrence_x(family_trajectory(a, float(x), float(y))) for x, y in zip(ga, gb)]
+        assert np.max(np.abs(closed - via_x)) < 1e-15
+        dense = concurrence(apply_channel(xstate_to_dense(standard_family(a)),
+                                          coefficients_from_gammas(ga, gb))).value
+        assert np.max(np.abs(closed - dense)) < 1e-10
+
+
+def test_family_image_refuses_gamma_outside_unit_interval():
+    with pytest.raises(ValueError, match=r"atom B: gamma=1\.000001 outside \[0, 1\]"):
+        family_image(1.0, 1.0, np.array([1.0, 1.0 + 1e-6]))
+    with pytest.raises(ValueError, match=r"atom A: gamma=-0\.5 outside \[0, 1\]"):
+        family_concurrence(0.5, -0.5, 0.5)
+    with pytest.raises(ValueError, match="atom A: gamma=nan"):
+        family_trajectory(0.5, math.nan)

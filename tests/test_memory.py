@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from esdkit import memory
 from esdkit.errors import ConvergenceError, SingularCoefficientError
+from esdkit.esd import family_image
 from esdkit.memory import (
     AmplitudeSolution,
     ExponentialKernel,
@@ -354,6 +355,23 @@ def test_gamma_of_t_is_exact_for_linear_decay_rate(c0, c1):
     assert sol.gamma[0] == 1.0
     np.testing.assert_allclose(sol.gamma, np.exp(-(c0 * t + 0.5 * c1 * t * t)),
                                rtol=1e-13, atol=0)
+
+
+def test_gamma_of_t_clips_only_round_off_above_1():
+    # A constant Re f = -log(1 + excess) gives gamma = (1 + excess)^t on [0, 1].
+    t = uniform_grid(1.0, 1e-3)
+    gammas = {}
+    for excess in (5e-10, 1e-6):
+        f = np.full(t.size, -np.log1p(excess) + 0.0j)
+        sol = gamma_of_t(AmplitudeSolution(t=t, b=np.ones_like(f), omega_atom=0.0, f=f))
+        gammas[excess] = sol.gamma
+    assert np.all(gammas[5e-10] == 1.0)
+    rising = gammas[1e-6]
+    assert np.all(rising[rising <= 1.0 + memory.CONTRACTIVITY_SLACK] == 1.0)
+    assert abs(rising[-1] - (1.0 + 1e-6)) < 1e-15
+    # the larger excess is left for the family image to refuse, naming the atom
+    with pytest.raises(ValueError, match=r"atom A: gamma=1\.0000\d* outside \[0, 1\]"):
+        family_image(1.0, rising, 1.0)
 
 
 def test_gamma_without_coupling_is_one():
