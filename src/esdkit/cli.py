@@ -178,7 +178,8 @@ def cmd_evolve(args: argparse.Namespace) -> int:
             raise ValueError(
                 f"t_max={args.t_max} / amplitude step {target} overflows: too many steps"
             )
-        steps = max(1, math.ceil(ratio - 1e-9))
+        # b's centered differences need three points: at least two steps.
+        steps = max(2, math.ceil(ratio - 1e-9))
         mem_dt = args.t_max / steps
         sol_a = full_solution(kernel, args.omega_a, args.t_max, mem_dt, tol=args.mem_tol)
         sol_b = sol_a if args.omega_b == args.omega_a else full_solution(

@@ -11,10 +11,11 @@ amplitude gamma(t) = exp(-integral Re F) feeds the damping channel.
 A single-pole (exponential) kernel reduces the equation to a linear 2x2 ODE
 via the auxiliary memory integral; fixed-step RK4 then makes every grid value
 a power of one 2x2 step matrix, formed by doubling.  Tabulated kernels are
-handled by an implicit trapezoid scheme whose history sum is blocked: halves
-of the grid are joined by FFT products (Hairer, Lubich & Schlichte 1985),
-O(n log^2 n) in place of the O(n^2) full-history dot, equal to it to
-round-off.  Only numpy is needed.
+handled by an implicit trapezoid scheme; being linear with constant
+coefficients, it is one power-series quotient B = P/Q in generating
+functions (Lubich 1988), and 1/Q comes from Newton's iteration with FFT
+products (Kung 1974): O(n log n) with no loop over grid points, equal to
+the step-by-step O(n^2) scheme to round-off.  Only numpy is needed.
 """
 
 from __future__ import annotations
@@ -35,9 +36,6 @@ B_FLOOR = 1e-6
 # Allowed excess of |b| over 1 in solve_amplitude, and of gamma in gamma_of_t.
 CONTRACTIVITY_SLACK = 1e-9
 WEAK_COUPLING_F_FLOOR = -1e-9
-# Blocks of the tabulated solve shorter than 2*FFT_LEAF steps sum their
-# history directly; longer ones are halved and joined by an FFT product.
-FFT_LEAF = 256
 
 
 @dataclass(frozen=True)
@@ -106,9 +104,7 @@ class TabulatedKernel:
         tau = np.asarray(tau, dtype=float)
         if np.any(tau < -1e-12) or np.any(tau > self.tau[-1] + 1e-9):
             raise ValueError("tau outside the tabulated range")
-        re = np.interp(tau, self.tau, self.alpha.real)
-        im = np.interp(tau, self.tau, self.alpha.imag)
-        return re + 1j * im
+        return np.interp(tau, self.tau, self.alpha)
 
 
 Kernel = Union[ExponentialKernel, TabulatedKernel]
@@ -131,14 +127,16 @@ def load_kernel_table(path) -> TabulatedKernel:
 
 @dataclass(frozen=True)
 class AmplitudeSolution:
-    """Amplitude b on a uniform grid, plus (once computed) the decay
-    coefficient f and the residual amplitude gamma."""
+    """Amplitude b on a uniform grid, the error estimate its accuracy gate
+    compared with tol (None if tol = inf skipped it), and, once computed, the
+    decay coefficient f and the residual amplitude gamma."""
 
     t: np.ndarray
     b: np.ndarray
     omega_atom: float
     f: np.ndarray | None = None
     gamma: np.ndarray | None = None
+    error_estimate: float | None = None
 
     @property
     def dt(self) -> float:
@@ -208,11 +206,11 @@ def _propagate_powers(phi: np.ndarray, y0: np.ndarray, n: int) -> np.ndarray:
 
 
 def _solve_exponential(
-    kernel: ExponentialKernel, omega_atom: float, grid: np.ndarray, tol: float
-) -> np.ndarray:
+    kernel: ExponentialKernel, omega_atom: float, grid: np.ndarray, halve: bool
+) -> tuple[np.ndarray, float | None]:
     # Auxiliary pair (b, z) with z the running memory integral; the pair obeys
     # a constant-coefficient linear system, so fixed-step RK4 is one matrix
-    # power per step.
+    # power per step.  Returns b and, if asked, the step-halving drift.
     m = np.array([
         [-1j * omega_atom, -1.0],
         [0.5 * kernel.strength * kernel.memory_rate,
@@ -222,29 +220,34 @@ def _solve_exponential(
     n = grid.size - 1
     h = float(grid[1] - grid[0])
     b = _propagate_powers(rk4_step_matrix(m, m, m, h), y0, n)[0]
-    if np.isfinite(tol):
-        b_fine = _propagate_powers(rk4_step_matrix(m, m, m, 0.5 * h), y0, 2 * n)[0][::2]
-        drift = float(np.max(np.abs(b - b_fine)))
-        if drift > tol:
-            raise ConvergenceError(
-                f"step too coarse: halving dt moves b by {drift:.3e} (tol {tol:.1e})"
-            )
-    return b
+    if not halve:
+        return b, None
+    b_fine = _propagate_powers(rk4_step_matrix(m, m, m, 0.5 * h), y0, 2 * n)[0][::2]
+    return b, float(np.max(np.abs(b - b_fine)))
+
+
+def _circular_product(x: np.ndarray, y: np.ndarray, out: np.ndarray,
+                      work: np.ndarray) -> np.ndarray:
+    """out <- x * y, circular over out.size points, by FFT; work is scratch."""
+    np.fft.fft(x, out.size, out=out)
+    np.fft.fft(y, out.size, out=work)
+    out *= work
+    return np.fft.ifft(out, out=out)
 
 
 def _solve_tabulated(
-    kernel: TabulatedKernel, omega_atom: float, grid: np.ndarray, tol: float
-) -> np.ndarray:
-    """Implicit trapezoid steps with the history sum split into blocks.
+    kernel: TabulatedKernel, omega_atom: float, grid: np.ndarray
+) -> tuple[np.ndarray, float]:
+    """Implicit trapezoid scheme, solved as one power-series quotient.
 
-    The memory sum hist_i = sum_{0<j<i} alpha_{i-j} b_j is accumulated by the
-    relaxed (blocked) convolution of Hairer, Lubich & Schlichte, SIAM J. Sci.
-    Stat. Comput. 6, 532 (1985): [1, n] is halved recursively, the left half
-    is solved first and its whole contribution to the right half's history is
-    added by one FFT product.  Blocks shorter than 2*FFT_LEAF steps take the
-    direct step-by-step dot, so n < 2*FFT_LEAF is the plain O(n^2) scheme
-    bit for bit, and longer grids cost O(n log^2 n) and agree with it to
-    round-off.
+    b_i - b_{i-1} = c (bdot_i + bdot_{i-1}), c = h/2, bdot_i = -i*omega*b_i - S_i,
+    with the trapezoid memory sum S_i = h (A B)_i - c alpha_i - c alpha_0 b_i, is
+    Q B = P in generating functions B = sum b_i x^i, A = sum alpha_k x^k (Lubich,
+    Numer. Math. 52, 129 (1988)): Q = (1 - x) + d, d = c (1 + x)(i*omega -
+    c alpha_0 + h A), and B = 1/2 + (Q_0 + (1 - c i*omega + c^2 alpha_0) x)/(2Q).
+    1/Q comes from Newton's iteration g <- g - g (Q g - 1) on FFT products (Kung,
+    Numer. Math. 22, 341 (1974)): O(n log n), no loop over grid points.  Returns
+    b and the accumulated predictor-corrector local-error estimate.
     """
     if kernel.tau[-1] + 1e-9 < grid[-1]:
         raise ValueError(
@@ -252,57 +255,58 @@ def _solve_tabulated(
             f"but the solve needs {grid[-1]:.6g}"
         )
     h = float(grid[1] - grid[0])
-    n = grid.size - 1
+    c, n = 0.5 * h, grid.size - 1
     alpha = kernel.evaluate(grid)
-    b = np.empty(n + 1, dtype=complex)
-    bdot = np.empty(n + 1, dtype=complex)
-    # History contributions from blocks already solved, filled in by FFT.
-    hist = np.zeros(n + 1, dtype=complex)
+    lin = c * (1j * omega_atom - c * alpha[0])
+    q0 = 1.0 + (h * c * alpha[0] + lin)
+    # Every FFT product goes through two reused buffers, which keeps the heap
+    # from fragmenting; d is built in them, b in g's memory, bdot in alpha's.
+    u, v = np.empty((2, 1 << n.bit_length()), dtype=complex)
+    g = np.empty(n + 1, dtype=complex)
+    g[0], m = 1.0 / q0, 1
+    while m <= n:
+        # g = 1/Q mod x^m, so Q g = 1 + e, e_j = (d g)_j - [j = m] g_{m-1} for
+        # m <= j < k, and 1/Q = g - g e mod x^k.  Only d g, of size O(h), goes
+        # through the FFT; both circular products wrap onto j < m only.
+        k = min(2 * m, n + 1)
+        width = 1 << (k - 1).bit_length()
+        fu, fv = u[:width], v[:width]
+        fu[0], fu[k:] = alpha[0], 0.0
+        np.add(alpha[1:k], alpha[: k - 1], out=fu[1:k])
+        fu[:k] *= h * c
+        fu[:2] += lin
+        _circular_product(fu, g[:m], fu, fv)
+        fu[:m] = 0.0
+        _circular_product(fu, g[:m], fu, fv)
+        np.multiply(g[: k - m], g[m - 1], out=g[m:k])
+        g[m:k] -= fu[m:k]
+        m = k
+    b = g
+    np.multiply(b[:-1], 0.5 - 0.5 * lin, out=u[:n])
+    b *= 0.5 * q0
+    b[1:] += u[:n]
     b[0] = 1.0
+    # bdot = h (alpha/2 - A B) + (c alpha_0 - i*omega) b, with A B mod x^(n+1)
+    # = A_lo B_lo + x^s (A_hi B_lo + A_lo B_hi) over halves of length s: no
+    # product outgrows the buffers, so nothing wraps.  Each half of alpha is
+    # halved in place once its last product is taken.
+    s, bdot, b_coef = (n + 2) // 2, alpha, c * alpha[0] - 1j * omega_atom
+    ab = _circular_product(alpha[s:], b[:s], u, v)
+    bdot[s:] *= 0.5
+    bdot[s:] -= ab[: n + 1 - s]
+    bdot[s:] -= _circular_product(alpha[:s], b[s:], u, v)[: n + 1 - s]
+    ab = _circular_product(alpha[:s], b[:s], u, v)
+    bdot[:s] *= 0.5
+    bdot -= ab[: n + 1]
+    bdot *= h
+    bdot += np.multiply(b, b_coef, out=u[: n + 1])
     bdot[0] = -1j * omega_atom
-    denom = 1.0 + 0.5 * h * (1j * omega_atom + 0.5 * h * alpha[0])
-    err_acc = 0.0
-
-    def steps(lo: int, hi: int) -> None:
-        nonlocal err_acc
-        # b_{i-1}, bdot_{i-1} and bdot_{i-2}, carried from step to step
-        b_prev, bdot_prev = b[lo - 1], bdot[lo - 1]
-        bdot_prev2 = bdot[lo - 2] if lo > 1 else None
-        for i in range(lo, hi):
-            # Trapezoid memory sum with the unknown b_i split off into the denominator.
-            r = h * (0.5 * alpha[i] * b[0] + (hist[i] + alpha[i - lo:0:-1] @ b[lo:i]))
-            bi = (b_prev + 0.5 * h * (bdot_prev - r)) / denom
-            if i == 1:
-                pred = b_prev + h * bdot_prev
-            else:
-                pred = b_prev + h * (1.5 * bdot_prev - 0.5 * bdot_prev2)
-            err_acc += abs(bi - pred) / 6.0
-            b[i] = bi
-            bdot_i = -1j * omega_atom * bi - (r + 0.5 * h * alpha[0] * bi)
-            bdot[i] = bdot_i
-            b_prev, bdot_prev, bdot_prev2 = bi, bdot_i, bdot_prev
-
-    def block(lo: int, hi: int) -> None:
-        span = hi - lo
-        if span < 2 * FFT_LEAF:
-            steps(lo, hi)
-            return
-        mid = lo + span // 2
-        block(lo, mid)
-        # Lags 1..span-1 fit in a circular transform of size >= span; the
-        # wrapped terms land only on outputs below mid - lo, which are dropped.
-        size = 1 << (span - 1).bit_length()
-        conv = np.fft.ifft(np.fft.fft(b[lo:mid], size) * np.fft.fft(alpha[:span], size))
-        hist[mid:hi] += conv[mid - lo:span]
-        block(mid, hi)
-
-    block(1, n + 1)
-    if np.isfinite(tol) and err_acc > tol:
-        raise ConvergenceError(
-            f"step too coarse: accumulated local-error estimate {err_acc:.3e} "
-            f"(tol {tol:.1e})"
-        )
-    return b
+    # Local error b_i - b_{i-1} - h (3 bdot_{i-1} - bdot_{i-2})/2, Euler at i = 1.
+    e = np.subtract(b[1:], b[:-1], out=u[:n])
+    e -= np.multiply(bdot[:-1], 1.5 * h, out=v[:n])
+    e[1:] += np.multiply(bdot[:-2], 0.5 * h, out=v[: n - 1])
+    e[0] += 0.5 * h * bdot[0]
+    return b, float(np.sum(np.abs(e, out=v.real[:n]))) / 6.0
 
 
 def solve_amplitude(
@@ -317,9 +321,9 @@ def solve_amplitude(
     Exponential kernels integrate the equivalent linear pair with fixed-step
     RK4 and gate accuracy by a step-halving comparison; tabulated kernels use
     an implicit trapezoid scheme and gate by an accumulated
-    predictor-corrector error estimate (history summed as in _solve_tabulated).
-    Either gate failing raises ConvergenceError; pass tol=inf to skip the
-    gate (convergence studies), while NaN or a negative tol is a ValueError.
+    predictor-corrector error estimate, returned as error_estimate.  The
+    gate raises ConvergenceError when that estimate exceeds tol; pass tol=inf
+    to skip it (convergence studies), while NaN or a negative tol is a ValueError.
 
     The contractivity |b| <= 1 is enforced for exponential kernels and warned
     about for tabulated data, which need not be physical.
@@ -328,11 +332,15 @@ def solve_amplitude(
         raise ValueError(f"tol must be non-negative (inf skips the gate), got {tol}")
     grid = uniform_grid(t_max, dt)
     if isinstance(kernel, ExponentialKernel):
-        b = _solve_exponential(kernel, omega_atom, grid, tol)
+        b, error = _solve_exponential(kernel, omega_atom, grid, np.isfinite(tol))
+        gate = "halving dt moves b by"
     elif isinstance(kernel, TabulatedKernel):
-        b = _solve_tabulated(kernel, omega_atom, grid, tol)
+        b, error = _solve_tabulated(kernel, omega_atom, grid)
+        gate = "accumulated local-error estimate"
     else:
         raise ValueError(f"unsupported kernel type {type(kernel).__name__}")
+    if error is not None and error > tol:
+        raise ConvergenceError(f"step too coarse: {gate} {error:.3e} (tol {tol:.1e})")
     overshoot = float(np.max(np.abs(b))) - 1.0
     if overshoot > CONTRACTIVITY_SLACK:
         if isinstance(kernel, ExponentialKernel):
@@ -341,7 +349,14 @@ def solve_amplitude(
         warnings.warn(f"|b| exceeds 1 by {overshoot:.3e}; tabulated kernel may be unphysical",
                       RuntimeWarning, stacklevel=2)
     b[0] = 1.0
-    return AmplitudeSolution(t=grid, b=b, omega_atom=omega_atom)
+    return AmplitudeSolution(t=grid, b=b, omega_atom=omega_atom, error_estimate=error)
+
+
+def _bdot(sol: AmplitudeSolution) -> np.ndarray:
+    """db/dt by second-order differences, which need three grid points."""
+    if sol.b.size < 3:
+        raise ValueError(f"db/dt needs at least 3 grid points (2 steps), got {sol.b.size}")
+    return np.gradient(sol.b, sol.dt, edge_order=2)
 
 
 def volterra_residual(sol: AmplitudeSolution, kernel: Kernel) -> np.ndarray:
@@ -352,16 +367,14 @@ def volterra_residual(sol: AmplitudeSolution, kernel: Kernel) -> np.ndarray:
     the reported defect is itself O(dt^2) even for an exact solution; it is a
     diagnostic, not the solver's accuracy gate.
     """
-    b = sol.b
-    h = sol.dt
+    bdot, b, h = _bdot(sol), sol.b, sol.dt
     n = b.size - 1
     alpha = kernel.evaluate(sol.t)
     # A transform longer than 2n holds the whole linear convolution: nothing wraps.
-    size = 1 << (2 * n).bit_length()
-    full = np.fft.ifft(np.fft.fft(alpha, size) * np.fft.fft(b, size))[: n + 1]
+    work = np.empty((2, 1 << (2 * n).bit_length()), dtype=complex)
+    full = _circular_product(alpha, b, *work)[: n + 1]
     q = h * (full - 0.5 * alpha * b[0] - 0.5 * alpha[0] * b)
     q[0] = 0.0
-    bdot = np.gradient(b, h, edge_order=2)
     return np.abs(bdot + 1j * sol.omega_atom * b + q)
 
 
@@ -375,14 +388,13 @@ def coefficient_f(sol: AmplitudeSolution, b_floor: float = B_FLOOR) -> Amplitude
     Warns when the real part goes materially negative, which the weak-coupling
     regime forbids.
     """
-    babs = np.abs(sol.b)
+    bdot, babs = _bdot(sol), np.abs(sol.b)
     if babs.min() < b_floor:
         idx = int(np.argmax(babs < b_floor))
         raise SingularCoefficientError(
             f"|b| = {babs[idx]:.3e} < {b_floor:.1e} first at t = {sol.t[idx]:.6g}; "
             "the decay coefficient is singular there"
         )
-    bdot = np.gradient(sol.b, sol.dt, edge_order=2)
     f = -(bdot + 1j * sol.omega_atom * sol.b) / sol.b
     f[0] = 0.0
     fr_min = float(f.real.min())

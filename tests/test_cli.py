@@ -165,6 +165,21 @@ def test_tabulated_kernel_matches_exponential_and_gates(tmp_path, capsys):
     assert "accumulated local-error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("t_max, extra", [("0.001", ("--dt", "0.001")), ("0.002", ())])
+def test_one_step_amplitude_grid_runs(tmp_path, t_max, extra):
+    # --mem-dt = --t-max asks for one amplitude step; the solve takes two, the
+    # fewest its centered differences allow
+    out = tmp_path / "one.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("evolve", "--memory-rate", "5", "--t-max", t_max, "--mem-dt", t_max,
+                   *extra, "--output", str(out)) == 0
+    rows = load_csv(out)
+    fine = full_solution(ExponentialKernel(1.0, 5.0), 0.0, float(t_max), 1e-6)
+    gamma = np.interp(rows[:, 0], fine.t, fine.gamma)
+    assert np.max(np.abs(rows[:, 2:4] - gamma[:, None])) < 1e-6
+
+
 @pytest.mark.parametrize("row", ["0.1 nan 0.0", "inf 0.5 0.0"])
 def test_evolve_non_finite_kernel_table_exit_2(tmp_path, capsys, row):
     table = tmp_path / "bad.dat"

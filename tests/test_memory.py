@@ -173,27 +173,31 @@ def test_tabulated_matches_exponential():
 
 def direct_trapezoid(alpha: np.ndarray, omega_atom: float, h: float):
     """The implicit trapezoid scheme with the full-history dot at every step,
-    O(n^2): the reference the blocked history sum must reproduce.  Returns b
-    and the accumulated local-error estimate."""
+    O(n^2), in extended precision (clongdouble): the oracle the quotient
+    solve must reproduce.  Returns b and the accumulated local-error
+    estimate."""
+    alpha = alpha.astype(np.clongdouble)
+    h, w = np.longdouble(h), np.longdouble(omega_atom)
+    half = h / 2
     n = alpha.size - 1
-    b = np.empty(n + 1, dtype=complex)
-    bdot = np.empty(n + 1, dtype=complex)
-    b[0] = 1.0
-    bdot[0] = -1j * omega_atom
-    denom = 1.0 + 0.5 * h * (1j * omega_atom + 0.5 * h * alpha[0])
-    err_acc = 0.0
+    b = np.empty(n + 1, dtype=np.clongdouble)
+    bdot = np.empty(n + 1, dtype=np.clongdouble)
+    b[0] = 1
+    bdot[0] = -1j * w
+    denom = 1 + half * (1j * w + half * alpha[0])
+    err_acc = np.longdouble(0)
     for i in range(1, n + 1):
-        hist = alpha[i - 1:0:-1] @ b[1:i] if i > 1 else 0.0
-        r = h * (0.5 * alpha[i] * b[0] + hist)
-        bi = (b[i - 1] + 0.5 * h * (bdot[i - 1] - r)) / denom
+        hist = alpha[i - 1:0:-1] @ b[1:i] if i > 1 else 0
+        r = h * (alpha[i] / 2 * b[0] + hist)
+        bi = (b[i - 1] + half * (bdot[i - 1] - r)) / denom
         if i == 1:
             pred = b[0] + h * bdot[0]
         else:
-            pred = b[i - 1] + h * (1.5 * bdot[i - 1] - 0.5 * bdot[i - 2])
-        err_acc += abs(bi - pred) / 6.0
+            pred = b[i - 1] + h * (bdot[i - 1] * 3 / 2 - bdot[i - 2] / 2)
+        err_acc += abs(bi - pred) / 6
         b[i] = bi
-        bdot[i] = -1j * omega_atom * bi - (r + 0.5 * h * alpha[0] * bi)
-    return b, err_acc
+        bdot[i] = -1j * w * bi - (r + half * alpha[0] * bi)
+    return b, float(err_acc)
 
 
 def test_overflowing_exponential_step_raises_convergence_error():
@@ -221,15 +225,20 @@ def solve_quietly(kernel, omega_atom, t_max, n, tol):
         return solve_amplitude(kernel, omega_atom, t_max, t_max / n, tol=tol)
 
 
-LEAF = memory.FFT_LEAF
-edge_counts = [1, 2, LEAF - 1, LEAF, LEAF + 1, 2 * LEAF - 1, 2 * LEAF, 2 * LEAF + 1, 3 * LEAF]
+# Grids n + 1 points long take n.bit_length() Newton passes; 2^k - 1, 2^k and
+# 2^k + 1 steps sit on the edges of the doubling and of the A*B half split.
+edge_counts = [2**k + d for k in range(1, 10) for d in (-1, 0, 1)]
+ORACLE_TOL = 5e-13  # |b - oracle| per unit of max(1, max |b|)
+
+
+def oracle_gap(sol: AmplitudeSolution, want: np.ndarray) -> float:
+    scale = max(1.0, float(np.max(np.abs(want))))
+    return float(np.max(np.abs(sol.b - want))) / scale
 
 
 @settings(max_examples=40, deadline=None)
 @given(
-    # the last branch keeps about half the draws on the FFT path (n >= 2*LEAF)
-    n=st.one_of(st.sampled_from(edge_counts), st.integers(1, 3 * LEAF),
-                st.integers(2 * LEAF, 3 * LEAF)),
+    n=st.one_of(st.sampled_from(edge_counts), st.integers(1, 768)),
     magnitude=st.floats(0.5, 5.0),
     phase=st.floats(-np.pi, np.pi),
     rate=st.floats(0.5, 20.0),
@@ -244,10 +253,9 @@ def test_blocked_history_sum_matches_direct_sum(
     kernel = decaying_table(n, t_max, magnitude * np.exp(1j * phase), rate, center)
     sol = solve_quietly(kernel, omega_atom, t_max, n, np.inf)
     want, err_acc = direct_trapezoid(kernel.evaluate(sol.t), omega_atom, sol.dt)
-    assert np.max(np.abs(sol.b - want)) <= 1e-13
-    if n < 2 * LEAF:
-        assert np.array_equal(sol.b, want)
-    # the accuracy gate falls on the same side of tol for both sums
+    assert oracle_gap(sol, want) <= ORACLE_TOL
+    assert sol.error_estimate == pytest.approx(err_acc, rel=1e-3)
+    # the accuracy gate falls on the same side of tol as the oracle's estimate
     tol = gate * err_acc
     try:
         solve_quietly(kernel, omega_atom, t_max, n, tol)
@@ -257,16 +265,34 @@ def test_blocked_history_sum_matches_direct_sum(
     assert raised == (err_acc > tol)
 
 
-@pytest.mark.parametrize("leaf", [1, 2, 3, 5])
-def test_blocked_history_sum_at_every_depth(monkeypatch, leaf):
-    # tiny leaves split short grids down to single steps: every recursion
-    # depth and every odd split is joined by an FFT product
-    monkeypatch.setattr(memory, "FFT_LEAF", leaf)
-    for n in range(1, 70):
+@pytest.mark.parametrize("depth", range(1, 12))
+def test_blocked_history_sum_at_every_depth(depth):
+    # every grid that takes `depth` Newton passes up to 70 steps, and the
+    # doubling and half-split edges 2^depth - 1, 2^depth, 2^depth + 1
+    counts = [n for n in range(1, 71) if n.bit_length() == depth]
+    for n in counts + [2**depth - 1, 2**depth, 2**depth + 1]:
         kernel = decaying_table(n, 1.5, 2.0 - 1.0j, 3.0, 1.0)
         sol = solve_quietly(kernel, 0.7, 1.5, n, np.inf)
-        want, _ = direct_trapezoid(kernel.evaluate(sol.t), 0.7, sol.dt)
-        assert np.max(np.abs(sol.b - want)) <= 1e-13
+        want, err_acc = direct_trapezoid(kernel.evaluate(sol.t), 0.7, sol.dt)
+        assert oracle_gap(sol, want) <= ORACLE_TOL
+        assert sol.error_estimate == pytest.approx(err_acc, rel=1e-3)
+
+
+@pytest.mark.parametrize("kernel, dt", [
+    (ExponentialKernel(1.0, 5.0, 0.5), 1e-2),
+    (decaying_table(400, 2.0, 1.0 - 0.5j, 4.0, 1.0), 5e-3),
+])
+def test_gate_raises_exactly_when_the_error_estimate_exceeds_tol(kernel, dt):
+    unchecked = solve_amplitude(kernel, 0.8, 2.0, dt, tol=np.inf)
+    if isinstance(kernel, ExponentialKernel):
+        assert unchecked.error_estimate is None  # tol = inf skips the halving solve
+        estimate = solve_amplitude(kernel, 0.8, 2.0, dt, tol=1.0).error_estimate
+    else:
+        estimate = unchecked.error_estimate
+    assert 0.0 < estimate < np.inf
+    assert solve_amplitude(kernel, 0.8, 2.0, dt, tol=estimate).error_estimate == estimate
+    with pytest.raises(ConvergenceError, match=f"{estimate:.3e}"):
+        solve_amplitude(kernel, 0.8, 2.0, dt, tol=np.nextafter(estimate, 0.0))
 
 
 def test_tabulated_requires_coverage():
@@ -380,6 +406,16 @@ def test_gamma_without_coupling_is_one():
     # Im f carries the omega^3 dt^2 / 6 centered-difference residue, Re f does not
     np.testing.assert_allclose(sol.f.real, 0.0, atol=1e-9)
     np.testing.assert_allclose(sol.f.imag, 0.0, atol=1e-6)
+
+
+@pytest.mark.parametrize("points", [1, 2])
+def test_differences_need_three_points(points):
+    t = np.arange(points) * 1e-3
+    sol = AmplitudeSolution(t=t, b=np.exp(-t) + 0j, omega_atom=0.0)
+    for call in (lambda: coefficient_f(sol),
+                 lambda: volterra_residual(sol, ExponentialKernel(1.0, 5.0))):
+        with pytest.raises(ValueError, match=f"at least 3 grid points .*got {points}"):
+            call()
 
 
 def test_pipeline_order_is_enforced():
