@@ -178,16 +178,14 @@ def cmd_evolve(args: argparse.Namespace) -> int:
             raise ValueError(
                 f"t_max={args.t_max} / amplitude step {target} overflows: too many steps"
             )
-        # b's centered differences need three points: at least two steps.
-        steps = max(2, math.ceil(ratio - 1e-9))
-        mem_dt = args.t_max / steps
+        # At least two steps: gamma is interpolated linearly between them.
+        mem_dt = args.t_max / max(2, math.ceil(ratio - 1e-9))
         sol_a = full_solution(kernel, args.omega_a, args.t_max, mem_dt, tol=args.mem_tol)
         sol_b = sol_a if args.omega_b == args.omega_a else full_solution(
             kernel, args.omega_b, args.t_max, mem_dt, tol=args.mem_tol
         )
         rates = table_rates(sol_a, sol_b)
-        ga = np.interp(grid, sol_a.t, sol_a.gamma)
-        gb = np.interp(grid, sol_b.t, sol_b.gamma)
+        ga, gb = (np.interp(grid, sol.t, sol.gamma) for sol in (sol_a, sol_b))
 
     traj = interaction_trajectory(
         integrate_master(rho0, rates, AtomParams(args.omega_a, args.omega_b),

@@ -4,9 +4,9 @@ One damped atom with a structured reservoir obeys the Volterra equation
 
     db/dt + i*omega_atom*b + integral_0^t alpha(t - s) b(s) ds = 0,  b(0) = 1,
 
-where alpha is the reservoir correlation kernel.  The time-local decay
-coefficient follows as F(t) = -(db/dt + i*omega_atom*b)/b, and the residual
-amplitude gamma(t) = exp(-integral Re F) feeds the damping channel.
+where alpha is the reservoir correlation kernel.  The solvers return b and
+db/dt; the time-local decay coefficient is F(t) = -(db/dt + i*omega_atom*b)/b,
+and the residual amplitude gamma(t) = |b(t)| feeds the damping channel.
 
 A single-pole (exponential) kernel reduces the equation to a linear 2x2 ODE
 via the auxiliary memory integral; fixed-step RK4 then makes every grid value
@@ -33,7 +33,7 @@ from .errors import ConvergenceError, SingularCoefficientError
 
 DEFAULT_TOL = 1e-8
 B_FLOOR = 1e-6
-# Allowed excess of |b| over 1 in solve_amplitude, and of gamma in gamma_of_t.
+# Allowed excess of |b| over 1 in solve_amplitude, and of gamma, clipped to 1.
 CONTRACTIVITY_SLACK = 1e-9
 WEAK_COUPLING_F_FLOOR = -1e-9
 
@@ -122,18 +122,19 @@ def load_kernel_table(path) -> TabulatedKernel:
         raise ValueError(f"kernel table {path} has no data rows")
     if data.shape[1] != 3:
         raise ValueError(f"expected 3 columns (tau alpha_re alpha_im), got {data.shape[1]}")
-    return TabulatedKernel(tau=data[:, 0], alpha=data[:, 1] + 1j * data[:, 2])
+    return TabulatedKernel(tau=data[:, 0].copy(), alpha=data[:, 1] + 1j * data[:, 2])
 
 
 @dataclass(frozen=True)
 class AmplitudeSolution:
-    """Amplitude b on a uniform grid, the error estimate its accuracy gate
-    compared with tol (None if tol = inf skipped it), and, once computed, the
-    decay coefficient f and the residual amplitude gamma."""
+    """Amplitude b and the solver's db/dt on a uniform grid, the error estimate
+    its gate compared with tol (None if tol = inf skipped it), and, once
+    computed, the decay coefficient f and the residual amplitude gamma."""
 
     t: np.ndarray
     b: np.ndarray
     omega_atom: float
+    bdot: np.ndarray | None = None
     f: np.ndarray | None = None
     gamma: np.ndarray | None = None
     error_estimate: float | None = None
@@ -207,10 +208,10 @@ def _propagate_powers(phi: np.ndarray, y0: np.ndarray, n: int) -> np.ndarray:
 
 def _solve_exponential(
     kernel: ExponentialKernel, omega_atom: float, grid: np.ndarray, halve: bool
-) -> tuple[np.ndarray, float | None]:
+) -> tuple[np.ndarray, np.ndarray, float | None]:
     # Auxiliary pair (b, z) with z the running memory integral; the pair obeys
     # a constant-coefficient linear system, so fixed-step RK4 is one matrix
-    # power per step.  Returns b and, if asked, the step-halving drift.
+    # power per step.  Returns b, bdot = -i*omega*b - z and the halving drift.
     m = np.array([
         [-1j * omega_atom, -1.0],
         [0.5 * kernel.strength * kernel.memory_rate,
@@ -219,11 +220,12 @@ def _solve_exponential(
     y0 = np.array([1.0, 0.0], dtype=complex)
     n = grid.size - 1
     h = float(grid[1] - grid[0])
-    b = _propagate_powers(rk4_step_matrix(m, m, m, h), y0, n)[0]
+    b, z = _propagate_powers(rk4_step_matrix(m, m, m, h), y0, n)
+    bdot = -1j * omega_atom * b - z
     if not halve:
-        return b, None
+        return b, bdot, None
     b_fine = _propagate_powers(rk4_step_matrix(m, m, m, 0.5 * h), y0, 2 * n)[0][::2]
-    return b, float(np.max(np.abs(b - b_fine)))
+    return b, bdot, float(np.max(np.abs(b - b_fine)))
 
 
 def _circular_product(x: np.ndarray, y: np.ndarray, out: np.ndarray,
@@ -237,7 +239,7 @@ def _circular_product(x: np.ndarray, y: np.ndarray, out: np.ndarray,
 
 def _solve_tabulated(
     kernel: TabulatedKernel, omega_atom: float, grid: np.ndarray
-) -> tuple[np.ndarray, float]:
+) -> tuple[np.ndarray, np.ndarray, float]:
     """Implicit trapezoid scheme, solved as one power-series quotient.
 
     b_i - b_{i-1} = c (bdot_i + bdot_{i-1}), c = h/2, bdot_i = -i*omega*b_i - S_i,
@@ -247,7 +249,7 @@ def _solve_tabulated(
     c alpha_0 + h A), and B = 1/2 + (Q_0 + (1 - c i*omega + c^2 alpha_0) x)/(2Q).
     1/Q comes from Newton's iteration g <- g - g (Q g - 1) on FFT products (Kung,
     Numer. Math. 22, 341 (1974)): O(n log n), no loop over grid points.  Returns
-    b and the accumulated predictor-corrector local-error estimate.
+    b, bdot and the accumulated predictor-corrector local-error estimate.
     """
     if kernel.tau[-1] + 1e-9 < grid[-1]:
         raise ValueError(
@@ -306,7 +308,7 @@ def _solve_tabulated(
     e -= np.multiply(bdot[:-1], 1.5 * h, out=v[:n])
     e[1:] += np.multiply(bdot[:-2], 0.5 * h, out=v[: n - 1])
     e[0] += 0.5 * h * bdot[0]
-    return b, float(np.sum(np.abs(e, out=v.real[:n]))) / 6.0
+    return b, bdot, float(np.sum(np.abs(e, out=v.real[:n]))) / 6.0
 
 
 def solve_amplitude(
@@ -320,10 +322,10 @@ def solve_amplitude(
 
     Exponential kernels integrate the equivalent linear pair with fixed-step
     RK4 and gate accuracy by a step-halving comparison; tabulated kernels use
-    an implicit trapezoid scheme and gate by an accumulated
-    predictor-corrector error estimate, returned as error_estimate.  The
-    gate raises ConvergenceError when that estimate exceeds tol; pass tol=inf
-    to skip it (convergence studies), while NaN or a negative tol is a ValueError.
+    an implicit trapezoid scheme and gate by an accumulated predictor-corrector
+    error estimate, returned as error_estimate.  Both return their scheme's
+    db/dt as bdot.  The gate raises ConvergenceError when the estimate exceeds
+    tol; tol=inf skips it (convergence studies), NaN or a negative tol is a ValueError.
 
     The contractivity |b| <= 1 is enforced for exponential kernels and warned
     about for tabulated data, which need not be physical.
@@ -332,10 +334,10 @@ def solve_amplitude(
         raise ValueError(f"tol must be non-negative (inf skips the gate), got {tol}")
     grid = uniform_grid(t_max, dt)
     if isinstance(kernel, ExponentialKernel):
-        b, error = _solve_exponential(kernel, omega_atom, grid, np.isfinite(tol))
+        b, bdot, error = _solve_exponential(kernel, omega_atom, grid, np.isfinite(tol))
         gate = "halving dt moves b by"
     elif isinstance(kernel, TabulatedKernel):
-        b, error = _solve_tabulated(kernel, omega_atom, grid)
+        b, bdot, error = _solve_tabulated(kernel, omega_atom, grid)
         gate = "accumulated local-error estimate"
     else:
         raise ValueError(f"unsupported kernel type {type(kernel).__name__}")
@@ -348,8 +350,7 @@ def solve_amplitude(
                 f"|b| exceeds 1 by {overshoot:.3e}: the step is unstable; reduce dt")
         warnings.warn(f"|b| exceeds 1 by {overshoot:.3e}; tabulated kernel may be unphysical",
                       RuntimeWarning, stacklevel=2)
-    b[0] = 1.0
-    return AmplitudeSolution(t=grid, b=b, omega_atom=omega_atom, error_estimate=error)
+    return AmplitudeSolution(t=grid, b=b, omega_atom=omega_atom, bdot=bdot, error_estimate=error)
 
 
 def _bdot(sol: AmplitudeSolution) -> np.ndarray:
@@ -381,21 +382,22 @@ def volterra_residual(sol: AmplitudeSolution, kernel: Kernel) -> np.ndarray:
 def coefficient_f(sol: AmplitudeSolution, b_floor: float = B_FLOOR) -> AmplitudeSolution:
     """Fill in the time-local decay coefficient f = -(db/dt + i*omega*b)/b.
 
-    Raises SingularCoefficientError when |b| dips below b_floor anywhere on
-    the grid (the coefficient diverges where b passes through zero, which
-    happens in the strong-coupling regime).  The value at t = 0 is pinned to
-    the exact f(0) = 0; elsewhere db/dt comes from centered differences.
-    Warns when the real part goes materially negative, which the weak-coupling
-    regime forbids.
+    db/dt is the solver's own (sol.bdot).  Raises SingularCoefficientError
+    when |b| dips below b_floor anywhere on the grid (f diverges where b
+    passes through zero, in the strong-coupling regime).  f(0) is pinned to
+    the exact 0.  Warns when the real part goes materially negative, which
+    the weak-coupling regime forbids.
     """
-    bdot, babs = _bdot(sol), np.abs(sol.b)
+    if sol.bdot is None:
+        raise ValueError("coefficient_f needs the solver's db/dt: use solve_amplitude")
+    babs = np.abs(sol.b)
     if babs.min() < b_floor:
         idx = int(np.argmax(babs < b_floor))
         raise SingularCoefficientError(
             f"|b| = {babs[idx]:.3e} < {b_floor:.1e} first at t = {sol.t[idx]:.6g}; "
             "the decay coefficient is singular there"
         )
-    f = -(bdot + 1j * sol.omega_atom * sol.b) / sol.b
+    f = -(sol.bdot + 1j * sol.omega_atom * sol.b) / sol.b
     f[0] = 0.0
     fr_min = float(f.real.min())
     if fr_min < WEAK_COUPLING_F_FLOOR:
@@ -408,8 +410,14 @@ def coefficient_f(sol: AmplitudeSolution, b_floor: float = B_FLOOR) -> Amplitude
     return replace(sol, f=f)
 
 
+def _clip_round_off(gamma: np.ndarray) -> np.ndarray:
+    """Clip, in place, an excess over 1 of at most CONTRACTIVITY_SLACK to 1."""
+    gamma[(gamma > 1.0) & (gamma <= 1.0 + CONTRACTIVITY_SLACK)] = 1.0
+    return gamma
+
+
 def gamma_of_t(sol: AmplitudeSolution) -> AmplitudeSolution:
-    """Fill in gamma(t) = exp(-integral of Re f), the residual amplitude.
+    """Fill in gamma(t) = exp(-integral of Re f), the reference route to |b|.
 
     Requires coefficient_f to have run; gamma(0) = 1 exactly.  An excess over
     1 of at most CONTRACTIVITY_SLACK is round-off in f and is clipped to 1.
@@ -418,24 +426,18 @@ def gamma_of_t(sol: AmplitudeSolution) -> AmplitudeSolution:
         raise ValueError("coefficient_f must run before gamma_of_t")
     f = sol.f.real
     integral = np.concatenate(([0.0], np.cumsum(sol.dt * (f[1:] + f[:-1]) / 2.0)))
-    gamma = np.exp(-integral)
-    gamma[(gamma > 1.0) & (gamma <= 1.0 + CONTRACTIVITY_SLACK)] = 1.0
-    return replace(sol, gamma=gamma)
+    return replace(sol, gamma=_clip_round_off(np.exp(-integral)))
 
 
 def gamma_identity_defect(sol: AmplitudeSolution) -> float:
-    """Largest deviation of gamma(t) from |b(t)|.
-
-    The two are equal identically (Re f is the log-derivative of |b|), so the
-    defect measures the combined differentiation + quadrature error.
-    """
-    if sol.gamma is None:
-        raise ValueError("gamma_of_t must run before gamma_identity_defect")
-    return float(np.max(np.abs(sol.gamma - np.abs(sol.b))))
+    """Largest deviation of gamma_of_t's exp(-integral Re f) from |b(t)|, which
+    it equals identically: the combined error of f and of the quadrature."""
+    return float(np.max(np.abs(gamma_of_t(sol).gamma - np.abs(sol.b))))
 
 
 def full_solution(kernel: Kernel, omega_atom: float, t_max: float, dt: float,
                   tol: float = DEFAULT_TOL) -> AmplitudeSolution:
-    """solve_amplitude + coefficient_f + gamma_of_t in one call."""
-    sol = solve_amplitude(kernel, omega_atom, t_max, dt, tol=tol)
-    return gamma_of_t(coefficient_f(sol))
+    """solve_amplitude + coefficient_f in one call, with gamma = |b| clipped
+    to 1 where it exceeds 1 by at most CONTRACTIVITY_SLACK, as in gamma_of_t."""
+    sol = coefficient_f(solve_amplitude(kernel, omega_atom, t_max, dt, tol=tol))
+    return replace(sol, gamma=_clip_round_off(np.abs(sol.b)))

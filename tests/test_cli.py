@@ -13,7 +13,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from esdkit import channel, cli, entanglement, selfcheck
+from esdkit import channel, cli, entanglement, memory, selfcheck
 from esdkit.channel import apply_channel, coefficients_from_gammas
 from esdkit.entanglement import check_bound, concurrence, concurrence_x
 from esdkit.errors import NumericalError
@@ -21,7 +21,9 @@ from esdkit.esd import death_time_s, family_concurrence, family_trajectory, swee
 from esdkit.master import (
     AtomParams, integrate_master, interaction_trajectory, markov_rates, table_rates,
 )
-from esdkit.memory import ExponentialKernel, full_solution, uniform_grid
+from esdkit.memory import (
+    ExponentialKernel, full_solution, load_kernel_table, solve_amplitude, uniform_grid,
+)
 from esdkit.states import random_state, standard_family, xstate_to_dense
 from esdkit.selfcheck import CheckResult
 
@@ -167,8 +169,9 @@ def test_tabulated_kernel_matches_exponential_and_gates(tmp_path, capsys):
 
 @pytest.mark.parametrize("t_max, extra", [("0.001", ("--dt", "0.001")), ("0.002", ())])
 def test_one_step_amplitude_grid_runs(tmp_path, t_max, extra):
-    # --mem-dt = --t-max asks for one amplitude step; the solve takes two, the
-    # fewest its centered differences allow
+    # --mem-dt = --t-max asks for one amplitude step; the solve takes two, so
+    # the linear interpolation of gamma holds 1e-6 (one step of 0.002 misses
+    # the middle row by 1.24e-6)
     out = tmp_path / "one.csv"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -178,6 +181,60 @@ def test_one_step_amplitude_grid_runs(tmp_path, t_max, extra):
     fine = full_solution(ExponentialKernel(1.0, 5.0), 0.0, float(t_max), 1e-6)
     gamma = np.interp(rows[:, 0], fine.t, fine.gamma)
     assert np.max(np.abs(rows[:, 2:4] - gamma[:, None])) < 1e-6
+
+
+def test_evolve_memory_runs_take_no_differences(tmp_path, monkeypatch):
+    # f and gamma come from the solver's own b and db/dt; the centered
+    # differences serve only volterra_residual
+    def refuse(sol):
+        raise AssertionError("evolve differentiated b")
+
+    monkeypatch.setattr(memory, "_bdot", refuse)
+    tau = np.arange(0, 1.0 + 5e-4, 1e-3)
+    table = tmp_path / "kern.txt"
+    write_table(table, tau, ExponentialKernel(1.0, 5.0, 0.0).evaluate(tau))
+    assert run("evolve", "--memory-rate", "5", "--mem-dt", "1e-3",
+               "--output", str(tmp_path / "pole.csv")) == 0
+    assert run("evolve", "--a", "1", "--kernel-file", str(table), "--t-max", "1",
+               "--mem-dt", "1e-3", "--mem-tol", "1e-3", "--output", str(tmp_path / "tab.csv")) == 0
+
+
+def clipped_abs_b(sol) -> np.ndarray:
+    gamma = np.abs(sol.b)
+    gamma[(gamma > 1.0) & (gamma <= 1.0 + memory.CONTRACTIVITY_SLACK)] = 1.0
+    return gamma
+
+
+@pytest.mark.parametrize("source", ["pole", "table"])
+def test_evolve_local_coherences_are_the_solved_abs_b(tmp_path, source):
+    grid = uniform_grid(1.0, 1e-3)
+    argv = ["--t-max", "1", "--mem-dt", "1e-3", "--omega-b", "1.3"]
+    if source == "pole":
+        kernel, tol = ExponentialKernel(1.0, 5.0), 1e-8
+        argv += ["--memory-rate", "5"]
+    else:
+        table = tmp_path / "kern.txt"
+        write_table(table, grid, ExponentialKernel(1.0, 5.0, 0.5).evaluate(grid))
+        kernel, tol = load_kernel_table(table), 1e-3
+        argv += ["--kernel-file", str(table), "--mem-tol", "1e-3"]
+    out = tmp_path / "evolve.csv"
+    assert run("evolve", *argv, "--output", str(out)) == 0
+    rows = load_csv(out)
+    for col, omega in ((2, 1.0), (3, 1.3)):
+        sol = solve_amplitude(kernel, omega, 1.0, 1e-3, tol=tol)
+        assert np.array_equal(rows[:, col], np.interp(grid, sol.t, clipped_abs_b(sol)))
+
+
+def test_evolve_memory_maxdiff_is_a_second_order_cross_check(tmp_path):
+    # the image is built from |b|, the master from f: they now differ by the
+    # master's linear interpolation of f between amplitude points, O(mem_dt^2)
+    maxdiff = []
+    for mem_dt in ("1e-3", "2e-4"):
+        out = tmp_path / f"evolve_{mem_dt}.csv"
+        assert run("evolve", "--memory-rate", "5", "--mem-dt", mem_dt, "--output", str(out)) == 0
+        maxdiff.append(float(np.max(load_csv(out)[:, 6])))
+    assert 1e-9 < maxdiff[0] < 1e-6
+    assert 15.0 <= maxdiff[0] / maxdiff[1] <= 40.0
 
 
 @pytest.mark.parametrize("row", ["0.1 nan 0.0", "inf 0.5 0.0"])

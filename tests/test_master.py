@@ -21,7 +21,8 @@ from esdkit.master import (
     to_interaction_picture,
 )
 from esdkit.memory import (
-    ExponentialKernel, full_solution, rk4_step_matrix, solve_amplitude, uniform_grid,
+    ExponentialKernel, full_solution, gamma_of_t, rk4_step_matrix, solve_amplitude,
+    uniform_grid,
 )
 from esdkit.states import (
     pure_state,
@@ -90,13 +91,15 @@ def test_markov_evolution_matches_channel():
 
 def test_table_rates_match_channel_with_solved_gamma():
     # resonant structured reservoir: the master equation driven by the solved
-    # coefficient must reproduce the damping channel built from gamma(t)
+    # coefficient must reproduce the damping channel built from the same
+    # coefficient, gamma = exp(-integral Re f); against |b| the gap is the
+    # O(dt^2) linear interpolation of f at the RK4 half steps
     kernel = ExponentialKernel(1.0, 20.0, 5.0)
     sol = full_solution(kernel, 5.0, 2.0, 2e-4)
     rho0 = xstate_to_dense(standard_family(1.0))
     traj = integrate_master(rho0, table_rates(sol), AtomParams(5.0, 5.0), 2.0, 2e-4)
     got = to_interaction_picture(traj.states[-1], traj.phase_a[-1], traj.phase_b[-1])
-    g = float(sol.gamma[-1])
+    g = float(gamma_of_t(sol).gamma[-1])
     want = apply_channel(rho0, coefficients_from_gammas(g, g))
     assert np.max(np.abs(got - want)) < 1e-9
 

@@ -80,6 +80,15 @@ def test_load_kernel_table_roundtrip(tmp_path):
         load_kernel_table(bad)
 
 
+def test_load_kernel_table_gives_tau_its_own_memory(tmp_path):
+    path = tmp_path / "kernel.dat"
+    tau = np.arange(11) * 0.1
+    path.write_text("".join(f"{t:.17g} {np.exp(-t):.17g} 0.25\n" for t in tau))
+    k = load_kernel_table(path)
+    assert k.tau.base is None
+    assert k.tau.flags.c_contiguous
+
+
 def test_uniform_grid():
     g = uniform_grid(1.0, 0.25)
     np.testing.assert_allclose(g, [0.0, 0.25, 0.5, 0.75, 1.0], atol=1e-15)
@@ -131,7 +140,7 @@ def test_off_resonant_frequency_shift():
     roots = np.roots([1.0, rate - 1j * delta, 0.5 * strength * rate])
     slow = roots[np.argmin(np.abs(roots))]
     formula = 0.5 * strength * rate * delta / (rate * rate + delta * delta)
-    assert abs(sol.f.imag[-1] - (-slow.imag)) < 1e-5
+    assert abs(sol.f.imag[-1] - (-slow.imag)) < 1e-12
     assert abs(sol.f.imag[-1] / formula - 1.0) < 0.03
 
 
@@ -153,6 +162,12 @@ def test_critically_damped_amplitude(dt):
     # ill-conditioned; the powers must not lose accuracy there
     sol = solve_amplitude(ExponentialKernel(1.0, 2.0, 0.0), 0.0, 3.0, dt)
     assert np.max(np.abs(sol.b - np.exp(-sol.t) * (1.0 + sol.t))) < 1e-11
+
+
+def test_exponential_bdot_is_the_solvers_critically_damped_derivative():
+    # b = e^{-t}(1 + t) at strength 1, memory rate 2: db/dt = -t e^{-t}
+    sol = solve_amplitude(ExponentialKernel(1.0, 2.0, 0.0), 0.0, 3.0, 1e-3)
+    assert np.max(np.abs(sol.bdot + sol.t * np.exp(-sol.t))) < 1e-10
 
 
 def test_repeat_solves_are_identical():
@@ -276,6 +291,17 @@ def test_blocked_history_sum_at_every_depth(depth):
         want, err_acc = direct_trapezoid(kernel.evaluate(sol.t), 0.7, sol.dt)
         assert oracle_gap(sol, want) <= ORACLE_TOL
         assert sol.error_estimate == pytest.approx(err_acc, rel=1e-3)
+
+
+@pytest.mark.parametrize("depth", range(1, 14, 3))
+def test_tabulated_bdot_is_the_trapezoid_schemes(depth):
+    # the returned db/dt closes the scheme: b_i - b_{i-1} = (h/2)(bdot_i + bdot_{i-1})
+    for n in (2**depth - 1, 2**depth, 2**depth + 1):
+        kernel = decaying_table(n, 1.5, 2.0 - 1.0j, 3.0, 1.0)
+        sol = solve_quietly(kernel, 0.7, 1.5, n, np.inf)
+        gap = sol.b[1:] - sol.b[:-1] - 0.5 * sol.dt * (sol.bdot[1:] + sol.bdot[:-1])
+        assert np.all(np.abs(gap) <= 1e-13 * np.maximum(1.0, np.abs(sol.b[1:])))
+        assert sol.bdot[0] == -0.7j
 
 
 @pytest.mark.parametrize("kernel, dt", [
@@ -403,19 +429,20 @@ def test_gamma_of_t_clips_only_round_off_above_1():
 def test_gamma_without_coupling_is_one():
     sol = full_solution(ExponentialKernel(0.0, 1.0), 1.0, 2.0, 1e-3)
     np.testing.assert_allclose(sol.gamma, 1.0, atol=1e-9)
-    # Im f carries the omega^3 dt^2 / 6 centered-difference residue, Re f does not
-    np.testing.assert_allclose(sol.f.real, 0.0, atol=1e-9)
-    np.testing.assert_allclose(sol.f.imag, 0.0, atol=1e-6)
+    # no memory integral: the solver's db/dt is exactly -i*omega*b, so f is 0
+    assert np.all(sol.f == 0.0)
 
 
 @pytest.mark.parametrize("points", [1, 2])
 def test_differences_need_three_points(points):
+    # only the residual's centered differences need three points; f comes
+    # from the solver's db/dt, so a one-step solve has its coefficient
     t = np.arange(points) * 1e-3
     sol = AmplitudeSolution(t=t, b=np.exp(-t) + 0j, omega_atom=0.0)
-    for call in (lambda: coefficient_f(sol),
-                 lambda: volterra_residual(sol, ExponentialKernel(1.0, 5.0))):
-        with pytest.raises(ValueError, match=f"at least 3 grid points .*got {points}"):
-            call()
+    with pytest.raises(ValueError, match=f"at least 3 grid points .*got {points}"):
+        volterra_residual(sol, ExponentialKernel(1.0, 5.0))
+    one_step = coefficient_f(solve_amplitude(ExponentialKernel(1.0, 5.0), 0.0, 1e-3, 1e-3))
+    assert one_step.f[0] == 0.0 and np.isfinite(one_step.f[1])
 
 
 def test_pipeline_order_is_enforced():
@@ -423,7 +450,10 @@ def test_pipeline_order_is_enforced():
     with pytest.raises(ValueError):
         gamma_of_t(sol)
     with pytest.raises(ValueError):
-        gamma_identity_defect(coefficient_f(sol))
+        gamma_identity_defect(sol)
+    # f needs the solver's db/dt, which a hand-built record lacks
+    with pytest.raises(ValueError, match="solver's db/dt"):
+        coefficient_f(AmplitudeSolution(t=sol.t, b=sol.b, omega_atom=0.0))
 
 
 def test_singular_coefficient_in_strong_coupling():
