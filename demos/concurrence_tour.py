@@ -17,7 +17,7 @@ Usage:
 import numpy as np
 
 from esdkit.entanglement import concurrence, concurrence_x
-from esdkit.esd import family_trajectory
+from esdkit.reference import family_trajectory
 from esdkit.states import XState, xstate_to_dense
 
 bell = XState(0.0, 0.5, 0.5, 0.0, z23=0.5)

@@ -16,7 +16,8 @@ Usage:
 
 import numpy as np
 
-from esdkit.esd import disentanglement_time, sweep
+from esdkit.esd import sweep
+from esdkit.reference import disentanglement_time
 
 RATE = 1.0
 

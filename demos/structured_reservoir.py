@@ -15,13 +15,8 @@ Usage:
 import numpy as np
 
 from esdkit.errors import SingularCoefficientError
-from esdkit.memory import (
-    ExponentialKernel,
-    coefficient_f,
-    full_solution,
-    gamma_identity_defect,
-    solve_amplitude,
-)
+from esdkit.memory import ExponentialKernel, coefficient_f, full_solution, solve_amplitude
+from esdkit.reference import gamma_identity_defect
 
 RATE = 1.0
 

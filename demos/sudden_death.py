@@ -16,9 +16,9 @@ Usage:
 
 import numpy as np
 
-from esdkit.channel import apply_channel, coefficients_markov
 from esdkit.entanglement import concurrence
-from esdkit.esd import concurrence_markov, disentanglement_time
+from esdkit.reference import (apply_channel, coefficients_markov, concurrence_markov,
+                              disentanglement_time)
 from esdkit.states import standard_family, xstate_to_dense
 
 RATE = 1.0

@@ -1,144 +1,3 @@
 """Two-qubit amplitude damping, concurrence, and entanglement sudden death."""
 
-from .channel import (
-    DampingCoefficients,
-    apply_channel,
-    build_kraus,
-    coefficients_from_gammas,
-    coefficients_markov,
-    completeness_defect,
-    kraus_term,
-)
-from .entanglement import (
-    BoundReport,
-    ConcurrenceResult,
-    check_bound,
-    concurrence,
-    concurrence_x,
-    decay_bound,
-    spin_flipped,
-)
-from .errors import (
-    ConvergenceError,
-    IntegratorError,
-    NumericalError,
-    SingularCoefficientError,
-)
-from .esd import (
-    EsdVerdict,
-    LocalVsNonlocal,
-    concurrence_markov,
-    death_time_s,
-    disentanglement_time,
-    disentanglement_time_exact,
-    family_concurrence,
-    family_image,
-    family_trajectory,
-    local_vs_nonlocal_report,
-    sweep,
-)
-from .linalg import dagger, hermitian_eigen, hermiticity_defect, psd_sqrt
-from .master import (
-    AtomParams,
-    RateFunctions,
-    Trajectory,
-    integrate_master,
-    interaction_trajectory,
-    local_coherence_decay,
-    markov_rates,
-    master_rhs,
-    table_rates,
-    to_interaction_picture,
-)
-from .memory import (
-    AmplitudeSolution,
-    ExponentialKernel,
-    TabulatedKernel,
-    coefficient_f,
-    full_solution,
-    gamma_identity_defect,
-    gamma_of_t,
-    load_kernel_table,
-    solve_amplitude,
-    uniform_grid,
-    volterra_residual,
-)
-from .states import (
-    XState,
-    assert_density_matrix,
-    dense_to_xstate,
-    partial_trace,
-    pure_state,
-    random_state,
-    random_xstate,
-    standard_family,
-    xstate_to_dense,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AmplitudeSolution",
-    "AtomParams",
-    "BoundReport",
-    "ConcurrenceResult",
-    "ConvergenceError",
-    "DampingCoefficients",
-    "EsdVerdict",
-    "ExponentialKernel",
-    "IntegratorError",
-    "LocalVsNonlocal",
-    "NumericalError",
-    "RateFunctions",
-    "SingularCoefficientError",
-    "TabulatedKernel",
-    "Trajectory",
-    "XState",
-    "apply_channel",
-    "assert_density_matrix",
-    "build_kraus",
-    "check_bound",
-    "coefficient_f",
-    "coefficients_from_gammas",
-    "coefficients_markov",
-    "completeness_defect",
-    "concurrence",
-    "concurrence_markov",
-    "concurrence_x",
-    "dagger",
-    "death_time_s",
-    "decay_bound",
-    "dense_to_xstate",
-    "disentanglement_time",
-    "disentanglement_time_exact",
-    "family_concurrence",
-    "family_image",
-    "family_trajectory",
-    "full_solution",
-    "gamma_identity_defect",
-    "gamma_of_t",
-    "hermitian_eigen",
-    "hermiticity_defect",
-    "integrate_master",
-    "interaction_trajectory",
-    "kraus_term",
-    "load_kernel_table",
-    "local_coherence_decay",
-    "local_vs_nonlocal_report",
-    "markov_rates",
-    "master_rhs",
-    "partial_trace",
-    "psd_sqrt",
-    "pure_state",
-    "random_state",
-    "random_xstate",
-    "solve_amplitude",
-    "spin_flipped",
-    "standard_family",
-    "sweep",
-    "table_rates",
-    "to_interaction_picture",
-    "uniform_grid",
-    "volterra_residual",
-    "xstate_to_dense",
-]

@@ -15,10 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import I4, SIGMA_MINUS, dagger, first_bad
-from .states import assert_density_matrix
-
-COMPLETENESS_TOL = 1e-12
+from .linalg import first_bad
 
 
 @dataclass(frozen=True)
@@ -73,41 +70,6 @@ def coefficients_from_gammas(
     return DampingCoefficients(gamma_a, gamma_b, amplitudes[0], amplitudes[1])
 
 
-def coefficients_markov(rate: float, t: float) -> DampingCoefficients:
-    """Markov damping at a common rate: gamma = exp(-rate*t/2)."""
-    if rate < 0.0:
-        raise ValueError(f"negative rate {rate}")
-    if t < 0.0:
-        raise ValueError(f"negative time {t}")
-    g = float(np.exp(-0.5 * rate * t))
-    return coefficients_from_gammas(g, g)
-
-
-def build_kraus(c: DampingCoefficients) -> list[np.ndarray]:
-    """The four Kraus operators of a single channel, residual-residual first.
-
-    Order: (keep A, keep B), (keep A, decay B), (decay A, keep B),
-    (decay A, decay B).  This is the reference form; apply_channel and
-    kraus_term act with the per-atom factors instead.
-    """
-    keep_a = np.diag([c.gamma_a, 1.0]).astype(complex)
-    keep_b = np.diag([c.gamma_b, 1.0]).astype(complex)
-    drop_a = c.omega_a * SIGMA_MINUS
-    drop_b = c.omega_b * SIGMA_MINUS
-    return [
-        np.kron(keep_a, keep_b),
-        np.kron(keep_a, drop_b),
-        np.kron(drop_a, keep_b),
-        np.kron(drop_a, drop_b),
-    ]
-
-
-def completeness_defect(kraus: list[np.ndarray]) -> float:
-    """Largest entrywise deviation of sum(K^dagger K) from the identity."""
-    acc = sum(dagger(k) @ k for k in kraus)
-    return float(np.max(np.abs(acc - I4)))
-
-
 # On the (..., 2, 2, 2, 2) view of a two-qubit matrix the axes are
 # (row A, row B, column A, column B); each atom acts on its row/column pair.
 
@@ -136,8 +98,9 @@ def _decay(r: np.ndarray, omega: float | np.ndarray, atom: str) -> np.ndarray:
 
 
 def _kraus_terms(rho: np.ndarray, c: DampingCoefficients) -> list[np.ndarray]:
-    """The four branches K_mu rho K_mu^dagger of a validated state stack,
-    in build_kraus order, each of shape (..., 4, 4)."""
+    """The four branches K_mu rho K_mu^dagger of a validated state stack, each
+    of shape (..., 4, 4), in the order (keep A, keep B), (keep A, decay B),
+    (decay A, keep B), (decay A, decay B)."""
     r = rho.reshape(rho.shape[:-2] + (2, 2, 2, 2))
     keep_b = _keep(r, c.gamma_b, "B")
     decay_b = _decay(r, c.omega_b, "B")
@@ -148,21 +111,3 @@ def _kraus_terms(rho: np.ndarray, c: DampingCoefficients) -> list[np.ndarray]:
         _decay(decay_b, c.omega_a, "A"),
     )
     return [t.reshape(t.shape[:-4] + (4, 4)) for t in terms]
-
-
-def apply_channel(rho: np.ndarray, c: DampingCoefficients) -> np.ndarray:
-    """Apply the two-atom damping channel: sum_mu K_mu rho K_mu^dagger.
-
-    rho may be one state or a stack (..., 4, 4); array amplitudes in c
-    broadcast against the stack's leading axes.
-    """
-    t1, t2, t3, t4 = _kraus_terms(assert_density_matrix(rho), c)
-    return t1 + t2 + t3 + t4
-
-
-def kraus_term(rho: np.ndarray, c: DampingCoefficients, mu: int) -> np.ndarray:
-    """Single unnormalized Kraus branch K_mu rho K_mu^dagger, mu in 1..4,
-    on one state or a stack, broadcasting like apply_channel."""
-    if mu not in (1, 2, 3, 4):
-        raise ValueError(f"mu must be 1..4, got {mu}")
-    return _kraus_terms(assert_density_matrix(rho), c)[mu - 1]

@@ -48,8 +48,7 @@ from .memory import (
     load_kernel_table,
     uniform_grid,
 )
-from .selfcheck import run_all
-from .states import random_state, standard_family, xstate_to_dense
+from .states import random_states, standard_family, xstate_to_dense
 
 
 def _fmt(x: float) -> str:
@@ -65,16 +64,22 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
+class _BadValue(ValueError, argparse.ArgumentTypeError):
+    """A converter's refusal.  argparse prints the message of an
+    ArgumentTypeError for a flag, and _resolve's config route reports it like
+    any other ValueError."""
+
+
 def _parse_gammas(raw: str) -> tuple[float, ...]:
     try:
         values = tuple(float(tok) for tok in raw.split(",") if tok.strip())
     except ValueError as exc:
-        raise ValueError(f"bad gamma list {raw!r}") from exc
+        raise _BadValue(f"bad gamma list {raw!r}") from exc
     if not values:
-        raise ValueError("empty gamma list")
+        raise _BadValue("empty gamma list")
     for g in values:
         if not 0.0 <= g <= 1.0:
-            raise ValueError(f"gamma {g} outside [0, 1]")
+            raise _BadValue(f"gamma {g} outside [0, 1]")
     return values
 
 
@@ -242,8 +247,8 @@ SUMMARY_RECORD = '  {\n    "a": %%r,\n    "kind": "%s",\n    "t_d": %s,\n    "ga
 def cmd_sweep(args: argparse.Namespace) -> int:
     if args.a_steps < 1 or args.t_steps < 1:
         raise ValueError("a_steps and t_steps must be at least 1")
-    if args.rate <= 0.0:
-        raise ValueError(f"rate must be positive, got {args.rate}")
+    if not (math.isfinite(args.rate) and args.rate > 0.0):
+        raise ValueError(f"rate must be finite and positive, got {args.rate}")
     for name in ("a_min", "a_max"):
         if not 0.0 <= getattr(args, name) <= 1.0:
             raise ValueError(f"{name} must be finite and in [0, 1], got {getattr(args, name)}")
@@ -359,7 +364,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
         raise ValueError(f"samples={args.samples}: {exc}") from None
     seeds = range(args.seed, args.seed + args.samples)
     for block in _blocks(args.samples, max(1, STACK_BLOCK // gammas.size)):
-        rhos = np.stack([random_state(seed) for seed in seeds[block]])
+        rhos = random_states(seeds[block])
         # Rows are seed-major, then gamma: the report arrays have shape (seeds, gammas).
         rep = check_bound(rhos[:, None], coeffs, slack=args.slack)
         table[block] = np.stack(np.broadcast_arrays(
@@ -383,6 +388,9 @@ def cmd_bound(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- check
 
 def cmd_check(args: argparse.Namespace) -> int:
+    # The probes and the cross-check routes they call load only for check.
+    from .selfcheck import run_all
+
     results = run_all()
     failures = 0
     for res in results:

@@ -6,7 +6,7 @@ f = 1 - sqrt(a (1 - a + (wa2 + wb2) + wa2 wb2 a)), w2 = 1 - gamma^2 per atom.
 At equal Markov rates gamma_A gamma_B = g2 = exp(-rate*t), wa2 = wb2 = 1 - g2,
 and the zero of f has a closed form, death_time_s, the production death time:
 finite exactly when a > 1/3.  The bisection disentanglement_time and
-family_concurrence_x are kept as independent cross-checks.
+family_concurrence_x in esdkit.reference are its independent cross-checks.
 """
 
 from __future__ import annotations
@@ -16,18 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entanglement import concurrence_x
 from .errors import NumericalError
-from .states import XState
 
 FINITE_DEATH_THRESHOLD = 1.0 / 3.0
-# Search window and tolerances for the bisection path, in the dimensionless
-# time s = rate*t.  The window holds every death time: s_d < 37 for all
-# floats a > 1/3.
-BISECTION_WINDOW = 50.0
-BISECTION_TOL = 1e-10
-CROSS_CHECK_TOL = 1e-8
-EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -80,30 +71,11 @@ def family_image(a: float, gamma_a, gamma_b) -> tuple[np.ndarray, ...]:
     return p1, p2, p3, p4, ga * gb * third
 
 
-def family_trajectory(a: float, gamma_a: float, gamma_b: float | None = None) -> XState:
-    """One damped family state from family_image, as an XState."""
-    p1, p2, p3, p4, z23 = family_image(a, gamma_a, gamma_a if gamma_b is None else gamma_b)
-    return XState(float(p1), float(p2), float(p3), float(p4), z23=complex(z23))
-
-
 def family_concurrence(a: float, gamma_a, gamma_b) -> np.ndarray:
     """Concurrence (2/3) max(0, gamma_a gamma_b f) of the damped family,
     elementwise over broadcasting residual amplitudes in [0, 1]."""
     ga, wa2, gb, wb2 = _family_inputs(a, gamma_a, gamma_b)
     return (2.0 / 3.0) * np.maximum(0.0, (ga * gb) * _family_factor(a, wa2, wb2))
-
-
-def concurrence_markov(a: float, rate: float, t: float) -> float:
-    """Concurrence of the family under equal-rate Markov damping at time t."""
-    if not 0.0 <= a <= 1.0:
-        raise ValueError(f"family parameter a={a} outside [0, 1]")
-    if not (math.isfinite(rate) and rate >= 0.0):
-        raise ValueError(f"rate must be finite and nonnegative, got {rate}")
-    if not (math.isfinite(t) and t >= 0.0):
-        raise ValueError(f"time must be finite and nonnegative, got {t}")
-    g2 = math.exp(-rate * t)
-    w2 = 1.0 - g2
-    return float((2.0 / 3.0) * max(0.0, g2 * _family_factor(a, w2, w2)))
 
 
 def _check_rate(rate: float) -> None:
@@ -153,45 +125,6 @@ def disentanglement_time_exact(a: float, rate: float) -> EsdVerdict:
     return _verdict(a, float(death_time_s(a)), rate)
 
 
-def disentanglement_time(a: float, rate: float) -> EsdVerdict:
-    """Death time by bisection on the concurrence factor in s = rate * t.
-
-    Verifies monotonicity of the factor on the bracket, bisects to
-    BISECTION_TOL and cross-checks the closed form.  The factor is evaluated
-    to a few eps, but its slope in s is of order u_d = e^{-s_d}, which
-    vanishes as a -> 1/3; so the cross-check allows CROSS_CHECK_TOL +
-    8 eps/u_d in s, and a larger disagreement raises NumericalError.
-    """
-    _check_rate(rate)
-    s_exact = float(death_time_s(a))
-    if s_exact == math.inf:
-        return _verdict(a, s_exact, rate)
-
-    def f(s: float) -> float:
-        w2 = 1.0 - math.exp(-s)
-        return _family_factor(a, w2, w2)
-
-    lo, hi = 0.0, BISECTION_WINDOW
-    samples = [f(hi * k / 100.0) for k in range(101)]
-    if any(b > prev + 1e-12 for prev, b in zip(samples, samples[1:])):
-        raise NumericalError("concurrence factor is not monotone on the bracket")
-    if not (samples[0] > 0.0 >= samples[-1]):
-        raise NumericalError("bisection bracket does not straddle the zero")
-    while hi - lo > BISECTION_TOL:
-        mid = 0.5 * (lo + hi)
-        if f(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    s_d = 0.5 * (lo + hi)
-    tol = CROSS_CHECK_TOL + 8.0 * EPS / math.exp(-s_exact)
-    if abs(s_d - s_exact) > tol:
-        raise NumericalError(
-            f"bisection root {s_d!r} disagrees with closed form {s_exact!r} (rate*t)"
-        )
-    return _verdict(a, s_d, rate)
-
-
 def sweep(a_grid: np.ndarray, t_grid: np.ndarray, rate: float) -> np.ndarray:
     """Concurrence surface over (a, t): shape (len(a_grid), len(t_grid))."""
     a_grid = np.asarray(a_grid, dtype=float)
@@ -209,30 +142,3 @@ def sweep(a_grid: np.ndarray, t_grid: np.ndarray, rate: float) -> np.ndarray:
     surface = (2.0 / 3.0) * np.maximum(0.0, g2 * _family_factor(a_grid[:, None], w2, w2))
     surface += 0.0  # an underflowed g2 times a negative factor is -0.0; report +0.0
     return surface
-
-
-@dataclass(frozen=True)
-class LocalVsNonlocal:
-    """Side-by-side decay series: the single-atom coherence factor (plain
-    exponential, never zero) against the family concurrence."""
-
-    t: np.ndarray
-    local_coherence: np.ndarray
-    concurrence: np.ndarray
-
-
-def local_vs_nonlocal_report(a: float, rate: float, t_grid: np.ndarray) -> LocalVsNonlocal:
-    """Contrast the smooth local decay e^{-rate t/2} with the concurrence,
-    which can reach exact zero in finite time."""
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.size == 0 or np.any(np.diff(t_grid) < 0) or t_grid[0] < 0.0:
-        raise ValueError("t_grid must be nonempty, ascending, nonnegative")
-    local = np.exp(-0.5 * rate * t_grid)
-    conc = sweep(np.array([a]), t_grid, rate)[0]
-    return LocalVsNonlocal(t=t_grid, local_coherence=local, concurrence=conc)
-
-
-def family_concurrence_x(a: float, gamma: float) -> float:
-    """Concurrence of the damped family via the X-state closed form
-    (general-coefficient route, cross-checks concurrence_markov)."""
-    return concurrence_x(family_trajectory(a, gamma))

@@ -19,23 +19,12 @@ EIG_CLAMP = 1e-8
 # rank-deficient inputs; sqrt would amplify them from ~1e-17 to ~1e-9.
 RELATIVE_RANK_FLOOR = 1e-14
 
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 # Basis order puts the excited state first, so the lowering operator is lower-left.
 SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
-SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 I2 = np.eye(2, dtype=complex)
 I4 = np.eye(4, dtype=complex)
-
-
-def _as_square(a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=complex)
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if a.shape[-1] not in (2, 4):
-        raise ValueError(f"expected dimension in (2, 4), got {a.shape[-1]}")
-    return a
 
 
 def first_bad(bad: np.ndarray) -> tuple[int, ...] | None:
@@ -71,38 +60,13 @@ def hermiticity_defect(a: np.ndarray) -> float | np.ndarray:
     return float(defect) if defect.ndim == 0 else defect
 
 
-def hermitian_eigen(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of Hermitian 2x2 or 4x4 matrices, or a stack of them.
-
-    Returns (w, v) with eigenvalues ascending along the last axis and
-    orthonormal eigenvector columns, so h = v @ diag(w) @ v^dagger.  Rejects
-    any matrix whose Hermiticity defect exceeds HERMITIAN_TOL.
-    """
-    h = _as_square(h)
-    defect = np.asarray(hermiticity_defect(h))
-    bad = first_bad(~(defect <= HERMITIAN_TOL))
-    if bad is not None:
-        raise ValueError(f"matrix{member(bad)} is not Hermitian: "
-                         f"defect {defect[bad]:.3e} > {HERMITIAN_TOL:.1e}")
-    w, v = np.linalg.eigh(0.5 * (h + dagger(h)))
-    return w, v
-
-
-def psd_sqrt(h: np.ndarray) -> np.ndarray:
-    """Hermitian square root of a positive semidefinite matrix, or of each in a stack.
-
-    Eigenvalues in [-EIG_CLAMP, 0) are treated as round-off and set to zero;
-    anything more negative raises ValueError.  Positive eigenvalues below
-    RELATIVE_RANK_FLOOR times the largest are zeroed too: for rank-deficient
-    inputs they are pure round-off, and their square roots would otherwise
-    leak ~1e-9 off the true support.  concurrence reuses the root's formula
-    on an eigendecomposition it already holds.
-    """
-    return _psd_sqrt_from_eigen(*hermitian_eigen(h))
-
-
 def _psd_sqrt_from_eigen(w: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """psd_sqrt from the (w, v) that hermitian_eigen returns, without a second solve."""
+    """Hermitian square root of PSD matrices from their eigendecomposition
+    (w ascending, v), with no second solve.  Eigenvalues in [-EIG_CLAMP, 0)
+    are round-off and become zero, more negative ones raise ValueError, and
+    positive ones below RELATIVE_RANK_FLOOR times the largest are zeroed:
+    on rank-deficient inputs their roots would leak ~1e-9 off the support.
+    """
     bad = first_bad(w[..., 0] < -EIG_CLAMP)
     if bad is not None:
         raise ValueError(

@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import IntegratorError
-from .linalg import I2, SIGMA_MINUS, dagger
+from .linalg import I2, I4, SIGMA_MINUS, dagger
 from .memory import AmplitudeSolution, rk4_step_matrix, uniform_grid
 from .states import assert_density_matrix
 
@@ -26,12 +26,6 @@ POSITIVITY_FLOOR = -1e-8
 
 _DIAG_A = np.array([0.5, 0.5, -0.5, -0.5])
 _DIAG_B = np.array([0.5, -0.5, 0.5, -0.5])
-_SM_A = np.kron(SIGMA_MINUS, I2)
-_SM_B = np.kron(I2, SIGMA_MINUS)
-_SP_A = dagger(_SM_A)
-_SP_B = dagger(_SM_B)
-_N_A = _SP_A @ _SM_A
-_N_B = _SP_B @ _SM_B
 
 
 @dataclass(frozen=True)
@@ -91,27 +85,27 @@ def table_rates(
     return RateFunctions(f=make(sol_a), g=make(sol_b))
 
 
-def master_rhs(rho: np.ndarray, t: float, rates: RateFunctions, atoms: AtomParams) -> np.ndarray:
-    """Right-hand side of the master equation at time t, for a state or a
-    (..., 4, 4) stack."""
-    fv = complex(rates.f(t))
-    gv = complex(rates.g(t))
-    hvec = (atoms.omega_a + fv.imag) * _DIAG_A + (atoms.omega_b + gv.imag) * _DIAG_B
-    out = -1j * (hvec[:, None] - hvec[None, :]) * rho
-    out += fv.real * (2.0 * (_SM_A @ rho @ _SP_A) - _N_A @ rho - rho @ _N_A)
-    out += gv.real * (2.0 * (_SM_B @ rho @ _SP_B) - _N_B @ rho - rho @ _N_B)
-    return out
-
-
 # The generator on rho.ravel() is affine in (omega_A + Im F, Re F, omega_B + Im G,
-# Re G).  Row k is the 16x16 piece of coefficient k, flattened: master_rhs with
-# that coefficient 1 and the others 0, on the 16 unit matrices (one per column).
-_UNITS = np.eye(16, dtype=complex).reshape(16, 4, 4)
-_PIECES = np.array([
-    master_rhs(_UNITS, 0.0, markov_rates(2.0 * re_f, 2.0 * re_g), AtomParams(w_a, w_b))
-    .reshape(16, 16).T.ravel()
-    for w_a, re_f, w_b, re_g in np.eye(4)
-])
+# Re G); row k of _PIECES is the 16x16 piece of coefficient k, flattened.  In
+# row-major vec form rho -> A rho B is np.kron(A, B.T).
+
+
+def _phase_piece(d: np.ndarray) -> np.ndarray:
+    """-i[diag(d), rho]: entry (i, j) turns at rate d_j - d_i.  Written into the
+    imaginary part, a zero rate stays +0.0 (a product with -1j gives -0.0)."""
+    piece = np.zeros((16, 16), dtype=complex)
+    np.fill_diagonal(piece.imag, np.subtract.outer(d, d).T.ravel())
+    return piece.ravel()
+
+
+def _damping_piece(sm: np.ndarray) -> np.ndarray:
+    """The dissipator 2 s- rho s+ - n rho - rho n of one atom, n = s+ s-."""
+    n = dagger(sm) @ sm
+    return (2.0 * np.kron(sm, sm.conj()) - np.kron(n, I4) - np.kron(I4, n.T)).ravel()
+
+
+_PIECES = np.array([_phase_piece(_DIAG_A), _damping_piece(np.kron(SIGMA_MINUS, I2)),
+                    _phase_piece(_DIAG_B), _damping_piece(np.kron(I2, SIGMA_MINUS))])
 # Steps whose propagators are built in one stacked pass: it bounds peak memory
 # (a whole-run stack is 4 KiB per step), and results do not depend on it.
 PROPAGATOR_BLOCK = 16
@@ -214,11 +208,3 @@ def to_interaction_picture(
 def interaction_trajectory(traj: Trajectory) -> Trajectory:
     """Whole trajectory in the interaction picture (phases kept for reference)."""
     return replace(traj, states=to_interaction_picture(traj.states, traj.phase_a, traj.phase_b))
-
-
-def local_coherence_decay(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
-    """Magnitudes of the single-atom lowering coherences |<s-_A>|, |<s-_B>|
-    along the trajectory (picture-independent)."""
-    a = np.abs(np.einsum("tij,ji->t", traj.states, _SM_A))
-    b = np.abs(np.einsum("tij,ji->t", traj.states, _SM_B))
-    return a, b

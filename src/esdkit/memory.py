@@ -353,32 +353,6 @@ def solve_amplitude(
     return AmplitudeSolution(t=grid, b=b, omega_atom=omega_atom, bdot=bdot, error_estimate=error)
 
 
-def _bdot(sol: AmplitudeSolution) -> np.ndarray:
-    """db/dt by second-order differences, which need three grid points."""
-    if sol.b.size < 3:
-        raise ValueError(f"db/dt needs at least 3 grid points (2 steps), got {sol.b.size}")
-    return np.gradient(sol.b, sol.dt, edge_order=2)
-
-
-def volterra_residual(sol: AmplitudeSolution, kernel: Kernel) -> np.ndarray:
-    """Pointwise defect |db/dt + i*omega*b + memory integral| on the grid.
-
-    db/dt is reconstructed by centered differences (one-sided second-order
-    stencils at the ends) and the memory integral by trapezoid quadrature, so
-    the reported defect is itself O(dt^2) even for an exact solution; it is a
-    diagnostic, not the solver's accuracy gate.
-    """
-    bdot, b, h = _bdot(sol), sol.b, sol.dt
-    n = b.size - 1
-    alpha = kernel.evaluate(sol.t)
-    # A transform longer than 2n holds the whole linear convolution: nothing wraps.
-    work = np.empty((2, 1 << (2 * n).bit_length()), dtype=complex)
-    full = _circular_product(alpha, b, *work)[: n + 1]
-    q = h * (full - 0.5 * alpha * b[0] - 0.5 * alpha[0] * b)
-    q[0] = 0.0
-    return np.abs(bdot + 1j * sol.omega_atom * b + q)
-
-
 def coefficient_f(sol: AmplitudeSolution, b_floor: float = B_FLOOR) -> AmplitudeSolution:
     """Fill in the time-local decay coefficient f = -(db/dt + i*omega*b)/b.
 
@@ -416,28 +390,9 @@ def _clip_round_off(gamma: np.ndarray) -> np.ndarray:
     return gamma
 
 
-def gamma_of_t(sol: AmplitudeSolution) -> AmplitudeSolution:
-    """Fill in gamma(t) = exp(-integral of Re f), the reference route to |b|.
-
-    Requires coefficient_f to have run; gamma(0) = 1 exactly.  An excess over
-    1 of at most CONTRACTIVITY_SLACK is round-off in f and is clipped to 1.
-    """
-    if sol.f is None:
-        raise ValueError("coefficient_f must run before gamma_of_t")
-    f = sol.f.real
-    integral = np.concatenate(([0.0], np.cumsum(sol.dt * (f[1:] + f[:-1]) / 2.0)))
-    return replace(sol, gamma=_clip_round_off(np.exp(-integral)))
-
-
-def gamma_identity_defect(sol: AmplitudeSolution) -> float:
-    """Largest deviation of gamma_of_t's exp(-integral Re f) from |b(t)|, which
-    it equals identically: the combined error of f and of the quadrature."""
-    return float(np.max(np.abs(gamma_of_t(sol).gamma - np.abs(sol.b))))
-
-
 def full_solution(kernel: Kernel, omega_atom: float, t_max: float, dt: float,
                   tol: float = DEFAULT_TOL) -> AmplitudeSolution:
     """solve_amplitude + coefficient_f in one call, with gamma = |b| clipped
-    to 1 where it exceeds 1 by at most CONTRACTIVITY_SLACK, as in gamma_of_t."""
+    to 1 where it exceeds 1 by at most CONTRACTIVITY_SLACK."""
     sol = coefficient_f(solve_amplitude(kernel, omega_atom, t_max, dt, tol=tol))
     return replace(sol, gamma=_clip_round_off(np.abs(sol.b)))

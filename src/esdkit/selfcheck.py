@@ -12,39 +12,18 @@ from typing import Callable
 
 import numpy as np
 
-from . import (
-    ExponentialKernel,
-    apply_channel,
-    assert_density_matrix,
-    check_bound,
-    coefficients_from_gammas,
-    coefficients_markov,
-    completeness_defect,
-    concurrence,
-    concurrence_markov,
-    concurrence_x,
-    dagger,
-    dense_to_xstate,
-    disentanglement_time,
-    disentanglement_time_exact,
-    full_solution,
-    gamma_identity_defect,
-    hermitian_eigen,
-    integrate_master,
-    interaction_trajectory,
-    markov_rates,
-    partial_trace,
-    psd_sqrt,
-    pure_state,
-    random_state,
-    random_xstate,
-    solve_amplitude,
-    standard_family,
-    volterra_residual,
-    xstate_to_dense,
-)
-from .channel import build_kraus
-from .master import AtomParams
+from .channel import coefficients_from_gammas
+from .entanglement import check_bound, concurrence, concurrence_x
+from .esd import disentanglement_time_exact
+from .linalg import dagger
+from .master import AtomParams, integrate_master, interaction_trajectory, markov_rates
+from .memory import ExponentialKernel, full_solution, solve_amplitude
+from .reference import (apply_channel, build_kraus, coefficients_markov, completeness_defect,
+                        concurrence_markov, dense_to_xstate, disentanglement_time,
+                        gamma_identity_defect, hermitian_eigen, partial_trace, psd_sqrt,
+                        pure_state, random_xstate, volterra_residual)
+from .states import (assert_density_matrix, random_state, random_states, standard_family,
+                     xstate_to_dense)
 
 
 @dataclass(frozen=True)
@@ -184,7 +163,7 @@ def check_concurrence_local_unitary() -> tuple[bool, str]:
 def check_bound_random() -> tuple[bool, str]:
     # One stacked call, seed-major like cmd_bound: the report arrays are (seeds, gammas).
     gammas = np.array([0.9, 0.5, 0.1])
-    rhos = np.stack([random_state(seed) for seed in range(200)])
+    rhos = random_states(range(200))
     rep = check_bound(rhos[:, None], coefficients_from_gammas(gammas, gammas))
     gaps = rep.lhs - rep.rhs
     if not rep.satisfied.all():

@@ -19,22 +19,8 @@ from .linalg import HERMITIAN_TOL, dagger, first_bad, hermiticity_defect, member
 
 TRACE_TOL = 1e-10
 EIG_FLOOR = -1e-9
-OFF_X_TOL = 1e-10
 PROB_SUM_TOL = 1e-12
 COHERENCE_SLACK = 1e-12
-
-EXCITED = np.array([1.0, 0.0], dtype=complex)
-GROUND = np.array([0.0, 1.0], dtype=complex)
-
-
-def pure_state(vec: np.ndarray) -> np.ndarray:
-    """Density matrix of a normalized state vector."""
-    vec = np.asarray(vec, dtype=complex)
-    norm = np.linalg.norm(vec)
-    if norm == 0:
-        raise ValueError("zero vector has no state")
-    vec = vec / norm
-    return np.outer(vec, vec.conj())
 
 
 def assert_density_matrix(rho: np.ndarray) -> np.ndarray:
@@ -115,67 +101,21 @@ def xstate_to_dense(x: XState) -> np.ndarray:
     return rho
 
 
-def dense_to_xstate(rho: np.ndarray) -> XState:
-    """Project a dense matrix back to the XState carrier.
+def random_states(seeds, dim: int = 4) -> np.ndarray:
+    """Ginibre-random density matrices G G^dagger / tr(G G^dagger), one per seed,
+    as a (len(seeds), dim, dim) stack.
 
-    Entries outside the X pattern must vanish to OFF_X_TOL, otherwise the
-    matrix does not represent an X state and ValueError is raised.
+    Each G is drawn from its own np.random.default_rng(seed), so a given
+    (seed, dim) always produces the same state, whatever stack it is in.
     """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise ValueError(f"expected 4x4, got {rho.shape}")
-    mask = np.ones((4, 4), dtype=bool)
-    mask[range(4), range(4)] = False
-    for i, j in ((0, 3), (3, 0), (1, 2), (2, 1)):
-        mask[i, j] = False
-    worst = float(np.max(np.abs(rho[mask])))
-    if worst > OFF_X_TOL:
-        raise ValueError(f"matrix is not X-shaped: off-pattern entry {worst:.3e}")
-    return XState(
-        float(rho[0, 0].real),
-        float(rho[1, 1].real),
-        float(rho[2, 2].real),
-        float(rho[3, 3].real),
-        z23=complex(rho[1, 2]),
-        z14=complex(rho[0, 3]),
-    )
-
-
-def partial_trace(rho: np.ndarray, keep: str) -> np.ndarray:
-    """Reduced single-qubit state: keep="A" traces out qubit B and vice versa."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise ValueError(f"expected 4x4, got {rho.shape}")
-    r = rho.reshape(2, 2, 2, 2)
-    if keep == "A":
-        return np.einsum("ibjb->ij", r)
-    if keep == "B":
-        return np.einsum("aiaj->ij", r)
-    raise ValueError(f'keep must be "A" or "B", got {keep!r}')
+    g = np.empty((len(seeds), dim, dim), dtype=complex)
+    for i, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        g[i] = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    rho = g @ dagger(g)
+    return rho / np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]
 
 
 def random_state(seed: int, dim: int = 4) -> np.ndarray:
-    """Ginibre-random density matrix: G G^dagger normalized to unit trace.
-
-    Seeded through np.random.default_rng, so a given (seed, dim) always
-    produces the same state.
-    """
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    rho = g @ dagger(g)
-    return rho / np.trace(rho).real
-
-
-def random_xstate(seed: int) -> XState:
-    """Random valid X state (Dirichlet populations, coherences inside the
-    positivity disks), seeded like random_state."""
-    rng = np.random.default_rng(seed)
-    p = rng.dirichlet((1.0, 1.0, 1.0, 1.0))
-    r23 = rng.uniform(0.0, 1.0) * np.sqrt(p[1] * p[2])
-    r14 = rng.uniform(0.0, 1.0) * np.sqrt(p[0] * p[3])
-    ph23, ph14 = rng.uniform(0.0, 2.0 * np.pi, size=2)
-    return XState(
-        float(p[0]), float(p[1]), float(p[2]), float(p[3]),
-        z23=r23 * np.exp(1j * ph23),
-        z14=r14 * np.exp(1j * ph14),
-    )
+    """The one-seed stack of random_states."""
+    return random_states([seed], dim)[0]

@@ -5,26 +5,24 @@ from time import perf_counter
 
 import numpy as np
 
-from esdkit.channel import (
+from esdkit.channel import coefficients_from_gammas
+from esdkit.entanglement import check_bound, concurrence, concurrence_x
+from esdkit.esd import disentanglement_time_exact, sweep
+from esdkit.master import AtomParams, integrate_master, interaction_trajectory, \
+    markov_rates, to_interaction_picture
+from esdkit.memory import ExponentialKernel, full_solution
+from esdkit.reference import (
     apply_channel,
     build_kraus,
-    coefficients_from_gammas,
     coefficients_markov,
     completeness_defect,
-)
-from esdkit.entanglement import check_bound, concurrence, concurrence_x
-from esdkit.esd import concurrence_markov, disentanglement_time_exact, sweep
-from esdkit.master import AtomParams, integrate_master, interaction_trajectory, \
-    local_coherence_decay, markov_rates, to_interaction_picture
-from esdkit.memory import ExponentialKernel, full_solution, gamma_identity_defect
-from esdkit.states import (
-    XState,
+    concurrence_markov,
+    gamma_identity_defect,
+    local_coherence_decay,
     pure_state,
-    random_state,
     random_xstate,
-    standard_family,
-    xstate_to_dense,
 )
+from esdkit.states import XState, random_state, standard_family, xstate_to_dense
 
 DEATH_TIME_A1 = math.log((2.0 + math.sqrt(2.0)) / 2.0)
 

@@ -1,17 +1,18 @@
 import numpy as np
 import pytest
 
-from esdkit.channel import (
-    DampingCoefficients,
+from esdkit.channel import DampingCoefficients, coefficients_from_gammas
+from esdkit.linalg import I4, hermiticity_defect
+from esdkit.reference import (
     apply_channel,
     build_kraus,
-    coefficients_from_gammas,
     coefficients_markov,
     completeness_defect,
     kraus_term,
+    pure_state,
+    random_xstate,
 )
-from esdkit.linalg import I4, hermiticity_defect
-from esdkit.states import pure_state, random_state, random_xstate, standard_family, xstate_to_dense
+from esdkit.states import random_state, standard_family, xstate_to_dense
 
 X_MASK = np.zeros((4, 4), dtype=bool)
 for _i in range(4):

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import json
 import math
@@ -13,17 +14,18 @@ import mpmath
 import numpy as np
 import pytest
 
-from esdkit import channel, cli, entanglement, memory, selfcheck
-from esdkit.channel import apply_channel, coefficients_from_gammas
+from esdkit import channel, cli, entanglement, memory, reference, selfcheck
+from esdkit.channel import coefficients_from_gammas
 from esdkit.entanglement import check_bound, concurrence, concurrence_x
 from esdkit.errors import NumericalError
-from esdkit.esd import death_time_s, family_concurrence, family_trajectory, sweep
+from esdkit.esd import death_time_s, family_concurrence, sweep
 from esdkit.master import (
     AtomParams, integrate_master, interaction_trajectory, markov_rates, table_rates,
 )
 from esdkit.memory import (
     ExponentialKernel, full_solution, load_kernel_table, solve_amplitude, uniform_grid,
 )
+from esdkit.reference import apply_channel, family_trajectory
 from esdkit.states import random_state, standard_family, xstate_to_dense
 from esdkit.selfcheck import CheckResult
 
@@ -56,6 +58,53 @@ def test_cli_import_needs_no_scipy_and_loads_lazy_numpy_modules():
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, timeout=120, check=True)
     assert json.loads(out.stdout) == [[], True, True]
+
+
+LAYERS = ("linalg", "states", "channel", "entanglement", "memory", "master", "esd")
+
+
+def test_cli_import_loads_every_layer_and_no_cross_check_code():
+    probe = (
+        "import json, sys, esdkit.cli; print(json.dumps(sorted("
+        "m for m in sys.modules if m.split('.')[0] == 'esdkit')))"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path},
+                         capture_output=True, text=True, timeout=120, check=True)
+    loaded = set(json.loads(out.stdout))
+    assert {f"esdkit.{layer}" for layer in LAYERS} <= loaded
+    assert not loaded & {"esdkit.reference", "esdkit.selfcheck"}
+
+
+def imported_modules(node: ast.AST, package: str) -> set[str]:
+    """Absolute names of the modules and package members an AST imports."""
+    names = set()
+    for imp in ast.walk(node):
+        if isinstance(imp, ast.Import):
+            names.update(alias.name for alias in imp.names)
+        elif isinstance(imp, ast.ImportFrom):
+            base = package if imp.level else ""
+            base = ".".join(filter(None, [base, imp.module]))
+            names.add(base)
+            names.update(f"{base}.{alias.name}" for alias in imp.names)
+    return names
+
+
+def test_no_production_module_imports_the_cross_check_routes():
+    pkg = Path(cli.__file__).resolve().parent
+    for path in sorted(pkg.glob("*.py")):
+        if path.stem in ("reference", "selfcheck"):
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        assert "esdkit.reference" not in imported_modules(tree, "esdkit"), path.name
+    # cli reaches selfcheck only inside cmd_check, when check runs.
+    tree = ast.parse((pkg / "cli.py").read_text())
+    cmd_check = next(s for s in tree.body
+                     if isinstance(s, ast.FunctionDef) and s.name == "cmd_check")
+    rest = ast.Module(body=[s for s in tree.body if s is not cmd_check], type_ignores=[])
+    assert "esdkit.selfcheck" not in imported_modules(rest, "esdkit")
+    assert "esdkit.selfcheck" in imported_modules(cmd_check, "esdkit")
 
 
 def test_evolve_header_format_and_units(tmp_path):
@@ -189,7 +238,7 @@ def test_evolve_memory_runs_take_no_differences(tmp_path, monkeypatch):
     def refuse(sol):
         raise AssertionError("evolve differentiated b")
 
-    monkeypatch.setattr(memory, "_bdot", refuse)
+    monkeypatch.setattr(reference, "_bdot", refuse)
     tau = np.arange(0, 1.0 + 5e-4, 1e-3)
     table = tmp_path / "kern.txt"
     write_table(table, tau, ExponentialKernel(1.0, 5.0, 0.0).evaluate(tau))
@@ -425,6 +474,21 @@ def test_bound_custom_gammas(tmp_path):
     assert data[0, 0] == 5.0
 
 
+@pytest.mark.parametrize("gammas, reason", [
+    ("2", "gamma 2.0 outside [0, 1]"),
+    ("0.5,abc", "bad gamma list '0.5,abc'"),
+])
+def test_bad_gammas_name_the_reason_by_flag_and_by_config(tmp_path, capsys, gammas, reason):
+    out = tmp_path / "bound.csv"
+    assert run("bound", "--samples", "2", "--gammas", gammas, "--output", str(out)) == 2
+    assert capsys.readouterr().err.endswith(f"error: argument --gammas: {reason}\n")
+    cfg = tmp_path / "bound.cfg"
+    cfg.write_text(f"gammas = {gammas}\n")
+    assert run("bound", "--samples", "2", "--config", str(cfg), "--output", str(out)) == 2
+    assert capsys.readouterr().err == f"error: {reason}\n"
+    assert not out.exists()
+
+
 def test_check_reports_all_suites(capsys):
     assert run("check") == 0
     out = capsys.readouterr().out
@@ -436,7 +500,7 @@ def test_check_reports_all_suites(capsys):
 
 def test_check_failure_exits_4(monkeypatch, capsys):
     monkeypatch.setattr(
-        cli, "run_all", lambda: [CheckResult(name="forced", passed=False, detail="x")]
+        selfcheck, "run_all", lambda: [CheckResult(name="forced", passed=False, detail="x")]
     )
     assert run("check") == 4
     out = capsys.readouterr().out
@@ -763,7 +827,7 @@ def test_sweep_non_finite_rate_exit_2(tmp_path, capsys, rate):
     out = tmp_path / "sweep.csv"
     assert run("sweep", "--a-steps", "3", "--t-steps", "4", "--rate", rate,
                "--output", str(out)) == 2
-    assert "rate" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: rate must be finite and positive, got {rate}\n"
     assert not out.exists()
 
 
@@ -863,7 +927,7 @@ DENSE_ROUTE_ARGV = [[], ["--memory-rate", "5", "--mem-dt", "1e-3", "--omega-b", 
 @pytest.mark.parametrize("argv", DENSE_ROUTE_ARGV)
 def test_evolve_needs_no_dense_route(tmp_path, monkeypatch, argv):
     # Every esdkit namespace that binds a dense route gets a stub that raises.
-    dense = (channel.apply_channel, channel.coefficients_from_gammas, entanglement.concurrence)
+    dense = (reference.apply_channel, channel.coefficients_from_gammas, entanglement.concurrence)
 
     def refuse(*args, **kwargs):
         raise AssertionError("evolve called a dense route")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy import kron
 
-from esdkit.channel import coefficients_from_gammas, coefficients_markov, kraus_term
+from esdkit.channel import coefficients_from_gammas
 from esdkit.entanglement import (
     check_bound,
     concurrence,
@@ -11,14 +11,8 @@ from esdkit.entanglement import (
     spin_flipped,
 )
 from esdkit.linalg import SIGMA_Y
-from esdkit.states import (
-    XState,
-    pure_state,
-    random_state,
-    random_xstate,
-    standard_family,
-    xstate_to_dense,
-)
+from esdkit.reference import coefficients_markov, kraus_term, pure_state, random_xstate
+from esdkit.states import XState, random_state, standard_family, xstate_to_dense
 
 FLIP = kron(SIGMA_Y, SIGMA_Y)
 

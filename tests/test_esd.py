@@ -7,23 +7,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from esdkit.channel import apply_channel, coefficients_from_gammas, coefficients_markov
+from esdkit.channel import coefficients_from_gammas
 from esdkit.entanglement import concurrence, concurrence_x
 from esdkit.errors import NumericalError
 from esdkit.esd import (
     FINITE_DEATH_THRESHOLD,
     EsdVerdict,
-    concurrence_markov,
     death_time_s,
-    disentanglement_time,
     disentanglement_time_exact,
     _family_factor,
     family_concurrence,
-    family_concurrence_x,
     family_image,
+    sweep,
+)
+from esdkit.reference import (
+    apply_channel,
+    coefficients_markov,
+    concurrence_markov,
+    disentanglement_time,
+    family_concurrence_x,
     family_trajectory,
     local_vs_nonlocal_report,
-    sweep,
 )
 from esdkit.states import standard_family, xstate_to_dense
 

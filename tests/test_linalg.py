@@ -2,17 +2,8 @@ import numpy as np
 import pytest
 from numpy import kron
 
-from esdkit.linalg import (
-    I2,
-    I4,
-    SIGMA_MINUS,
-    SIGMA_Y,
-    SIGMA_Z,
-    dagger,
-    hermitian_eigen,
-    hermiticity_defect,
-    psd_sqrt,
-)
+from esdkit.linalg import I2, I4, SIGMA_MINUS, SIGMA_Y, SIGMA_Z, dagger, hermiticity_defect
+from esdkit.reference import hermitian_eigen, psd_sqrt
 
 
 def cofactor_det(m: np.ndarray) -> complex:

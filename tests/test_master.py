@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from esdkit import master
-from esdkit.channel import apply_channel, coefficients_from_gammas, coefficients_markov
+from esdkit.channel import coefficients_from_gammas
 from esdkit.entanglement import concurrence
 from esdkit.errors import IntegratorError
 from esdkit.master import (
@@ -14,23 +14,23 @@ from esdkit.master import (
     RateFunctions,
     integrate_master,
     interaction_trajectory,
-    local_coherence_decay,
-    master_rhs,
     markov_rates,
     table_rates,
     to_interaction_picture,
 )
 from esdkit.memory import (
-    ExponentialKernel, full_solution, gamma_of_t, rk4_step_matrix, solve_amplitude,
-    uniform_grid,
+    ExponentialKernel, full_solution, rk4_step_matrix, solve_amplitude, uniform_grid,
 )
-from esdkit.states import (
+from esdkit.reference import (
+    apply_channel,
+    coefficients_markov,
+    gamma_of_t,
+    local_coherence_decay,
+    master_rhs,
     pure_state,
-    random_state,
     random_xstate,
-    standard_family,
-    xstate_to_dense,
 )
+from esdkit.states import random_state, standard_family, xstate_to_dense
 
 ATOMS = AtomParams(omega_a=1.3, omega_b=0.7)
 
@@ -428,3 +428,17 @@ def test_interaction_picture_of_a_stack_is_pointwise():
     for k in range(traj.t.size):
         want = to_interaction_picture(traj.states[k], traj.phase_a[k], traj.phase_b[k])
         assert np.array_equal(rotated[k], want)
+
+
+def test_generator_pieces_are_master_rhs_on_unit_matrices():
+    # _PIECES is built from the Lindblad terms; master_rhs with one
+    # coefficient set to 1, on each of the 16 unit matrices, gives each
+    # piece's columns independently, down to the signs of its zeros.
+    units = np.eye(16, dtype=complex).reshape(16, 4, 4)
+    pieces = np.array([
+        master_rhs(units, 0.0, markov_rates(2.0 * re_f, 2.0 * re_g), AtomParams(w_a, w_b))
+        .reshape(16, 16).T.ravel()
+        for w_a, re_f, w_b, re_g in np.eye(4)
+    ])
+    assert np.array_equal(master._PIECES, pieces)
+    assert master._PIECES.tobytes() == pieces.tobytes()

@@ -14,14 +14,12 @@ from esdkit.memory import (
     TabulatedKernel,
     coefficient_f,
     full_solution,
-    gamma_identity_defect,
-    gamma_of_t,
     load_kernel_table,
     rk4_step_matrix,
     solve_amplitude,
     uniform_grid,
-    volterra_residual,
 )
+from esdkit.reference import gamma_identity_defect, gamma_of_t, volterra_residual
 
 
 def closed_form_b(strength: float, rate: float, t: np.ndarray) -> np.ndarray:

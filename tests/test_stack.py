@@ -6,15 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from esdkit.channel import apply_channel, coefficients_from_gammas, kraus_term
+from esdkit.channel import coefficients_from_gammas
 from esdkit.entanglement import check_bound, concurrence
-from esdkit.linalg import dagger, psd_sqrt
-from esdkit.states import (
-    assert_density_matrix,
-    random_state,
-    random_xstate,
-    xstate_to_dense,
-)
+from esdkit.linalg import dagger
+from esdkit.reference import apply_channel, kraus_term, psd_sqrt, random_xstate
+from esdkit.states import assert_density_matrix, random_state, xstate_to_dense
 
 REPORT_FIELDS = ("initial", "lhs", "rhs", "satisfied", "first_branch_gap", "side_branch_max")
 

@@ -2,15 +2,13 @@ import numpy as np
 import pytest
 
 from esdkit.entanglement import concurrence_x
-from esdkit.linalg import hermiticity_defect
+from esdkit.linalg import dagger, hermiticity_defect
+from esdkit.reference import dense_to_xstate, partial_trace, pure_state, random_xstate
 from esdkit.states import (
     XState,
     assert_density_matrix,
-    dense_to_xstate,
-    partial_trace,
-    pure_state,
     random_state,
-    random_xstate,
+    random_states,
     standard_family,
     xstate_to_dense,
 )
@@ -122,6 +120,24 @@ def test_random_state_is_valid_and_deterministic():
         assert np.linalg.eigvalsh(rho).min() >= 0.0
         np.testing.assert_array_equal(rho, random_state(seed))
     assert np.abs(random_state(0) - random_state(1)).max() > 1e-3
+
+
+def per_seed_random_state(seed, dim):
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    rho = g @ dagger(g)
+    return rho / np.trace(rho).real
+
+
+@pytest.mark.parametrize("dim", [4, 2])
+def test_random_states_stack_is_bit_equal_to_per_seed_draws(dim):
+    seeds = [*range(300), 2**64 + 12345]
+    stack = random_states(seeds, dim)
+    assert stack.shape == (len(seeds), dim, dim)
+    for seed, rho in zip(seeds, stack):
+        want = per_seed_random_state(seed, dim)
+        assert rho.tobytes() == want.tobytes()
+        assert random_state(seed, dim).tobytes() == want.tobytes()
 
 
 def test_random_state_mean_purity():
