@@ -55,6 +55,14 @@ def _fmt(x: float) -> str:
     return "%.17g" % float(x)
 
 
+def _float(raw: str) -> float:
+    """float(raw), with -0.0 read as 0.0, so no output echoes a negative zero."""
+    return float(raw) + 0.0
+
+
+_float.__name__ = "float"  # argparse names it in "invalid float value"
+
+
 def _parse_bool(raw: str) -> bool:
     val = raw.strip().lower()
     if val in ("1", "true", "yes", "on"):
@@ -72,7 +80,7 @@ class _BadValue(ValueError, argparse.ArgumentTypeError):
 
 def _parse_gammas(raw: str) -> tuple[float, ...]:
     try:
-        values = tuple(float(tok) for tok in raw.split(",") if tok.strip())
+        values = tuple(_float(tok) for tok in raw.split(",") if tok.strip())
     except ValueError as exc:
         raise _BadValue(f"bad gamma list {raw!r}") from exc
     if not values:
@@ -131,17 +139,17 @@ def _write_text(path: str, chunks: list[str]) -> None:
 # ---------------------------------------------------------------- evolve
 
 EVOLVE_SPEC: Spec = {
-    "a": (float, 1.0, "family parameter in [0, 1]"),
-    "rate": (float, 1.0, "damping rate"),
-    "t_max": (float, 3.0, "final time"),
-    "dt": (float, 1e-3, "integration step"),
-    "omega_a": (float, 1.0, "atom A frequency"),
-    "omega_b": (float, 1.0, "atom B frequency"),
-    "memory_rate": (float, None, "reservoir memory rate; enables the structured kernel"),
-    "kernel_center": (float, 0.0, "reservoir center frequency"),
+    "a": (_float, 1.0, "family parameter in [0, 1]"),
+    "rate": (_float, 1.0, "damping rate"),
+    "t_max": (_float, 3.0, "final time"),
+    "dt": (_float, 1e-3, "integration step"),
+    "omega_a": (_float, 1.0, "atom A frequency"),
+    "omega_b": (_float, 1.0, "atom B frequency"),
+    "memory_rate": (_float, None, "reservoir memory rate; enables the structured kernel"),
+    "kernel_center": (_float, 0.0, "reservoir center frequency"),
     "kernel_file": (str, None, "tabulated kernel: rows 'tau alpha_re alpha_im'"),
-    "mem_dt": (float, None, "amplitude-solver step"),
-    "mem_tol": (float, 1e-8, "amplitude-solver convergence gate"),
+    "mem_dt": (_float, None, "amplitude-solver step"),
+    "mem_tol": (_float, 1e-8, "amplitude-solver convergence gate"),
     "natural_units": (_parse_bool, True, "report times as rate*t"),
     "output": (str, "evolve.csv", "CSV path"),
 }
@@ -222,12 +230,12 @@ def cmd_evolve(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- sweep
 
 SWEEP_SPEC: Spec = {
-    "a_min": (float, 0.0, "least family parameter"),
-    "a_max": (float, 1.0, "greatest family parameter"),
+    "a_min": (_float, 0.0, "least family parameter"),
+    "a_max": (_float, 1.0, "greatest family parameter"),
     "a_steps": (int, 101, "family parameters on the grid"),
-    "t_max": (float, 3.0, "final time"),
+    "t_max": (_float, 3.0, "final time"),
     "t_steps": (int, 200, "times on the grid"),
-    "rate": (float, 1.0, "damping rate"),
+    "rate": (_float, 1.0, "damping rate"),
     "natural_units": (_parse_bool, True, "report times as rate*t"),
     "output": (str, "sweep.csv", "CSV path; the summary goes to <stem>_summary.json"),
 }
@@ -303,31 +311,25 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- td
 
 TD_SPEC: Spec = {
-    "a": (float, 1.0, "family parameter in [0, 1]"),
-    "rate": (float, 1.0, "damping rate"),
+    "a": (_float, 1.0, "family parameter in [0, 1]"),
+    "rate": (_float, 1.0, "damping rate"),
     "natural_units": (_parse_bool, True, "report times as rate*t"),
     "output": (str, None, "JSON path; stdout when unset"),
 }
 
 
 def cmd_td(args: argparse.Namespace) -> int:
-    """Death time from the closed form; the bisection in esd is its cross-check."""
+    """Death time from the closed form; the bisection in esdkit.reference cross-checks it."""
     if not (math.isfinite(args.rate) and args.rate > 0.0):
         raise ValueError(f"rate must be finite and positive, got {args.rate}")
     # In natural units the reported rate*t_d is the death time at unit rate,
     # finite however small the rate; a model-time t_d that overflows raises
     # NumericalError.
     verdict = disentanglement_time_exact(args.a, 1.0 if args.natural_units else args.rate)
-    payload = {
-        "a": args.a,
-        "kind": verdict.kind,
-        "t_d": verdict.t_d,
-        "gamma_rate": args.rate,
-    }
+    payload = {"a": args.a, "kind": verdict.kind, "t_d": verdict.t_d, "gamma_rate": args.rate}
     text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
     if args.output:
-        with open(args.output, "w", newline="") as fh:
-            fh.write(text)
+        _write_text(args.output, [text])
         print(f"wrote {args.output}")
     else:
         sys.stdout.write(text)
@@ -340,7 +342,7 @@ BOUND_SPEC: Spec = {
     "samples": (int, 200, "random states drawn"),
     "seed": (int, 0, "seed of the first state; the rest count up"),
     "gammas": (_parse_gammas, (0.9, 0.5, 0.1), "comma-separated residual amplitudes"),
-    "slack": (float, 1e-10, "tolerance of each bound check"),
+    "slack": (_float, 1e-10, "tolerance of each bound check"),
     "output": (str, "bound.csv", "CSV path"),
 }
 
@@ -392,13 +394,9 @@ def cmd_check(args: argparse.Namespace) -> int:
     from .selfcheck import run_all
 
     results = run_all()
-    failures = 0
+    failures = sum(not res.passed for res in results)
     for res in results:
-        if res.passed:
-            print(f"ok - {res.name} ({res.detail})")
-        else:
-            failures += 1
-            print(f"FAIL - {res.name} ({res.detail})")
+        print(f"{'ok' if res.passed else 'FAIL'} - {res.name} ({res.detail})")
     print(f"{len(results) - failures}/{len(results)} checks passed")
     return 4 if failures else 0
 

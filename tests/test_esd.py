@@ -31,15 +31,17 @@ from esdkit.reference import (
 )
 from esdkit.states import standard_family, xstate_to_dense
 
-# frozen reference death times, t_d * rate
-TD_ORACLE = {
-    1.0: 0.5347999967395706,
-    0.9: 0.552472603764279,
-    2.0 / 3.0: 0.6931471805599451,
-    0.5: 1.0377561013768146,
-    0.4: 1.6962208992634742,
-    0.34: 3.8162338506706663,
-}
+
+def mp_death_time(a: float) -> float:
+    """-ln(1 - w2_d) at 60 digits, from the unrationalized root."""
+    with mpmath.workdps(60):
+        x = mpmath.mpf(a)
+        w2_d = (mpmath.sqrt(x * x - x + 2) - 1) / x
+        return float(-mpmath.log(1 - w2_d))
+
+
+# reference death times, t_d * rate
+TD_ORACLE = {a: mp_death_time(a) for a in (1.0, 0.9, 2.0 / 3.0, 0.5, 0.4, 0.34)}
 
 
 def test_family_trajectory_limits():
@@ -114,10 +116,11 @@ def test_death_time_oracle_values():
         exact = disentanglement_time_exact(a, 1.0)
         bisect = disentanglement_time(a, 1.0)
         assert exact.kind == bisect.kind == "finite"
-        assert abs(exact.t_d - want) < 1e-12
+        assert abs(exact.t_d - want) <= 2e-15 * want
         assert abs(bisect.t_d - want) < 1e-9
     # rate scaling: t_d carries units 1/rate
-    assert abs(disentanglement_time_exact(1.0, 4.0).t_d - TD_ORACLE[1.0] / 4.0) < 1e-12
+    want = TD_ORACLE[1.0] / 4.0
+    assert abs(disentanglement_time_exact(1.0, 4.0).t_d - want) <= 2e-15 * want
 
 
 def test_death_time_threshold():
@@ -259,14 +262,6 @@ def test_non_finite_arguments_are_rejected(bad):
         disentanglement_time(1.0, bad)
     with pytest.raises(ValueError):
         sweep(np.array([0.5]), np.array([0.0, 1.0]), bad)
-
-
-def mp_death_time(a: float) -> float:
-    """-ln(1 - w2_d) at 60 digits, from the unrationalized root."""
-    with mpmath.workdps(60):
-        x = mpmath.mpf(a)
-        w2_d = (mpmath.sqrt(x * x - x + 2) - 1) / x
-        return float(-mpmath.log(1 - w2_d))
 
 
 def ulps_above_threshold(k: int) -> float:
