@@ -37,6 +37,7 @@ from .errors import NumericalError
 from .esd import death_time_s, disentanglement_time_exact, family_concurrence, family_image, sweep
 from .master import (
     AtomParams,
+    RateFunctions,
     integrate_master,
     interaction_trajectory,
     markov_rates,
@@ -117,7 +118,10 @@ def _resolve(args: argparse.Namespace, spec: Spec) -> None:
         raise ValueError(f"unknown config keys: {', '.join(unknown)}")
     for name, (convert, default, _help) in spec.items():
         if getattr(args, name) is None:
-            setattr(args, name, convert(cfg[name]) if name in cfg else default)
+            try:
+                setattr(args, name, convert(cfg[name]) if name in cfg else default)
+            except ValueError as exc:  # the converter refused the config value
+                raise ValueError(f"{args.config}: {name}: {exc}") from None
 
 
 # Rows per block of evolve's image-vs-master differences and (state, channel)
@@ -158,6 +162,34 @@ EVOLVE_SPEC: Spec = {
 EVOLVE_ROW = ",".join(["%.17g"] * 7) + "\n"
 
 
+def _memory_rates(args: argparse.Namespace,
+                  grid: np.ndarray) -> tuple[RateFunctions, np.ndarray, np.ndarray]:
+    """The master's rates and both local coherences on grid, from the
+    amplitude solve; the kernel and the solutions die on return, before the
+    master runs."""
+    if args.kernel_file is not None:
+        kernel = load_kernel_table(args.kernel_file)
+        target = args.mem_dt if args.mem_dt is not None else kernel.step
+    else:
+        kernel = ExponentialKernel(args.rate, args.memory_rate, args.kernel_center)
+        target = args.mem_dt if args.mem_dt is not None else min(
+            args.dt, 0.005 / args.memory_rate
+        )
+    ratio = args.t_max / target
+    if ratio == math.inf:
+        raise ValueError(
+            f"t_max={args.t_max} / amplitude step {target} overflows: too many steps"
+        )
+    # At least two steps: gamma is interpolated linearly between them.
+    mem_dt = args.t_max / max(2, math.ceil(ratio - 1e-9))
+    sol_a = full_solution(kernel, args.omega_a, args.t_max, mem_dt, tol=args.mem_tol)
+    sol_b = sol_a if args.omega_b == args.omega_a else full_solution(
+        kernel, args.omega_b, args.t_max, mem_dt, tol=args.mem_tol
+    )
+    return (table_rates(sol_a, sol_b),
+            *(np.interp(grid, sol.t, sol.gamma) for sol in (sol_a, sol_b)))
+
+
 def cmd_evolve(args: argparse.Namespace) -> int:
     if not 0.0 <= args.rate < math.inf:
         raise ValueError(f"rate must be finite and non-negative, got {args.rate}")
@@ -178,27 +210,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
         ga = np.exp(-0.5 * args.rate * grid)
         gb = ga
     else:
-        if args.kernel_file is not None:
-            kernel = load_kernel_table(args.kernel_file)
-            target = args.mem_dt if args.mem_dt is not None else kernel.step
-        else:
-            kernel = ExponentialKernel(args.rate, args.memory_rate, args.kernel_center)
-            target = args.mem_dt if args.mem_dt is not None else min(
-                args.dt, 0.005 / args.memory_rate
-            )
-        ratio = args.t_max / target
-        if ratio == math.inf:
-            raise ValueError(
-                f"t_max={args.t_max} / amplitude step {target} overflows: too many steps"
-            )
-        # At least two steps: gamma is interpolated linearly between them.
-        mem_dt = args.t_max / max(2, math.ceil(ratio - 1e-9))
-        sol_a = full_solution(kernel, args.omega_a, args.t_max, mem_dt, tol=args.mem_tol)
-        sol_b = sol_a if args.omega_b == args.omega_a else full_solution(
-            kernel, args.omega_b, args.t_max, mem_dt, tol=args.mem_tol
-        )
-        rates = table_rates(sol_a, sol_b)
-        ga, gb = (np.interp(grid, sol.t, sol.gamma) for sol in (sol_a, sol_b))
+        rates, ga, gb = _memory_rates(args, grid)
 
     traj = interaction_trajectory(
         integrate_master(rho0, rates, AtomParams(args.omega_a, args.omega_b),

@@ -71,14 +71,14 @@ def table_rates(
     def make(sol: AmplitudeSolution) -> Callable[[np.ndarray], np.ndarray]:
         if sol.f is None:
             raise ValueError("coefficient_f must run before table_rates")
-        t, fre, fim = sol.t, np.ascontiguousarray(sol.f.real), np.ascontiguousarray(sol.f.imag)
+        t, f = sol.t, sol.f
         t_end = float(t[-1])
 
         def rate(x: np.ndarray) -> np.ndarray:
             bad = [v for v in (np.min(x), np.max(x)) if not -1e-12 <= v <= t_end + 1e-9]
             if bad:
                 raise ValueError(f"rate requested at t={bad[0]:.6g} outside [0, {t_end:.6g}]")
-            return np.interp(x, t, fre) + 1j * np.interp(x, t, fim)
+            return np.interp(x, t, f)
 
         return rate
 

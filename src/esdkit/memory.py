@@ -110,18 +110,40 @@ class TabulatedKernel:
 Kernel = Union[ExponentialKernel, TabulatedKernel]
 
 
+def _bad_table_line(path) -> str:
+    """The refusal of a kernel table, naming its first line, counted from 1,
+    that is neither blank or comment nor three finite numbers.  Each line
+    is read alone by np.loadtxt, numpy's own parser; this runs only once
+    the table is known to be bad."""
+    with open(path) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                row = np.loadtxt([raw], comments="#", ndmin=2)
+                if row.size == 0 or (row.shape == (1, 3) and np.isfinite(row).all()):
+                    continue
+            except ValueError:
+                pass
+            return (f"kernel table {path} line {lineno}: expected three finite numbers "
+                    f"'tau alpha_re alpha_im', got {raw.strip()!r}")
+    return f"kernel table {path} is not rows of 'tau alpha_re alpha_im'"
+
+
 def load_kernel_table(path) -> TabulatedKernel:
     """Read a kernel table: whitespace-separated "tau alpha_re alpha_im" rows,
-    '#' starts a comment, tau uniform starting at 0."""
+    '#' starts a comment, tau uniform starting at 0.  A row that is not three
+    finite numbers is a ValueError naming the file and the line."""
     with warnings.catch_warnings():
-        # An empty table is refused below; numpy's warning about it would
-        # only reach stderr, or raise under -W error.
+        # numpy warns on a table, or a line read alone, with no data; the
+        # warning would only reach stderr, or raise under -W error.
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        data = np.loadtxt(path, comments="#", ndmin=2)
-    if data.size == 0:
-        raise ValueError(f"kernel table {path} has no data rows")
-    if data.shape[1] != 3:
-        raise ValueError(f"expected 3 columns (tau alpha_re alpha_im), got {data.shape[1]}")
+        try:
+            data = np.loadtxt(path, comments="#", ndmin=2)
+        except ValueError:  # a ragged row or a word numpy cannot read
+            data = None
+        if data is not None and data.size == 0:
+            raise ValueError(f"kernel table {path} has no data rows")
+        if data is None or data.shape[1] != 3 or not np.isfinite(data).all():
+            raise ValueError(_bad_table_line(path))
     return TabulatedKernel(tau=data[:, 0].copy(), alpha=data[:, 1] + 1j * data[:, 2])
 
 
@@ -269,7 +291,8 @@ def _solve_tabulated(
     while m <= n:
         # g = 1/Q mod x^m, so Q g = 1 + e, e_j = (d g)_j - [j = m] g_{m-1} for
         # m <= j < k, and 1/Q = g - g e mod x^k.  Only d g, of size O(h), goes
-        # through the FFT; both circular products wrap onto j < m only.
+        # through the FFT; both circular products wrap onto j < m only.  The
+        # first product leaves the transform of g in fv for the second.
         k = min(2 * m, n + 1)
         width = 1 << (k - 1).bit_length()
         fu, fv = u[:width], v[:width]
@@ -279,7 +302,9 @@ def _solve_tabulated(
         fu[:2] += lin
         _circular_product(fu, g[:m], fu, fv)
         fu[:m] = 0.0
-        _circular_product(fu, g[:m], fu, fv)
+        np.fft.fft(fu, out=fu)
+        fu *= fv
+        np.fft.ifft(fu, out=fu)
         np.multiply(g[: k - m], g[m - 1], out=g[m:k])
         g[m:k] -= fu[m:k]
         m = k

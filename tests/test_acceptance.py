@@ -1,28 +1,21 @@
 """End-to-end acceptance criteria, one test each. Loops over seeds and
-times are single stacked calls; the module tests hold the unit checks."""
+times are single stacked calls; the module tests hold the unit checks,
+among them the former criteria 8 (gamma = |b|, test_memory), 9 (concurrence
+anchors, test_entanglement) and 10 (CPTP and the sweep surface, test_channel
+and test_esd)."""
 
 import math
-from functools import cache
 from time import perf_counter
 
 import numpy as np
 
 from esdkit.channel import coefficients_from_gammas
-from esdkit.entanglement import check_bound, concurrence, concurrence_x
-from esdkit.esd import disentanglement_time_exact, sweep
+from esdkit.entanglement import check_bound, concurrence
+from esdkit.esd import disentanglement_time_exact
 from esdkit.master import AtomParams, integrate_master, interaction_trajectory, markov_rates
 from esdkit.memory import ExponentialKernel, full_solution
-from esdkit.reference import (
-    apply_channel,
-    build_kraus,
-    completeness_defect,
-    concurrence_markov,
-    gamma_identity_defect,
-    local_coherence_decay,
-    pure_state,
-    random_xstate,
-)
-from esdkit.states import XState, random_states, standard_family, xstate_to_dense
+from esdkit.reference import apply_channel, concurrence_markov, local_coherence_decay, pure_state
+from esdkit.states import random_states, standard_family, xstate_to_dense
 
 # both correctly rounded; disentanglement_time_exact must return them exactly
 DEATH_TIME_A1 = math.log((2.0 + math.sqrt(2.0)) / 2.0)
@@ -35,11 +28,6 @@ def dense_concurrence(a, s) -> np.ndarray:
     rho0 = np.stack([xstate_to_dense(standard_family(float(x))) for x in np.atleast_1d(a)])
     g = np.exp(-0.5 * np.asarray(s, dtype=float))
     return concurrence(apply_channel(rho0[:, None], coefficients_from_gammas(g, g))).value
-
-
-@cache
-def memory_run(rate: float, dt: float):
-    return full_solution(ExponentialKernel(1.0, rate), 0.0, 3.0, dt)
 
 
 def assert_dense_crossing(a: float, t_d: float) -> None:
@@ -106,44 +94,6 @@ def test_criterion_06_local_vs_nonlocal_contrast():
 def test_criterion_07_memoryless_limit_ladder():
     ladder = [(10.0, 1e-3), (100.0, 1e-4), (1000.0, 1e-5)]
     sups = [np.max(np.abs(sol.gamma - np.exp(-0.5 * sol.t)))
-            for sol in (memory_run(rate, dt) for rate, dt in ladder)]
+            for sol in (full_solution(ExponentialKernel(1.0, rate), 0.0, 3.0, dt)
+                        for rate, dt in ladder)]
     assert sups[0] > sups[1] > sups[2] and sups[2] < 0.01
-
-
-def test_criterion_08_residual_amplitude_identity():
-    for rate, dt in ((10.0, 5e-4), (100.0, 1e-4), (1000.0, 1e-5)):
-        assert gamma_identity_defect(memory_run(rate, dt)) < 1e-6
-
-
-def test_criterion_09_concurrence_anchors():
-    product = np.zeros((4, 4), dtype=complex)
-    product[0, 0] = 1.0
-    p = np.array([0.0, 1.0 / 3.0, 0.6, 1.0])
-    q = (1.0 - p) / 4.0
-    werner = np.zeros((4, 4, 4), dtype=complex)
-    werner[:, [0, 1, 2, 3], [0, 1, 2, 3]] = np.stack([q, q + p / 2.0, q + p / 2.0, q], axis=1)
-    werner[:, 1, 2] = werner[:, 2, 1] = p / 2.0
-    bell = xstate_to_dense(XState(0.0, 0.5, 0.5, 0.0, z23=0.5))
-    c = concurrence(np.concatenate([bell[None], product[None], werner])).value
-    assert abs(c[0] - 1.0) < 1e-12 and c[1] == 0.0
-    assert np.max(np.abs(c[2:] - np.maximum(0.0, (3.0 * p - 1.0) / 2.0))) < 1e-10
-    xs = [random_xstate(seed) for seed in range(1000)]
-    dense = concurrence(np.stack([xstate_to_dense(x) for x in xs])).value
-    assert np.max(np.abs([concurrence_x(x) for x in xs] - dense)) < 1e-10
-
-
-def test_criterion_10_cptp_suite_and_surface():
-    ga, gb = np.random.default_rng(2026).uniform(0.0, 1.0, size=(100, 2)).T
-    for a, b in zip(ga, gb):
-        kraus = build_kraus(coefficients_from_gammas(float(a), float(b)))
-        assert len(kraus) == 4 and completeness_defect(kraus) < 1e-12
-    out = apply_channel(random_states(range(100)), coefficients_from_gammas(ga, gb))
-    assert np.max(np.abs(np.trace(out, axis1=1, axis2=2).real - 1.0)) < 1e-12
-    assert np.max(np.abs(out - out.conj().transpose(0, 2, 1))) < 1e-13
-    assert np.min(np.linalg.eigvalsh(out)) > -1e-10
-
-    t_grid = np.linspace(0.0, 3.0, 200)
-    surf = sweep(np.linspace(0.0, 1.0, 101), t_grid, 1.0)
-    assert surf.shape == (101, 200)
-    assert np.all(surf >= 0.0) and np.all(np.diff(surf, axis=1) <= 1e-15)
-    assert np.all(surf[0] > 0.0) and np.all(surf[-1][t_grid > 0.54] == 0.0)

@@ -29,12 +29,13 @@ from esdkit.memory import (
 from esdkit.reference import apply_channel, family_trajectory
 from esdkit.states import random_state, standard_family, xstate_to_dense
 from esdkit.selfcheck import CheckResult
+from test_esd import TD_ORACLE, mp_death_time
 
 EVOLVE_HEADER = (
     "t,concurrence,local_coh_A,local_coh_B,trace_err,bound_rhs,kraus_vs_master_maxdiff"
 )
 
-TD_A1 = math.log((2.0 + math.sqrt(2.0)) / 2.0)
+TD_A1 = TD_ORACLE[1.0]
 
 
 def run(*argv: str) -> int:
@@ -287,16 +288,26 @@ def test_evolve_memory_maxdiff_is_a_second_order_cross_check(tmp_path):
     assert 15.0 <= maxdiff[0] / maxdiff[1] <= 40.0
 
 
-@pytest.mark.parametrize("row", ["0.1 nan 0.0", "inf 0.5 0.0"])
-def test_evolve_non_finite_kernel_table_exit_2(tmp_path, capsys, row):
+def assert_bad_kernel_row(tmp_path, capsys, row) -> None:
+    """A table whose third line is row exits 2 naming the file and line 3."""
     table = tmp_path / "bad.dat"
     table.write_text(f"# tau re im\n0.0 1.0 0.0\n{row}\n0.2 0.5 0.0\n")
-    code = run("evolve", "--t-max", "0.2", "--kernel-file", str(table),
-               "--output", str(tmp_path / "x.csv"))
-    err = capsys.readouterr().err
+    out = tmp_path / "x.csv"
+    code = run("evolve", "--t-max", "0.2", "--kernel-file", str(table), "--output", str(out))
     assert code == 2
-    assert "kernel table row 1 is not finite" in err
-    assert "Traceback" not in err
+    assert capsys.readouterr().err == (f"error: kernel table {table} line 3: expected three "
+                                       f"finite numbers 'tau alpha_re alpha_im', got '{row}'\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("row", ["0.1 nan 0.0", "inf 0.5 0.0"])
+def test_evolve_non_finite_kernel_table_exit_2(tmp_path, capsys, row):
+    assert_bad_kernel_row(tmp_path, capsys, row)
+
+
+@pytest.mark.parametrize("row", ["0.1 0.5 0.0 9", "0.1 0.5", "0.1 x 0.0"])
+def test_evolve_ragged_or_wordy_kernel_table_exit_2(tmp_path, capsys, row):
+    assert_bad_kernel_row(tmp_path, capsys, row)
 
 
 @pytest.mark.parametrize("argv, value", [
@@ -398,18 +409,6 @@ def test_td_both_methods(capsys):
     assert asym["kind"] == "asymptotic" and asym["t_d"] is None
 
 
-def test_td_natural_units_scaling(capsys, tmp_path):
-    assert run("td", "--a", "1", "--rate", "2") == 0
-    natural = json.loads(capsys.readouterr().out)
-    assert abs(natural["t_d"] - TD_A1) < 1e-9
-    assert run("td", "--a", "1", "--rate", "2", "--no-natural-units") == 0
-    raw = json.loads(capsys.readouterr().out)
-    assert abs(raw["t_d"] - TD_A1 / 2.0) < 1e-9
-    out = tmp_path / "td.json"
-    assert run("td", "--a", "1", "--output", str(out)) == 0
-    assert abs(json.load(open(out))["t_d"] - TD_A1) < 1e-9
-
-
 def test_config_precedence(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# defaults for this study\na = 0.6666666666666666\n")
@@ -449,6 +448,17 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     noeq = tmp_path / "noeq.cfg"
     noeq.write_text("just words\n")
     assert run("td", "--config", str(noeq)) == 2
+    # a value that is not a number names the file and the key
+    for command, line, message in [
+        ("bound", "samples = 1e3", "samples: invalid literal for int() with base 10: '1e3'"),
+        ("td", "a = x", "a: could not convert string to float: 'x'"),
+    ]:
+        cfg.write_text(line + "\n")
+        out = tmp_path / "out.csv"
+        capsys.readouterr()
+        assert run(command, "--config", str(cfg), "--output", str(out)) == 2
+        assert capsys.readouterr().err == f"error: {cfg}: {message}\n"
+        assert not out.exists()
 
 
 def test_bound_monte_carlo(tmp_path):
@@ -486,17 +496,37 @@ def test_bad_gammas_name_the_reason_by_flag_and_by_config(tmp_path, capsys, gamm
     cfg = tmp_path / "bound.cfg"
     cfg.write_text(f"gammas = {gammas}\n")
     assert run("bound", "--samples", "2", "--config", str(cfg), "--output", str(out)) == 2
-    assert capsys.readouterr().err == f"error: {reason}\n"
+    assert capsys.readouterr().err == f"error: {cfg}: gammas: {reason}\n"
     assert not out.exists()
+
+
+# Every check probe runs a route the subcommands run.
+CHECK_NAMES = [
+    "states: standard family is a valid state for all a",
+    "entanglement: Bell gives 1 and product states give 0",
+    "entanglement: Hermitian route matches the X closed form",
+    "entanglement: concurrence is local-unitary invariant",
+    "entanglement: decay bound holds on random states",
+    "memory: zero coupling keeps |b| = 1",
+    "memory: broad kernel approaches the Markov law",
+    "memory: gamma equals |b|",
+    "memory: residual diagnostic converges at second order",
+    "master: trace and Hermiticity are conserved",
+    "master: Markov evolution matches the channel",
+    "master: zero rates preserve purity",
+    "esd: bisection agrees with the closed form",
+    "esd: concurrence stays exactly zero past death",
+    "esd: finite death starts above one third",
+]
 
 
 def test_check_reports_all_suites(capsys):
     assert run("check") == 0
     out = capsys.readouterr().out
     assert "FAIL" not in out
-    lines = [ln for ln in out.splitlines() if ln.startswith("ok - ")]
-    assert len(lines) >= 20
-    assert out.splitlines()[-1].endswith("checks passed")
+    names = [re.sub(r" \(.*\)$", "", ln.removeprefix("ok - ")) for ln in out.splitlines()[:-1]]
+    assert names == CHECK_NAMES
+    assert out.splitlines()[-1] == f"{len(CHECK_NAMES)}/{len(CHECK_NAMES)} checks passed"
 
 
 def test_check_failure_exits_4(monkeypatch, capsys):
@@ -535,23 +565,6 @@ def test_bad_arguments_exit_2(tmp_path, capsys):
     assert run("evolve", "--frobnicate") == 2
     assert run("td", "--method", "smooth") == 2
     capsys.readouterr()
-
-
-def test_numerical_failure_exits_3(tmp_path, capsys):
-    # slow reservoir: the amplitude crosses zero near t = 4.71 and the decay
-    # coefficient blows up there
-    code = run(
-        "evolve", "--memory-rate", "1", "--t-max", "6", "--mem-dt", "1e-5",
-        "--omega-a", "0", "--omega-b", "0", "--output", str(tmp_path / "x.csv"),
-    )
-    assert code == 3
-    assert "numerical failure" in capsys.readouterr().err
-
-
-def mp_death_time(a: float) -> float:
-    with mpmath.workdps(60):
-        x = mpmath.mpf(a)
-        return float(-mpmath.log(1 - (mpmath.sqrt(x * x - x + 2) - 1) / x))
 
 
 def test_sweep_threshold_zoom(tmp_path):

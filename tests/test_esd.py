@@ -176,10 +176,12 @@ def test_concurrence_obeys_exponential_bound():
 
 
 def test_sweep_surface():
-    a_grid = np.linspace(0.0, 1.0, 11)
-    t_grid = np.linspace(0.0, 3.0, 31)
+    a_grid = np.linspace(0.0, 1.0, 101)
+    t_grid = np.linspace(0.0, 3.0, 200)
     surf = sweep(a_grid, t_grid, 1.0)
-    assert surf.shape == (11, 31)
+    assert surf.shape == (101, 200)
+    # nonnegative and non-increasing in t on every row
+    assert np.all(surf >= 0.0) and np.all(np.diff(surf, axis=1) <= 1e-15)
     # t = 0 column reproduces the initial concurrences
     for i, a in enumerate(a_grid):
         assert abs(surf[i, 0] - concurrence_markov(float(a), 1.0, 0.0)) < 1e-14
@@ -187,6 +189,7 @@ def test_sweep_surface():
     dead = surf[-1] == 0.0
     assert dead.any() and not dead[0]
     assert np.min(t_grid[dead]) > TD_ORACLE[1.0]
+    assert np.all(surf[-1][t_grid > TD_ORACLE[1.0]] == 0.0)
     assert np.all(surf[0] > 0.0)
     single = sweep(np.array([0.5]), np.array([0.7]), 2.0)
     assert single.shape == (1, 1)

@@ -81,14 +81,15 @@ def test_hermitian_eigen_examples():
 
 def test_hermitian_eigen_reconstruction():
     rng = np.random.default_rng(5)
-    for _ in range(20):
-        h = random_hermitian(rng, 4)
-        w, v = hermitian_eigen(h)
-        np.testing.assert_allclose((v * w) @ dagger(v), h, atol=1e-9)
-        # eigenpairs and orthonormality
-        np.testing.assert_allclose(h @ v, v * w, atol=1e-10)
-        np.testing.assert_allclose(dagger(v) @ v, I4, atol=1e-10)
-        assert np.all(np.diff(w) >= 0.0)
+    for dim in (4, 2):
+        for _ in range(20):
+            h = random_hermitian(rng, dim)
+            w, v = hermitian_eigen(h)
+            assert np.max(np.abs((v * w) @ dagger(v) - h)) < 1e-12
+            # eigenpairs and orthonormality
+            np.testing.assert_allclose(h @ v, v * w, atol=1e-10)
+            np.testing.assert_allclose(dagger(v) @ v, np.eye(dim), atol=1e-10)
+            assert np.all(np.diff(w) >= 0.0)
 
 
 def test_hermitian_eigen_trace_and_determinant():
@@ -124,7 +125,7 @@ def test_psd_sqrt_squares_back():
         h = random_psd(rng, 4)
         s = psd_sqrt(h)
         assert hermiticity_defect(s) == 0.0
-        np.testing.assert_allclose(s @ s, h, atol=1e-9 * max(1.0, np.abs(h).max()))
+        assert np.max(np.abs(s @ s - h)) < 1e-12 * max(1.0, np.abs(h).max())
 
 
 def test_psd_sqrt_clamps_dust_but_rejects_negative():

@@ -90,6 +90,11 @@ def test_partial_trace_product_state():
     up = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
     np.testing.assert_allclose(partial_trace(pure_state(psi), "A"), up, atol=1e-15)
     np.testing.assert_allclose(partial_trace(pure_state(psi), "B"), up, atol=1e-15)
+    for seed in range(20):
+        ra, rb = random_state(seed, dim=2), random_state(seed + 1000, dim=2)
+        prod = np.kron(ra, rb)
+        assert np.max(np.abs(partial_trace(prod, "A") - ra)) < 1e-12
+        assert np.max(np.abs(partial_trace(prod, "B") - rb)) < 1e-12
 
 
 def test_partial_trace_bell_is_maximally_mixed():
