@@ -52,10 +52,6 @@ from .memory import (
 from .states import random_states, standard_family, xstate_to_dense
 
 
-def _fmt(x: float) -> str:
-    return "%.17g" % float(x)
-
-
 def _float(raw: str) -> float:
     """float(raw), with -0.0 read as 0.0, so no output echoes a negative zero."""
     return float(raw) + 0.0
@@ -115,7 +111,7 @@ def _resolve(args: argparse.Namespace, spec: Spec) -> None:
     cfg = _load_config(args.config) if args.config else {}
     unknown = sorted(set(cfg) - set(spec))
     if unknown:
-        raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+        raise ValueError(f"{args.config}: unknown config keys: {', '.join(unknown)}")
     for name, (convert, default, _help) in spec.items():
         if getattr(args, name) is None:
             try:
@@ -124,9 +120,10 @@ def _resolve(args: argparse.Namespace, spec: Spec) -> None:
                 raise ValueError(f"{args.config}: {name}: {exc}") from None
 
 
-# Rows per block of evolve's image-vs-master differences and (state, channel)
-# pairs per stacked check_bound pass: it bounds the working set, whatever the
-# run length.  Results do not depend on it.
+# Rows per block of evolve's image-vs-master differences, (state, channel)
+# pairs per stacked check_bound pass, and rows or records per % of the text
+# writers: it bounds the working set, whatever the run length.  Results do
+# not depend on it.
 STACK_BLOCK = 128
 
 
@@ -233,7 +230,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
         maxdiff = np.max(np.abs(diff), axis=(-2, -1))
         rows = np.stack([t_col[block], conc[block], ga[block], gb[block], trace_err[block],
                          bound_rhs[block], maxdiff], axis=-1)
-        chunks.append("".join([EVOLVE_ROW % tuple(row) for row in rows.tolist()]))
+        chunks.append((EVOLVE_ROW * len(rows)) % tuple(rows.ravel().tolist()))
     _write_text(args.output, chunks)
     print(f"wrote {args.output} ({grid.size} rows)")
     return 0
@@ -299,21 +296,25 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     asymptotic_record = SUMMARY_RECORD % ("asymptotic", "null", gamma_rate)
 
     # Nothing is written until every number is in hand, so a failed run
-    # leaves no partial output.  Each CSV row of one a is one % on a template
-    # holding the formatted times.
-    row_template = "".join(["%%s,%s,%%.17g\n" % _fmt(t) for t in t_col.tolist()])
+    # leaves no partial output.  A block of at most STACK_BLOCK CSV rows is
+    # one % on a template holding the formatted a and t strings.
+    pieces = ["", *[",%.17g,%%.17g\n" % t for t in t_col.tolist()]]
     with open(args.output, "w", newline="") as fh:
         fh.write("a,t,concurrence\n")
-        for a, row in zip(a_grid.tolist(), surface):
-            cells = [_fmt(a)] * (2 * t_grid.size)
-            cells[1::2] = row.tolist()
-            fh.write(row_template % tuple(cells))
+        for block in _blocks(a_grid.size, max(1, STACK_BLOCK // t_grid.size)):
+            template = "".join([("%.17g" % a).join(pieces) for a in a_grid[block].tolist()])
+            fh.write(template % tuple(surface[block].ravel().tolist()))
+    # A block of summary records is one % over the numbers they take: each
+    # a, then its t_d where it is finite.
+    records = [finite_record if fin else asymptotic_record for fin in finite.tolist()]
+    numbers = np.stack([a_grid, t_d], axis=-1)
+    taken = np.stack([np.ones_like(finite), finite], axis=-1)
     spath = _summary_path(args.output)
     with open(spath, "w", newline="") as fh:
         fh.write("[\n")
         fh.write(",\n".join([
-            finite_record % (a, t) if fin else asymptotic_record % (a,)
-            for a, fin, t in zip(a_grid.tolist(), finite.tolist(), t_d.tolist())
+            ",\n".join(records[block]) % tuple(numbers[block][taken[block]].tolist())
+            for block in _blocks(a_grid.size, STACK_BLOCK)
         ]))
         fh.write("\n]\n")
     print(f"wrote {args.output} ({a_grid.size * t_grid.size} rows) and {spath}")
@@ -359,7 +360,8 @@ BOUND_SPEC: Spec = {
 }
 
 
-BOUND_ROW = "%d,%.17g,%.17g,%.17g,%d,%.17g,%.17g\n"
+# One row after its seed, which is inlined in the block's template.
+BOUND_ROW = ",%.17g,%.17g,%.17g,%d,%.17g,%.17g\n"
 
 
 def cmd_bound(args: argparse.Namespace) -> int:
@@ -377,6 +379,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
     except ValueError as exc:  # beyond numpy's index range
         raise ValueError(f"samples={args.samples}: {exc}") from None
     seeds = range(args.seed, args.seed + args.samples)
+    pieces = ["", *[BOUND_ROW] * gammas.size]
     for block in _blocks(args.samples, max(1, STACK_BLOCK // gammas.size)):
         rhos = random_states(seeds[block])
         # Rows are seed-major, then gamma: the report arrays have shape (seeds, gammas).
@@ -385,9 +388,8 @@ def cmd_bound(args: argparse.Namespace) -> int:
             gammas, rep.lhs, rep.rhs, rep.satisfied, rep.first_branch_gap, rep.side_branch_max,
         ), axis=-1)
         # Seeds stay Python ints: a float column would round seeds above 2**53.
-        row_seeds = [seed for seed in seeds[block] for _ in args.gammas]
-        chunks.append("".join([BOUND_ROW % (seed, *row) for seed, row in
-                               zip(row_seeds, table[block].reshape(-1, 6).tolist())]))
+        template = "".join([("%d" % seed).join(pieces) for seed in seeds[block]])
+        chunks.append(template % tuple(table[block].ravel().tolist()))
     violations = int(np.count_nonzero(table[..., 3] == 0.0))
     worst_gap = float(np.max(table[..., 1] - table[..., 2]))
     total = args.samples * len(args.gammas)

@@ -70,29 +70,33 @@ class TabulatedKernel:
     """Kernel sampled on a uniform tau grid starting at 0.
 
     Every tau and alpha must be finite; the first offending row (0-based)
-    is named in the ValueError.
+    is named in the ValueError.  Each refusal starts with source, which
+    load_kernel_table sets to name the file.
     """
 
     tau: np.ndarray
     alpha: np.ndarray
+    source: str = "kernel table"
 
     def __post_init__(self) -> None:
         tau = np.asarray(self.tau, dtype=float)
         alpha = np.asarray(self.alpha, dtype=complex)
         if tau.ndim != 1 or tau.size < 2 or alpha.shape != tau.shape:
-            raise ValueError("tau and alpha must be 1-d arrays of equal length >= 2")
+            raise ValueError(
+                f"{self.source}: tau and alpha must be 1-d arrays of equal length >= 2"
+            )
         finite = np.isfinite(tau) & np.isfinite(alpha)
         if not finite.all():
             row = int(np.argmin(finite))
             raise ValueError(
-                f"kernel table row {row} is not finite: "
+                f"{self.source} row {row} is not finite: "
                 f"tau = {float(tau[row])}, alpha = {complex(alpha[row])}"
             )
         if abs(tau[0]) > 1e-12:
-            raise ValueError(f"tau grid must start at 0, got {tau[0]}")
+            raise ValueError(f"{self.source}: tau grid must start at 0, got {tau[0]}")
         steps = np.diff(tau)
         if steps.min() <= 0 or (steps.max() - steps.min()) > 1e-9 * steps.max():
-            raise ValueError("tau grid must be uniform and increasing")
+            raise ValueError(f"{self.source}: tau grid must be uniform and increasing")
         object.__setattr__(self, "tau", tau)
         object.__setattr__(self, "alpha", alpha)
 
@@ -131,7 +135,8 @@ def _bad_table_line(path) -> str:
 def load_kernel_table(path) -> TabulatedKernel:
     """Read a kernel table: whitespace-separated "tau alpha_re alpha_im" rows,
     '#' starts a comment, tau uniform starting at 0.  A row that is not three
-    finite numbers is a ValueError naming the file and the line."""
+    finite numbers is a ValueError naming the file and the line; the
+    kernel's other refusals name the file too."""
     with warnings.catch_warnings():
         # numpy warns on a table, or a line read alone, with no data; the
         # warning would only reach stderr, or raise under -W error.
@@ -144,7 +149,8 @@ def load_kernel_table(path) -> TabulatedKernel:
             raise ValueError(f"kernel table {path} has no data rows")
         if data is None or data.shape[1] != 3 or not np.isfinite(data).all():
             raise ValueError(_bad_table_line(path))
-    return TabulatedKernel(tau=data[:, 0].copy(), alpha=data[:, 1] + 1j * data[:, 2])
+    return TabulatedKernel(tau=data[:, 0].copy(), alpha=data[:, 1] + 1j * data[:, 2],
+                           source=f"kernel table {path}")
 
 
 @dataclass(frozen=True)
@@ -275,7 +281,7 @@ def _solve_tabulated(
     """
     if kernel.tau[-1] + 1e-9 < grid[-1]:
         raise ValueError(
-            f"kernel table covers tau <= {kernel.tau[-1]:.6g}, "
+            f"{kernel.source} covers tau <= {kernel.tau[-1]:.6g}, "
             f"but the solve needs {grid[-1]:.6g}"
         )
     h = float(grid[1] - grid[0])

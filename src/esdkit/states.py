@@ -108,10 +108,11 @@ def random_states(seeds, dim: int = 4) -> np.ndarray:
     Each G is drawn from its own np.random.default_rng(seed), so a given
     (seed, dim) always produces the same state, whatever stack it is in.
     """
-    g = np.empty((len(seeds), dim, dim), dtype=complex)
-    for i, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
-        g[i] = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    # One draw of both halves per seed: the real part, then the imaginary.
+    parts = np.empty((len(seeds), 2, dim, dim))
+    for part, seed in zip(parts, seeds):
+        np.random.default_rng(seed).standard_normal(out=part)
+    g = parts[:, 0] + 1j * parts[:, 1]
     rho = g @ dagger(g)
     return rho / np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]
 
