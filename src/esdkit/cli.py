@@ -35,14 +35,7 @@ from .channel import coefficients_from_gammas
 from .entanglement import check_bound, concurrence_x
 from .errors import NumericalError
 from .esd import death_time_s, disentanglement_time_exact, family_concurrence, family_image, sweep
-from .master import (
-    AtomParams,
-    RateFunctions,
-    integrate_master,
-    interaction_trajectory,
-    markov_rates,
-    table_rates,
-)
+from .master import integrate_master, markov_rates, stage_times, table_rates
 from .memory import (
     ExponentialKernel,
     full_solution,
@@ -159,11 +152,10 @@ EVOLVE_SPEC: Spec = {
 EVOLVE_ROW = ",".join(["%.17g"] * 7) + "\n"
 
 
-def _memory_rates(args: argparse.Namespace,
-                  grid: np.ndarray) -> tuple[RateFunctions, np.ndarray, np.ndarray]:
-    """The master's rates and both local coherences on grid, from the
-    amplitude solve; the kernel and the solutions die on return, before the
-    master runs."""
+def _memory_rates(args: argparse.Namespace, grid: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Re F and Re G on the master's stage times and both local coherences
+    on grid, from the amplitude solve; the kernel and the solutions die on
+    return, before the master runs."""
     if args.kernel_file is not None:
         kernel = load_kernel_table(args.kernel_file)
         target = args.mem_dt if args.mem_dt is not None else kernel.step
@@ -183,7 +175,7 @@ def _memory_rates(args: argparse.Namespace,
     sol_b = sol_a if args.omega_b == args.omega_a else full_solution(
         kernel, args.omega_b, args.t_max, mem_dt, tol=args.mem_tol
     )
-    return (table_rates(sol_a, sol_b),
+    return (*table_rates(stage_times(args.t_max, args.dt), sol_a, sol_b),
             *(np.interp(grid, sol.t, sol.gamma) for sol in (sol_a, sol_b)))
 
 
@@ -203,16 +195,13 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     grid = uniform_grid(args.t_max, args.dt)
 
     if args.memory_rate is None and args.kernel_file is None:
-        rates = markov_rates(args.rate, args.rate)
+        re_f, re_g = markov_rates(args.rate)
         ga = np.exp(-0.5 * args.rate * grid)
         gb = ga
     else:
-        rates, ga, gb = _memory_rates(args, grid)
+        re_f, re_g, ga, gb = _memory_rates(args, grid)
 
-    traj = interaction_trajectory(
-        integrate_master(rho0, rates, AtomParams(args.omega_a, args.omega_b),
-                         args.t_max, args.dt)
-    )
+    traj = integrate_master(rho0, re_f, re_g, args.t_max, args.dt)
     # Per row p1..p4 for the diagonal, then z23 for (1, 2) and (2, 1).
     image = np.stack(family_image(args.a, ga, gb), axis=-1)[:, [0, 1, 2, 3, 4, 4]]
     conc = family_concurrence(args.a, ga, gb)

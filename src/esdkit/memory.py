@@ -145,8 +145,9 @@ def load_kernel_table(path) -> TabulatedKernel:
             data = np.loadtxt(path, comments="#", ndmin=2)
         except ValueError:  # a ragged row or a word numpy cannot read
             data = None
-        if data is not None and data.size == 0:
-            raise ValueError(f"kernel table {path} has no data rows")
+        if data is not None and len(data) < 2:
+            raise ValueError(f"kernel table {path} has {len(data)} data "
+                             f"row{'' if len(data) == 1 else 's'}; at least 2 are needed")
         if data is None or data.shape[1] != 3 or not np.isfinite(data).all():
             raise ValueError(_bad_table_line(path))
     return TabulatedKernel(tau=data[:, 0].copy(), alpha=data[:, 1] + 1j * data[:, 2],

@@ -1,10 +1,10 @@
 """Cross-check routes: second derivations of what the subcommands compute.
 
 The dense Kraus channel, the general Hermitian square root, the death-time
-bisection, the master equation's right-hand side and gamma = exp(-integral
-Re F) serve the tests, the demos and the `check` probes.  No production
-module imports this one; of the package only `esdkit.selfcheck` does, and
-`esdkit.cli` loads that only when `check` runs.
+bisection, the lab-frame master equation's right-hand side and
+gamma = exp(-integral Re F) serve the tests, the demos and the `check`
+probes.  No production module imports this one; of the package only
+`esdkit.selfcheck` does, and `esdkit.cli` loads that only when `check` runs.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from .esd import (EsdVerdict, _check_rate, _family_factor, _verdict, death_time_
                   sweep)
 from .linalg import (HERMITIAN_TOL, I2, I4, SIGMA_MINUS, _psd_sqrt_from_eigen, dagger,
                      first_bad, hermiticity_defect, member)
-from .master import _DIAG_A, _DIAG_B, AtomParams, RateFunctions, Trajectory
+from .master import Trajectory
 from .memory import AmplitudeSolution, Kernel, _circular_product, _clip_round_off
 from .states import XState, assert_density_matrix
 
@@ -241,12 +241,18 @@ _N_A = _SP_A @ _SM_A
 _N_B = _SP_B @ _SM_B
 
 
-def master_rhs(rho: np.ndarray, t: float, rates: RateFunctions, atoms: AtomParams) -> np.ndarray:
-    """Right-hand side of the master equation at time t, for a state or a
-    (..., 4, 4) stack."""
-    fv = complex(rates.f(t))
-    gv = complex(rates.g(t))
-    hvec = (atoms.omega_a + fv.imag) * _DIAG_A + (atoms.omega_b + gv.imag) * _DIAG_B
+# The diagonals of sz_A / 2 and sz_B / 2 in the product basis.
+_DIAG_A = np.array([0.5, 0.5, -0.5, -0.5])
+_DIAG_B = np.array([0.5, -0.5, 0.5, -0.5])
+
+
+def master_rhs(rho: np.ndarray, f: complex, g: complex, omega_a: float = 0.0,
+               omega_b: float = 0.0) -> np.ndarray:
+    """Right-hand side of the lab-frame master equation, for a state or a
+    (..., 4, 4) stack: the complex rates f, g and the bare frequencies
+    omega_a, omega_b at one time."""
+    fv, gv = complex(f), complex(g)
+    hvec = (omega_a + fv.imag) * _DIAG_A + (omega_b + gv.imag) * _DIAG_B
     out = -1j * (hvec[:, None] - hvec[None, :]) * rho
     out += fv.real * (2.0 * (_SM_A @ rho @ _SP_A) - _N_A @ rho - rho @ _N_A)
     out += gv.real * (2.0 * (_SM_B @ rho @ _SP_B) - _N_B @ rho - rho @ _N_B)

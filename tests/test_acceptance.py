@@ -1,6 +1,7 @@
 """End-to-end acceptance criteria, one test each. Loops over seeds and
 times are single stacked calls; the module tests hold the unit checks,
-among them the former criteria 8 (gamma = |b|, test_memory), 9 (concurrence
+among them the former criteria 4 (Kraus vs master) and 6 (local vs nonlocal
+decay, both test_master), 8 (gamma = |b|, test_memory), 9 (concurrence
 anchors, test_entanglement) and 10 (CPTP and the sweep surface, test_channel
 and test_esd)."""
 
@@ -12,9 +13,8 @@ import numpy as np
 from esdkit.channel import coefficients_from_gammas
 from esdkit.entanglement import check_bound, concurrence
 from esdkit.esd import disentanglement_time_exact
-from esdkit.master import AtomParams, integrate_master, interaction_trajectory, markov_rates
 from esdkit.memory import ExponentialKernel, full_solution
-from esdkit.reference import apply_channel, concurrence_markov, local_coherence_decay, pure_state
+from esdkit.reference import apply_channel
 from esdkit.states import random_states, standard_family, xstate_to_dense
 
 # both correctly rounded; disentanglement_time_exact must return them exactly
@@ -55,20 +55,6 @@ def test_criterion_03_clean_death_time_value():
     assert_dense_crossing(2.0 / 3.0, DEATH_TIME_TWO_THIRDS)
 
 
-def test_criterion_04_kraus_master_equivalence():
-    # all 3001 states of the a = 1 run against one stacked channel call
-    start = perf_counter()
-    rho0 = xstate_to_dense(standard_family(1.0))
-    traj = interaction_trajectory(
-        integrate_master(rho0, markov_rates(1.0), AtomParams(1.0, 1.0), 3.0, 1e-3)
-    )
-    g = np.exp(-0.5 * traj.t)
-    want = apply_channel(rho0, coefficients_from_gammas(g, g))
-    assert traj.t.size == 3001
-    assert np.max(np.abs(traj.states - want)) < 1e-8
-    assert perf_counter() - start < 5.0
-
-
 def test_criterion_05_decay_bound_monte_carlo():
     # 1000 Ginibre states x 3 gammas in one stacked call
     start = perf_counter()
@@ -79,16 +65,6 @@ def test_criterion_05_decay_bound_monte_carlo():
     assert np.max(rep.first_branch_gap) < 1e-9
     assert np.max(rep.side_branch_max) < 1e-10
     assert perf_counter() - start < 30.0
-
-
-def test_criterion_06_local_vs_nonlocal_contrast():
-    # up to rate*t = 1 each atom's coherence decays as e^(-t/2); the pair's
-    # concurrence is already exactly zero there
-    psi = np.array([0.0, 1.0, 0.0, 1.0]) / np.sqrt(2.0)
-    traj = integrate_master(pure_state(psi), markov_rates(1.0), AtomParams(1.3, 0.7), 1.0, 1e-3)
-    coh_a, _ = local_coherence_decay(traj)
-    assert np.max(np.abs(coh_a / coh_a[0] - np.exp(-0.5 * traj.t))) < 1e-9
-    assert concurrence_markov(1.0, 1.0, 1.0) == 0.0 == dense_concurrence(1.0, [1.0])[0, 0]
 
 
 def test_criterion_07_memoryless_limit_ladder():

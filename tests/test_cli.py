@@ -20,9 +20,7 @@ from esdkit.channel import coefficients_from_gammas
 from esdkit.entanglement import check_bound, concurrence, concurrence_x
 from esdkit.errors import NumericalError
 from esdkit.esd import death_time_s, family_concurrence, sweep
-from esdkit.master import (
-    AtomParams, integrate_master, interaction_trajectory, markov_rates, table_rates,
-)
+from esdkit.master import integrate_master, markov_rates, stage_times, table_rates
 from esdkit.memory import (
     ExponentialKernel, full_solution, load_kernel_table, solve_amplitude, uniform_grid,
 )
@@ -152,6 +150,16 @@ def test_evolve_death_point_and_cross_check(tmp_path):
     assert np.max(trace_err) < 1e-10
     assert np.max(maxdiff) < 1e-8
     assert np.all(conc <= bound_rhs + 1e-10)
+
+
+@pytest.mark.parametrize("omega_a", ["50", "300", "1000", "3000", "1e308"])
+def test_evolve_markov_cross_check_ignores_detuning(tmp_path, omega_a):
+    # the atom frequencies only turn local phases, which the master's frame
+    # strips exactly: however far the atoms are detuned, the Markov
+    # cross-check stays at round-off and nothing overflows
+    out = tmp_path / "evolve.csv"
+    assert run("evolve", "--omega-a", omega_a, "--omega-b", "0", "--output", str(out)) == 0
+    assert np.max(load_csv(out)[:, 6]) <= 1e-13
 
 
 def test_evolve_without_death_is_exponential(tmp_path):
@@ -378,7 +386,18 @@ def test_evolve_empty_kernel_table_exit_2(tmp_path, capsys, text):
         code = run("evolve", "--kernel-file", str(table), "--output", str(out))
     err = capsys.readouterr().err
     assert code == 2
-    assert err == f"error: kernel table {table} has no data rows\n"
+    assert err == f"error: kernel table {table} has 0 data rows; at least 2 are needed\n"
+    assert not out.exists()
+
+
+def test_evolve_one_row_kernel_table_exit_2(tmp_path, capsys):
+    # one row is no grid: the refusal counts the rows, not the arrays they make
+    table = tmp_path / "one.txt"
+    table.write_text("0 1 0\n")
+    out = tmp_path / "x.csv"
+    assert run("evolve", "--kernel-file", str(table), "--output", str(out)) == 2
+    assert capsys.readouterr().err == (f"error: kernel table {table} has 1 data row; "
+                                       f"at least 2 are needed\n")
     assert not out.exists()
 
 
@@ -551,7 +570,6 @@ CHECK_NAMES = [
     "memory: residual diagnostic converges at second order",
     "master: trace and Hermiticity are conserved",
     "master: Markov evolution matches the channel",
-    "master: zero rates preserve purity",
     "esd: bisection agrees with the closed form",
     "esd: concurrence stays exactly zero past death",
     "esd: finite death starts above one third",
@@ -727,7 +745,7 @@ def old_evolve_csv(a=1.0, rate=1.0, t_max=3.0, omega_a=1.0, omega_b=1.0,
     c0 = concurrence_x(x0)
     grid = uniform_grid(t_max, dt)
     if memory_rate is None:
-        rates = markov_rates(rate, rate)
+        rates = markov_rates(rate)
         ga = gb = np.exp(-0.5 * rate * grid)
     else:
         kernel = ExponentialKernel(rate, memory_rate, 0.0)
@@ -736,12 +754,10 @@ def old_evolve_csv(a=1.0, rate=1.0, t_max=3.0, omega_a=1.0, omega_b=1.0,
         sol_b = sol_a if omega_b == omega_a else full_solution(
             kernel, omega_b, t_max, t_max / steps, tol=1e-8
         )
-        rates = table_rates(sol_a, sol_b)
+        rates = table_rates(stage_times(t_max, dt), sol_a, sol_b)
         ga = np.interp(grid, sol_a.t, sol_a.gamma)
         gb = np.interp(grid, sol_b.t, sol_b.gamma)
-    traj = interaction_trajectory(
-        integrate_master(rho0, rates, AtomParams(omega_a, omega_b), t_max, dt)
-    )
+    traj = integrate_master(rho0, *rates, t_max, dt)
     traces = np.einsum("tii->t", traj.states)
     scale = rate if (natural_units and rate > 0.0) else 1.0
     lines = [EVOLVE_HEADER]
@@ -941,8 +957,8 @@ def test_grid_too_large_to_allocate_exits_2(tmp_path, capsys, argv):
      "numerical failure: integration overflowed at dt=0.001; reduce dt"),
     (["evolve", "--rate", "1e308"], 3,
      "numerical failure: integration overflowed at dt=0.001; reduce dt"),
-    (["evolve", "--omega-a", "1e308"], 3,
-     "numerical failure: integration overflowed at dt=0.001; reduce dt"),
+    (["evolve", "--memory-rate", "5", "--omega-a", "1e308"], 3,
+     "numerical failure: unstable step: the step matrix overflows; reduce dt"),
     (["evolve", "--memory-rate", "5", "--kernel-center", "1e308"], 3,
      "numerical failure: unstable step: the step matrix overflows; reduce dt"),
 ])
@@ -1025,13 +1041,12 @@ def test_evolve_columns_match_the_dense_routes(tmp_path, argv):
     omega_b = 1.3 if argv else 1.0
     if argv:
         kernel = ExponentialKernel(1.0, 5.0)
-        rates = table_rates(full_solution(kernel, 1.0, 3.0, 1e-3),
+        rates = table_rates(stage_times(3.0, 1e-3), full_solution(kernel, 1.0, 3.0, 1e-3),
                             full_solution(kernel, omega_b, 3.0, 1e-3))
     else:
         rates = markov_rates(1.0)
     rho0 = xstate_to_dense(standard_family(1.0))
-    states = interaction_trajectory(
-        integrate_master(rho0, rates, AtomParams(1.0, omega_b), 3.0, 1e-3)).states
+    states = integrate_master(rho0, *rates, 3.0, 1e-3).states
     evolved = apply_channel(rho0, coefficients_from_gammas(ga, gb))
     assert np.max(np.abs(conc - concurrence(evolved).value)) <= 1e-10
     dense_maxdiff = np.max(np.abs(evolved - states), axis=(-2, -1))
