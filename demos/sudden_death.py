@@ -17,8 +17,8 @@ Usage:
 import numpy as np
 
 from esdkit.entanglement import concurrence
-from esdkit.reference import (apply_channel, coefficients_markov, concurrence_markov,
-                              disentanglement_time)
+from esdkit.esd import family_concurrence
+from esdkit.reference import apply_channel, coefficients_markov, disentanglement_time
 from esdkit.states import standard_family, xstate_to_dense
 
 RATE = 1.0
@@ -30,12 +30,13 @@ rho0 = xstate_to_dense(standard_family(1.0))
 for t in T_GRID:
     rho_t = apply_channel(rho0, coefficients_markov(RATE, float(t)))
     numeric = concurrence(rho_t).value
-    closed = concurrence_markov(1.0, RATE, float(t))
-    alive = concurrence_markov(0.0, RATE, float(t))
+    gamma = np.exp(-0.5 * RATE * t)
+    closed = family_concurrence(1.0, gamma, gamma)
+    alive = family_concurrence(0.0, gamma, gamma)
     print(f"{t:6.2f} {numeric:15.10f} {closed:14.10f} {alive:14.10f}")
 
-verdict = disentanglement_time(1.0, RATE)
+s_d = disentanglement_time(1.0)  # bisection, in s = rate * t
 print()
-print(f"death time for a = 1: t_d = {verdict.t_d:.12f} / rate")
+print(f"death time for a = 1: t_d = {s_d:.12f} / rate")
 print(f"reference ln((2+sqrt(2))/2) = {np.log((2.0 + np.sqrt(2.0)) / 2.0):.12f}")
 print("the a = 0 column stays positive forever: death needs a > 1/3")

@@ -34,7 +34,7 @@ import numpy as np
 from .channel import coefficients_from_gammas
 from .entanglement import check_bound, concurrence_x
 from .errors import NumericalError
-from .esd import death_time_s, disentanglement_time_exact, family_concurrence, family_image, sweep
+from .esd import death_time_s, family_concurrence, family_image
 from .master import integrate_master, markov_rates, stage_times, table_rates
 from .memory import (
     ExponentialKernel,
@@ -128,6 +128,25 @@ def _blocks(n: int, size: int) -> list[slice]:
 def _write_text(path: str, chunks: list[str]) -> None:
     with open(path, "w", newline="") as fh:
         fh.writelines(chunks)
+
+
+def _death_times(s_d: np.ndarray, rate: float, natural_units: bool) -> np.ndarray:
+    """Death times of `td` and `sweep` in the reported unit, elementwise over
+    the array s_d = rate*t_d: s_d itself in natural units, finite however
+    small the rate, else the model time s_d/rate; +inf where death is only
+    asymptotic.  The rate must be finite and positive; a model time that
+    overflows is a NumericalError, never an infinite t_d."""
+    if not (math.isfinite(rate) and rate > 0.0):
+        raise ValueError(f"rate must be finite and positive, got {rate}")
+    if natural_units:
+        return s_d
+    with np.errstate(over="ignore"):
+        t_d = s_d / rate
+    lost = np.isfinite(s_d) & ~np.isfinite(t_d)
+    if lost.any():
+        raise NumericalError(f"death time {float(s_d[lost].flat[0])!r}/rate overflows "
+                             f"at rate {rate!r}")
+    return t_d
 
 
 # ---------------------------------------------------------------- evolve
@@ -253,8 +272,6 @@ SUMMARY_RECORD = '  {\n    "a": %%r,\n    "kind": "%s",\n    "t_d": %s,\n    "ga
 def cmd_sweep(args: argparse.Namespace) -> int:
     if args.a_steps < 1 or args.t_steps < 1:
         raise ValueError("a_steps and t_steps must be at least 1")
-    if not (math.isfinite(args.rate) and args.rate > 0.0):
-        raise ValueError(f"rate must be finite and positive, got {args.rate}")
     for name in ("a_min", "a_max"):
         if not 0.0 <= getattr(args, name) <= 1.0:
             raise ValueError(f"{name} must be finite and in [0, 1], got {getattr(args, name)}")
@@ -267,19 +284,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         t_grid = np.linspace(0.0, args.t_max, args.t_steps)
     except ValueError as exc:  # beyond numpy's index range
         raise ValueError(f"a_steps={args.a_steps}, t_steps={args.t_steps}: {exc}") from None
-    surface = sweep(a_grid, t_grid, args.rate)
-    s_d = death_time_s(a_grid)
-    finite = np.isfinite(s_d)
-    with np.errstate(over="ignore"):  # an overflowing time or t_d is reported below
+    t_d = _death_times(death_time_s(a_grid), args.rate, args.natural_units)
+    finite = np.isfinite(t_d)
+    with np.errstate(over="ignore"):  # an overflowing time is reported below
         t_col = t_grid * args.rate if args.natural_units else t_grid
-        t_d = s_d if args.natural_units else s_d / args.rate
+        gamma = np.exp(-0.5 * args.rate * t_grid)  # exactly 0 where rate*t overflows
     if not math.isfinite(t_col[-1]):
         raise NumericalError(f"time t_max*rate overflows at t_max {args.t_max!r}, "
                              f"rate {args.rate!r}")
-    if not np.all(np.isfinite(t_d[finite])):
-        raise NumericalError(f"death times overflow model time at rate {args.rate!r}")
-    # sweep() admitted only a in [0, 1] and a finite rate, and t_d is finite
-    # where it is reported, so no NaN or Infinity can reach the summary.
+    surface = family_concurrence(a_grid[:, None], gamma, gamma)
+    # a in [0, 1] and the rate are finite, and t_d is finite where it is
+    # reported, so no NaN or Infinity can reach the summary.
     gamma_rate = json.dumps(args.rate, allow_nan=False)
     finite_record = SUMMARY_RECORD % ("finite", "%r", gamma_rate)
     asymptotic_record = SUMMARY_RECORD % ("asymptotic", "null", gamma_rate)
@@ -322,13 +337,10 @@ TD_SPEC: Spec = {
 
 def cmd_td(args: argparse.Namespace) -> int:
     """Death time from the closed form; the bisection in esdkit.reference cross-checks it."""
-    if not (math.isfinite(args.rate) and args.rate > 0.0):
-        raise ValueError(f"rate must be finite and positive, got {args.rate}")
-    # In natural units the reported rate*t_d is the death time at unit rate,
-    # finite however small the rate; a model-time t_d that overflows raises
-    # NumericalError.
-    verdict = disentanglement_time_exact(args.a, 1.0 if args.natural_units else args.rate)
-    payload = {"a": args.a, "kind": verdict.kind, "t_d": verdict.t_d, "gamma_rate": args.rate}
+    t_d = float(_death_times(death_time_s(args.a), args.rate, args.natural_units))
+    finite = t_d != math.inf
+    payload = {"a": args.a, "kind": "finite" if finite else "asymptotic",
+               "t_d": t_d if finite else None, "gamma_rate": args.rate}
     text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
     if args.output:
         _write_text(args.output, [text])

@@ -17,8 +17,7 @@ import numpy as np
 from .channel import DampingCoefficients, _kraus_terms, coefficients_from_gammas
 from .entanglement import concurrence_x
 from .errors import NumericalError
-from .esd import (EsdVerdict, _check_rate, _family_factor, _verdict, death_time_s, family_image,
-                  sweep)
+from .esd import death_time_s, family_concurrence, family_image
 from .linalg import (HERMITIAN_TOL, I2, I4, SIGMA_MINUS, _psd_sqrt_from_eigen, dagger,
                      first_bad, hermiticity_defect, member)
 from .master import Trajectory
@@ -278,19 +277,27 @@ CROSS_CHECK_TOL = 1e-8
 EPS = float(np.finfo(float).eps)
 
 
-def disentanglement_time(a: float, rate: float) -> EsdVerdict:
-    """Death time by bisection on the concurrence factor in s = rate * t.
+def _family_factor(a, wa2, wb2) -> np.ndarray:
+    """The textbook branch factor f = 1 - sqrt(a (1 - a + (wa2 + wb2) + wa2 wb2 a)),
+    elementwise.  It cancels near its zero, where esd.family_concurrence's
+    (1 - X)/(1 + sqrt(X)) does not; one w2 passed twice gives the equal-rate
+    factor bit for bit: wa2 + wb2 is then exactly 2 w2."""
+    return 1.0 - np.sqrt(a * (1.0 - a + (wa2 + wb2) + wa2 * wb2 * a))
+
+
+def disentanglement_time(a: float) -> float:
+    """Death time s_d = rate * t_d by bisection on the textbook factor, +inf
+    for a <= 1/3.
 
     Verifies monotonicity of the factor on the bracket, bisects to
-    BISECTION_TOL and cross-checks the closed form.  The factor is evaluated
+    BISECTION_TOL and cross-checks esd.death_time_s.  The factor is evaluated
     to a few eps, but its slope in s is of order u_d = e^{-s_d}, which
     vanishes as a -> 1/3; so the cross-check allows CROSS_CHECK_TOL +
     8 eps/u_d in s, and a larger disagreement raises NumericalError.
     """
-    _check_rate(rate)
     s_exact = float(death_time_s(a))
     if s_exact == math.inf:
-        return _verdict(a, s_exact, rate)
+        return s_exact
 
     def f(s: float) -> float:
         w2 = 1.0 - math.exp(-s)
@@ -314,11 +321,12 @@ def disentanglement_time(a: float, rate: float) -> EsdVerdict:
         raise NumericalError(
             f"bisection root {s_d!r} disagrees with closed form {s_exact!r} (rate*t)"
         )
-    return _verdict(a, s_d, rate)
+    return s_d
 
 
 def concurrence_markov(a: float, rate: float, t: float) -> float:
-    """Concurrence of the family under equal-rate Markov damping at time t."""
+    """Concurrence of the family under equal-rate Markov damping at time t,
+    by the textbook factor."""
     if not 0.0 <= a <= 1.0:
         raise ValueError(f"family parameter a={a} outside [0, 1]")
     if not (math.isfinite(rate) and rate >= 0.0):
@@ -358,6 +366,8 @@ def local_vs_nonlocal_report(a: float, rate: float, t_grid: np.ndarray) -> Local
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size == 0 or np.any(np.diff(t_grid) < 0) or t_grid[0] < 0.0:
         raise ValueError("t_grid must be nonempty, ascending, nonnegative")
+    if not (np.isfinite(t_grid[-1]) and math.isfinite(rate) and rate >= 0.0):
+        raise ValueError("finite t and a finite rate >= 0 required")
     local = np.exp(-0.5 * rate * t_grid)
-    conc = sweep(np.array([a]), t_grid, rate)[0]
+    conc = family_concurrence(a, local, local)
     return LocalVsNonlocal(t=t_grid, local_coherence=local, concurrence=conc)

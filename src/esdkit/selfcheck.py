@@ -15,7 +15,7 @@ import numpy as np
 
 from .channel import coefficients_from_gammas
 from .entanglement import check_bound, concurrence, concurrence_x
-from .esd import disentanglement_time_exact, family_concurrence
+from .esd import death_time_s, family_concurrence
 from .linalg import dagger
 from .master import integrate_master, markov_rates
 from .memory import ExponentialKernel, full_solution, solve_amplitude
@@ -133,27 +133,25 @@ def check_master_matches_channel() -> tuple[bool, str]:
 
 
 def check_esd_paths_agree() -> tuple[bool, str]:
-    worst = 0.0
-    for a in np.linspace(0.35, 1.0, 14):
-        t_bis = disentanglement_time(float(a), 1.0).t_d
-        t_exact = disentanglement_time_exact(float(a), 1.0).t_d
-        worst = max(worst, abs(t_bis - t_exact))
+    a = np.linspace(0.35, 1.0, 14)
+    bisected = np.array([disentanglement_time(x) for x in a.tolist()])
+    worst = float(np.max(np.abs(bisected - death_time_s(a))))
     return worst < 1e-9, f"max bisection-vs-closed-form gap {worst:.2e}"
 
 
 def check_esd_zero_stays_zero() -> tuple[bool, str]:
-    t_d = disentanglement_time_exact(1.0, 1.0).t_d
-    gamma = np.exp(-0.5 * np.linspace(t_d * (1 + 1e-12), 5.0, 40))
+    s_d = float(death_time_s(1.0))
+    gamma = np.exp(-0.5 * np.linspace(s_d * (1 + 1e-12), 5.0, 40))
     worst = float(np.max(family_concurrence(1.0, gamma, gamma)))
     return worst == 0.0, f"max concurrence past death {worst!r}"
 
 
 def check_esd_threshold() -> tuple[bool, str]:
     for a in (0.2, 0.32, 1.0 / 3.0):
-        if disentanglement_time_exact(a, 1.0).kind != "asymptotic":
+        if death_time_s(a) != np.inf:
             return False, f"a={a} misclassified as finite"
     for a in (0.35, 0.5, 1.0):
-        if disentanglement_time_exact(a, 1.0).kind != "finite":
+        if death_time_s(a) == np.inf:
             return False, f"a={a} misclassified as asymptotic"
     return True, "threshold sits above one third"
 

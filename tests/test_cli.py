@@ -19,7 +19,7 @@ from esdkit import channel, cli, entanglement, memory, reference, selfcheck
 from esdkit.channel import coefficients_from_gammas
 from esdkit.entanglement import check_bound, concurrence, concurrence_x
 from esdkit.errors import NumericalError
-from esdkit.esd import death_time_s, family_concurrence, sweep
+from esdkit.esd import death_time_s, family_concurrence
 from esdkit.master import integrate_master, markov_rates, stage_times, table_rates
 from esdkit.memory import (
     ExponentialKernel, full_solution, load_kernel_table, solve_amplitude, uniform_grid,
@@ -663,7 +663,8 @@ def old_sweep_csv(a_min, a_max, a_steps, t_max, t_steps, rate, natural_units) ->
 
     a_grid = np.linspace(a_min, a_max, a_steps)
     t_grid = np.linspace(0.0, t_max, t_steps)
-    surface = sweep(a_grid, t_grid, rate)
+    gamma = np.exp(-0.5 * rate * t_grid)
+    surface = family_concurrence(a_grid[:, None], gamma, gamma)
     scale = rate if natural_units else 1.0
     lines = ["a,t,concurrence"]
     for i, a in enumerate(a_grid):
@@ -830,6 +831,38 @@ def strict_json(text: str):
     return json.loads(text, parse_constant=reject)
 
 
+def test_model_time_overflow_is_refused_once_for_td_and_sweep(tmp_path, capsys):
+    # a mixed array is refused as a whole; the scalar cases are in
+    # test_esd::test_model_time_overflow_is_a_numerical_error
+    with pytest.raises(NumericalError, match="overflows"):
+        cli._death_times(death_time_s(np.array([0.2, 1.0])), 1e-310, False)
+    assert cli._death_times(death_time_s(1.0), 1e-310, True) == death_time_s(1.0)
+    # rate scaling: t_d carries units 1/rate
+    assert abs(cli._death_times(death_time_s(1.0), 4.0, False) - TD_A1 / 4.0) <= 2e-15 * TD_A1 / 4.0
+    errors = []
+    for argv in (["td", "--a", "1"],
+                 ["sweep", "--a-min", "1", "--a-steps", "1", "--output", str(tmp_path / "s.csv")]):
+        assert run(*argv, "--rate", "1e-310", "--no-natural-units") == 3
+        errors.append(capsys.readouterr().err)
+    assert errors == ["numerical failure: death time 0.5347999967395703/rate overflows "
+                      "at rate 1e-310\n"] * 2
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_threshold_sweep_zero_sets_agree_with_the_summary(tmp_path):
+    # Eight a just above 1/3, where the textbook factor 1 - sqrt(X) zeroed
+    # six rows up to three t-steps before their summary t_d.
+    out = tmp_path / "t.csv"
+    assert run("sweep", "--a-min", "0.33333333333333337", "--a-max", "0.3333333333333338",
+               "--a-steps", "8", "--t-max", "40", "--t-steps", "401", "--output", str(out)) == 0
+    rows = load_csv(out).reshape(8, 401, 3)
+    summary = json.loads((tmp_path / "t_summary.json").read_text())
+    for row, record in zip(rows, summary):
+        t, c = row[:, 1], row[:, 2]
+        assert record["kind"] == "finite" and record["a"] == row[0, 0]
+        assert np.all(c[t < record["t_d"]] > 0.0) and np.all(c[t > record["t_d"]] == 0.0), record
+
+
 def test_tiny_rate_reports_natural_units_and_never_infinity(tmp_path, capsys):
     assert run("td", "--a", "1", "--rate", "1e-310", "--no-natural-units") == 3
     captured = capsys.readouterr()
@@ -971,11 +1004,13 @@ def test_overflow_exits_with_its_code_and_no_warning(tmp_path, capsys, argv, cod
 
 
 def test_sweep_csv_has_no_negative_zero(tmp_path):
-    # e^(-rate*t) underflowing in the surface is +0.0, and so is -0.0 read from
-    # a flag or a config value: no CSV cell or JSON value is a negative zero
+    # gamma^2 underflowing in the surface or the evolve column is +0.0, and so
+    # is -0.0 read from a flag or a config value: no CSV cell or JSON value is
+    # a negative zero
     config = tmp_path / "zero.cfg"
     config.write_text("a = -0.0\n")
     runs = [["sweep", "--t-max", "800"], ["sweep", "--a-min", "-0.0", "--t-max", "-0.0"],
+            ["evolve", "--t-max", "760", "--dt", "0.1"],
             ["td", "--a", "-0.0"], ["td", "--config", str(config)],
             ["bound", "--samples", "1", "--gammas", "-0.0"]]
     for k, argv in enumerate(runs):

@@ -1,3 +1,5 @@
+from time import perf_counter
+
 import numpy as np
 import pytest
 from numpy import kron
@@ -12,7 +14,7 @@ from esdkit.entanglement import (
 )
 from esdkit.linalg import SIGMA_Y
 from esdkit.reference import coefficients_markov, kraus_term, pure_state, random_xstate
-from esdkit.states import XState, random_state, standard_family, xstate_to_dense
+from esdkit.states import XState, random_state, random_states, standard_family, xstate_to_dense
 
 FLIP = kron(SIGMA_Y, SIGMA_Y)
 
@@ -205,6 +207,18 @@ def test_check_bound_random_smoke():
             assert rep.satisfied
             assert rep.first_branch_gap < 1e-9
             assert rep.side_branch_max < 1e-10
+
+
+def test_check_bound_holds_on_1000_ginibre_states():
+    # 1000 Ginibre states x 3 gammas in one stacked call
+    start = perf_counter()
+    g = np.array([0.9, 0.5, 0.1])
+    rep = check_bound(random_states(range(1000))[:, None], coefficients_from_gammas(g, g),
+                      slack=1e-10)
+    assert rep.satisfied.shape == (1000, 3) and np.all(rep.satisfied)
+    assert np.max(rep.first_branch_gap) < 1e-9
+    assert np.max(rep.side_branch_max) < 1e-10
+    assert perf_counter() - start < 30.0
 
 
 @pytest.mark.parametrize("slack", [np.nan, -1.0, np.inf])

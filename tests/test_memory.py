@@ -120,6 +120,15 @@ def test_markov_limit_amplitude():
     assert np.max(rel) < 0.02
 
 
+def test_memoryless_limit_ladder():
+    # |b| approaches exp(-t/2) monotonically as the memory rate grows tenfold
+    ladder = [(10.0, 1e-3), (100.0, 1e-4), (1000.0, 1e-5)]
+    sups = [np.max(np.abs(sol.gamma - np.exp(-0.5 * sol.t)))
+            for sol in (full_solution(ExponentialKernel(1.0, rate), 0.0, 3.0, dt)
+                        for rate, dt in ladder)]
+    assert sups[0] > sups[1] > sups[2] and sups[2] < 0.01
+
+
 def test_decay_rate_approaches_markov():
     # after a few memory times the local rate settles at strength/2 (1% here)
     rate = 1000.0
