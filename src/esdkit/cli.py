@@ -23,11 +23,12 @@ model time).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
 import sys
-from typing import Any, Callable
+from typing import Any, Callable, Iterator, TextIO
 
 import numpy as np
 
@@ -35,7 +36,7 @@ from .channel import coefficients_from_gammas
 from .entanglement import check_bound, concurrence_x
 from .errors import NumericalError
 from .esd import death_time_s, family_concurrence, family_image
-from .master import integrate_master, markov_rates, stage_times, table_rates
+from .master import integrate_master, markov_rates
 from .memory import (
     ExponentialKernel,
     full_solution,
@@ -125,8 +126,28 @@ def _blocks(n: int, size: int) -> list[slice]:
     return [slice(i, min(i + size, n)) for i in range(0, n, size)]
 
 
+@contextlib.contextmanager
+def _all_or_nothing() -> Iterator[Callable[[str], TextIO]]:
+    """Yield an opener of text outputs; if the block raises, every file it
+    opened is removed, so a failed run leaves no output."""
+    made: list[str] = []
+
+    def create(path: str) -> TextIO:
+        fh = open(path, "w", newline="")
+        made.append(path)
+        return fh
+
+    try:
+        yield create
+    except BaseException:
+        for path in made:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise
+
+
 def _write_text(path: str, chunks: list[str]) -> None:
-    with open(path, "w", newline="") as fh:
+    with _all_or_nothing() as create, create(path) as fh:
         fh.writelines(chunks)
 
 
@@ -161,7 +182,7 @@ EVOLVE_SPEC: Spec = {
     "memory_rate": (_float, None, "reservoir memory rate; enables the structured kernel"),
     "kernel_center": (_float, 0.0, "reservoir center frequency"),
     "kernel_file": (str, None, "tabulated kernel: rows 'tau alpha_re alpha_im'"),
-    "mem_dt": (_float, None, "amplitude-solver step"),
+    "mem_dt": (_float, None, "largest amplitude-solver step; the step used divides dt/2"),
     "mem_tol": (_float, 1e-8, "amplitude-solver convergence gate"),
     "natural_units": (_parse_bool, True, "report times as rate*t"),
     "output": (str, "evolve.csv", "CSV path"),
@@ -171,10 +192,13 @@ EVOLVE_SPEC: Spec = {
 EVOLVE_ROW = ",".join(["%.17g"] * 7) + "\n"
 
 
-def _memory_rates(args: argparse.Namespace, grid: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Re F and Re G on the master's stage times and both local coherences
-    on grid, from the amplitude solve; the kernel and the solutions die on
-    return, before the master runs."""
+def _memory_rates(args: argparse.Namespace) -> tuple[np.ndarray, ...]:
+    """Re F and Re G at the master's 2n + 1 RK4 stages and both local
+    coherences on the n-step evolve grid, read off one amplitude solve per
+    atom: its step is dt/2 divided by the least k that keeps it at most the
+    target, so every k-th point is a stage and every 2k-th a grid point.  The
+    samples are copies: the kernel and the solutions die on return, before
+    the master runs."""
     if args.kernel_file is not None:
         kernel = load_kernel_table(args.kernel_file)
         target = args.mem_dt if args.mem_dt is not None else kernel.step
@@ -183,19 +207,18 @@ def _memory_rates(args: argparse.Namespace, grid: np.ndarray) -> tuple[np.ndarra
         target = args.mem_dt if args.mem_dt is not None else min(
             args.dt, 0.005 / args.memory_rate
         )
-    ratio = args.t_max / target
-    if ratio == math.inf:
+    if args.t_max / target == math.inf:
         raise ValueError(
             f"t_max={args.t_max} / amplitude step {target} overflows: too many steps"
         )
-    # At least two steps: gamma is interpolated linearly between them.
-    mem_dt = args.t_max / max(2, math.ceil(ratio - 1e-9))
+    k = max(1, math.ceil(0.5 * args.dt / target - 1e-9))
+    mem_dt = 0.5 * args.dt / k
     sol_a = full_solution(kernel, args.omega_a, args.t_max, mem_dt, tol=args.mem_tol)
     sol_b = sol_a if args.omega_b == args.omega_a else full_solution(
         kernel, args.omega_b, args.t_max, mem_dt, tol=args.mem_tol
     )
-    return (*table_rates(stage_times(args.t_max, args.dt), sol_a, sol_b),
-            *(np.interp(grid, sol.t, sol.gamma) for sol in (sol_a, sol_b)))
+    return (sol_a.f.real[::k].copy(), sol_b.f.real[::k].copy(),
+            sol_a.gamma[::2 * k].copy(), sol_b.gamma[::2 * k].copy())
 
 
 def cmd_evolve(args: argparse.Namespace) -> int:
@@ -218,7 +241,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
         ga = np.exp(-0.5 * args.rate * grid)
         gb = ga
     else:
-        re_f, re_g, ga, gb = _memory_rates(args, grid)
+        re_f, re_g, ga, gb = _memory_rates(args)
 
     traj = integrate_master(rho0, re_f, re_g, args.t_max, args.dt)
     # Per row p1..p4 for the diagonal, then z23 for (1, 2) and (2, 1).
@@ -299,28 +322,29 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     finite_record = SUMMARY_RECORD % ("finite", "%r", gamma_rate)
     asymptotic_record = SUMMARY_RECORD % ("asymptotic", "null", gamma_rate)
 
-    # Nothing is written until every number is in hand, so a failed run
-    # leaves no partial output.  A block of at most STACK_BLOCK CSV rows is
-    # one % on a template holding the formatted a and t strings.
+    # Nothing is written until every number is in hand, and a failed write
+    # removes both files, so a failed run leaves no output.  A block of at
+    # most STACK_BLOCK CSV rows is one % on a template holding the formatted
+    # a and t strings; a block of summary records is one % over the numbers
+    # they take: each a, then its t_d where it is finite.
     pieces = ["", *[",%.17g,%%.17g\n" % t for t in t_col.tolist()]]
-    with open(args.output, "w", newline="") as fh:
-        fh.write("a,t,concurrence\n")
-        for block in _blocks(a_grid.size, max(1, STACK_BLOCK // t_grid.size)):
-            template = "".join([("%.17g" % a).join(pieces) for a in a_grid[block].tolist()])
-            fh.write(template % tuple(surface[block].ravel().tolist()))
-    # A block of summary records is one % over the numbers they take: each
-    # a, then its t_d where it is finite.
     records = [finite_record if fin else asymptotic_record for fin in finite.tolist()]
     numbers = np.stack([a_grid, t_d], axis=-1)
     taken = np.stack([np.ones_like(finite), finite], axis=-1)
     spath = _summary_path(args.output)
-    with open(spath, "w", newline="") as fh:
-        fh.write("[\n")
-        fh.write(",\n".join([
-            ",\n".join(records[block]) % tuple(numbers[block][taken[block]].tolist())
-            for block in _blocks(a_grid.size, STACK_BLOCK)
-        ]))
-        fh.write("\n]\n")
+    with _all_or_nothing() as create:
+        with create(args.output) as fh:
+            fh.write("a,t,concurrence\n")
+            for block in _blocks(a_grid.size, max(1, STACK_BLOCK // t_grid.size)):
+                template = "".join([("%.17g" % a).join(pieces) for a in a_grid[block].tolist()])
+                fh.write(template % tuple(surface[block].ravel().tolist()))
+        with create(spath) as fh:
+            fh.write("[\n")
+            fh.write(",\n".join([
+                ",\n".join(records[block]) % tuple(numbers[block][taken[block]].tolist())
+                for block in _blocks(a_grid.size, STACK_BLOCK)
+            ]))
+            fh.write("\n]\n")
     print(f"wrote {args.output} ({a_grid.size * t_grid.size} rows) and {spath}")
     return 0
 

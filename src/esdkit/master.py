@@ -28,18 +28,10 @@ import numpy as np
 
 from .errors import IntegratorError
 from .linalg import I2, I4, SIGMA_MINUS, dagger
-from .memory import AmplitudeSolution, rk4_step_matrix, uniform_grid
+from .memory import rk4_step_matrix, uniform_grid
 from .states import assert_density_matrix
 
 POSITIVITY_FLOOR = -1e-8
-
-
-def stage_times(t_max: float, dt: float) -> np.ndarray:
-    """The 2n + 1 RK4 stage times k * dt/2 of the grid uniform_grid(t_max, dt):
-    even k are the grid points, odd k the midpoints.  integrate_master takes
-    its rates on these times."""
-    n = uniform_grid(t_max, dt).size - 1
-    return np.arange(2 * n + 1) * (0.5 * dt)
 
 
 def markov_rates(rate_a: float, rate_b: float | None = None) -> tuple[float, float]:
@@ -52,27 +44,6 @@ def markov_rates(rate_a: float, rate_b: float | None = None) -> tuple[float, flo
     return 0.5 * rate_a, 0.5 * rate_b
 
 
-def table_rates(
-    t: np.ndarray, sol_a: AmplitudeSolution, sol_b: AmplitudeSolution | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """(Re F, Re G) at the times t, the real parts of the solved complex
-    coefficients interpolated linearly.
-
-    Atom B reuses atom A's solution when sol_b is omitted.  A time outside
-    the solved window raises ValueError.
-    """
-    def rate(sol: AmplitudeSolution) -> np.ndarray:
-        if sol.f is None:
-            raise ValueError("coefficient_f must run before table_rates")
-        t_end = float(sol.t[-1])
-        bad = [v for v in (np.min(t), np.max(t)) if not -1e-12 <= v <= t_end + 1e-9]
-        if bad:
-            raise ValueError(f"rate requested at t={bad[0]:.6g} outside [0, {t_end:.6g}]")
-        return np.interp(t, sol.t, sol.f).real
-
-    return rate(sol_a), rate(sol_a if sol_b is None else sol_b)
-
-
 def _damping_piece(sm: np.ndarray) -> np.ndarray:
     """The dissipator 2 s- rho s+ - n rho - rho n of one atom, n = s+ s-."""
     n = dagger(sm) @ sm
@@ -81,9 +52,10 @@ def _damping_piece(sm: np.ndarray) -> np.ndarray:
 
 # The generator on rho.ravel() is linear in (Re F, Re G); row k of _PIECES is
 # the 16x16 piece of coefficient k, flattened.  In row-major vec form
-# rho -> A rho B is np.kron(A, B.T).
-_PIECES = np.array([_damping_piece(np.kron(SIGMA_MINUS, I2)),
-                    _damping_piece(np.kron(I2, SIGMA_MINUS))])
+# rho -> A rho B is np.kron(A, B.T).  The pieces are real, so the step
+# matrices are built in real arithmetic.
+_PIECES = np.ascontiguousarray(np.array([_damping_piece(np.kron(SIGMA_MINUS, I2)),
+                                         _damping_piece(np.kron(I2, SIGMA_MINUS))]).real)
 # Steps whose propagators are built in one stacked pass: it bounds peak memory
 # (a whole-run stack is 4 KiB per step), and results do not depend on it.
 PROPAGATOR_BLOCK = 16
@@ -115,18 +87,20 @@ def integrate_master(
 ) -> Trajectory:
     """Fixed-step RK4 integration in the interaction picture, storing every step.
 
-    re_f and re_g are Re F and Re G on stage_times(t_max, dt), or one number
-    each for constant rates.  The equation is linear in rho, so each step is
-    one 16x16 matrix on rho.ravel(), rk4_step_matrix of the generator at t,
-    t + dt/2 and t + dt.  The matrices are built PROPAGATOR_BLOCK steps at a
-    time, and a block whose stage coefficients are bitwise those of the block
-    last built applies that block's matrices again: the build is
-    deterministic, so they are the bits a rebuild would give.  Constant rates
-    thus build two blocks, the first and a short last one.  No Hermitian
-    projection is applied.  A step that overflows raises IntegratorError.
-    After the run the stored states are checked for positivity; an
-    eigenvalue below -1e-8 raises IntegratorError, and otherwise the least
-    eigenvalue is returned as Trajectory.min_eigenvalue.
+    re_f and re_g are Re F and Re G at the 2n + 1 RK4 stage times k * dt/2
+    of uniform_grid(t_max, dt), even k the grid points and odd k the
+    midpoints, or one number each for constant rates.  The equation is
+    linear in rho, so each step is one 16x16 matrix on rho.ravel(),
+    rk4_step_matrix of the generator at t, t + dt/2 and t + dt.  The
+    matrices are built in real arithmetic PROPAGATOR_BLOCK steps at a time
+    and cast to complex once per block, and a block whose stage coefficients
+    are bitwise those of the block last built applies that block's matrices
+    again: the build is deterministic, so they are the bits a rebuild would
+    give.  Constant rates thus build two blocks, the first and a short last
+    one.  No Hermitian projection is applied.  A step that overflows raises
+    IntegratorError.  After the run the stored states are checked for
+    positivity; an eigenvalue below -1e-8 raises IntegratorError, and
+    otherwise the least eigenvalue is returned as Trajectory.min_eigenvalue.
     """
     rho = assert_density_matrix(rho0)
     if rho.shape != (4, 4):
@@ -148,7 +122,7 @@ def integrate_master(
             key = stage.tobytes()
             if key != held:
                 gen = (stage @ _PIECES).reshape(-1, 16, 16)
-                steps = rk4_step_matrix(gen[:-1:2], gen[1::2], gen[2::2], dt)
+                steps = rk4_step_matrix(gen[:-1:2], gen[1::2], gen[2::2], dt).astype(complex)
                 held = key
             for i, step in enumerate(steps, start=lo):
                 np.matmul(step, flat[i], out=flat[i + 1])

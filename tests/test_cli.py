@@ -20,7 +20,7 @@ from esdkit.channel import coefficients_from_gammas
 from esdkit.entanglement import check_bound, concurrence, concurrence_x
 from esdkit.errors import NumericalError
 from esdkit.esd import death_time_s, family_concurrence
-from esdkit.master import integrate_master, markov_rates, stage_times, table_rates
+from esdkit.master import integrate_master, markov_rates
 from esdkit.memory import (
     ExponentialKernel, full_solution, load_kernel_table, solve_amplitude, uniform_grid,
 )
@@ -229,7 +229,7 @@ def test_tabulated_kernel_matches_exponential_and_gates(tmp_path, capsys):
     assert run(*common, "--memory-rate", "5", "--output", str(pole)) == 0
     gap = np.max(np.abs(load_csv(tab) - load_csv(pole)), axis=0)
     assert np.all(gap[1:4] < 1e-6)  # concurrence, local_coh_A, local_coh_B
-    assert [quoted(g) for g in gap[1:4]] == ["6.2e-07", "3.0e-07", "3.0e-07"]
+    assert [quoted(g) for g in gap[1:4]] == ["3.7e-07", "5.3e-07", "5.3e-07"]
     capsys.readouterr()
     # without --mem-tol the default 1e-8 gate rejects the 1e-3 table step
     assert run(*common, "--kernel-file", str(table),
@@ -239,9 +239,8 @@ def test_tabulated_kernel_matches_exponential_and_gates(tmp_path, capsys):
 
 @pytest.mark.parametrize("t_max, extra", [("0.001", ("--dt", "0.001")), ("0.002", ())])
 def test_one_step_amplitude_grid_runs(tmp_path, t_max, extra):
-    # --mem-dt = --t-max asks for one amplitude step; the solve takes two, so
-    # the linear interpolation of gamma holds 1e-6 (one step of 0.002 misses
-    # the middle row by 1.24e-6)
+    # --mem-dt = --t-max asks for one amplitude step; the solve takes the
+    # master's two half steps per step, and every row is a solved point
     out = tmp_path / "one.csv"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -277,6 +276,7 @@ def clipped_abs_b(sol) -> np.ndarray:
 
 @pytest.mark.parametrize("source", ["pole", "table"])
 def test_evolve_local_coherences_are_the_solved_abs_b(tmp_path, source):
+    # --mem-dt 1e-3 at dt 1e-3 solves at dt/2: every second point is a row
     grid = uniform_grid(1.0, 1e-3)
     argv = ["--t-max", "1", "--mem-dt", "1e-3", "--omega-b", "1.3"]
     if source == "pole":
@@ -291,21 +291,56 @@ def test_evolve_local_coherences_are_the_solved_abs_b(tmp_path, source):
     assert run("evolve", *argv, "--output", str(out)) == 0
     rows = load_csv(out)
     for col, omega in ((2, 1.0), (3, 1.3)):
-        sol = solve_amplitude(kernel, omega, 1.0, 1e-3, tol=tol)
-        assert np.array_equal(rows[:, col], np.interp(grid, sol.t, clipped_abs_b(sol)))
+        sol = solve_amplitude(kernel, omega, 1.0, 5e-4, tol=tol)
+        assert np.array_equal(rows[:, col], clipped_abs_b(sol)[::2])
 
 
-def test_evolve_memory_maxdiff_is_a_second_order_cross_check(tmp_path):
-    # the image is built from |b|, the master from f: they now differ by the
-    # master's linear interpolation of f between amplitude points, O(mem_dt^2)
-    maxdiff = []
-    for mem_dt in ("1e-3", "2e-4"):
-        out = tmp_path / f"evolve_{mem_dt}.csv"
-        assert run("evolve", "--memory-rate", "5", "--mem-dt", mem_dt, "--output", str(out)) == 0
-        maxdiff.append(float(np.max(load_csv(out)[:, 6])))
+def largest_maxdiff(tmp_path, *argv) -> float:
+    out = tmp_path / "evolve.csv"
+    assert run("evolve", *argv, "--output", str(out)) == 0
+    return float(np.max(load_csv(out)[:, 6]))
+
+
+@pytest.mark.parametrize("argv", [
+    ["--memory-rate", "5", "--mem-dt", "1e-3"],
+    ["--memory-rate", "5", "--mem-dt", "2e-4"],
+    ["--memory-rate", "5", "--omega-b", "1.3"],
+])
+def test_evolve_memory_maxdiff_is_at_round_off(tmp_path, argv):
+    # the master reads Re f at its stages off the amplitude solve, so on a
+    # smooth kernel it meets the image from |b| to round-off (measured 8.9e-14,
+    # 3.4e-13 and 8.6e-14)
+    assert largest_maxdiff(tmp_path, *argv) <= 1e-12
+
+
+def test_evolve_memory_maxdiff_is_the_masters_fourth_order_error(tmp_path):
+    # the image is built from |b|, the master from f: two routes, whose gap
+    # at memory rate 1000 is the master's own RK4 error.  The amplitude grid
+    # (step 1e-5) is the same at every dt; halving dt divides the gap by
+    # about 16 (2.25e-7, 1.44e-8, 9.0e-10; docs/reproduction.md).
+    argv = ("--a", "1", "--memory-rate", "1000", "--t-max", "1", "--mem-dt", "1e-5")
+    maxdiff = [largest_maxdiff(tmp_path, *argv, "--dt", dt) for dt in ("1e-3", "5e-4")]
     assert 1e-9 < maxdiff[0] < 1e-6
-    assert 15.0 <= maxdiff[0] / maxdiff[1] <= 40.0
-    assert [quoted(m) for m in maxdiff] == ["2.3e-07", "9.3e-09"]  # docs/reproduction.md
+    assert 12.0 <= maxdiff[0] / maxdiff[1] <= 20.0
+    assert [quoted(m) for m in maxdiff] == ["2.2e-07", "1.4e-08"]
+
+
+def test_evolve_master_rates_are_strided_off_the_solve(tmp_path, monkeypatch):
+    # --mem-dt 2e-4 at dt 1e-3 solves at (dt/2)/3, the least divisor of dt/2
+    # at most 2e-4: the master gets every third solved Re f, bit for bit
+    got = []
+
+    def capture(rho0, re_f, re_g, t_max, dt):
+        got.extend((re_f, re_g))
+        return integrate_master(rho0, re_f, re_g, t_max, dt)
+
+    monkeypatch.setattr(cli, "integrate_master", capture)
+    assert run("evolve", "--memory-rate", "5", "--mem-dt", "2e-4", "--omega-b", "1.3",
+               "--output", str(tmp_path / "evolve.csv")) == 0
+    for rates, omega in zip(got, (1.0, 1.3)):
+        sol = full_solution(ExponentialKernel(1.0, 5.0), omega, 3.0, 5e-4 / 3)
+        assert rates.shape == (6001,)
+        assert rates.tobytes() == sol.f.real[::3].tobytes()
 
 
 def assert_bad_kernel_row(tmp_path, capsys, row) -> None:
@@ -750,14 +785,13 @@ def old_evolve_csv(a=1.0, rate=1.0, t_max=3.0, omega_a=1.0, omega_b=1.0,
         ga = gb = np.exp(-0.5 * rate * grid)
     else:
         kernel = ExponentialKernel(rate, memory_rate, 0.0)
-        steps = max(1, math.ceil(t_max / mem_dt - 1e-9))
-        sol_a = full_solution(kernel, omega_a, t_max, t_max / steps, tol=1e-8)
+        k = max(1, math.ceil(0.5 * dt / mem_dt - 1e-9))
+        sol_a = full_solution(kernel, omega_a, t_max, 0.5 * dt / k, tol=1e-8)
         sol_b = sol_a if omega_b == omega_a else full_solution(
-            kernel, omega_b, t_max, t_max / steps, tol=1e-8
+            kernel, omega_b, t_max, 0.5 * dt / k, tol=1e-8
         )
-        rates = table_rates(stage_times(t_max, dt), sol_a, sol_b)
-        ga = np.interp(grid, sol_a.t, sol_a.gamma)
-        gb = np.interp(grid, sol_b.t, sol_b.gamma)
+        rates = sol_a.f.real[::k], sol_b.f.real[::k]
+        ga, gb = sol_a.gamma[::2 * k], sol_b.gamma[::2 * k]
     traj = integrate_master(rho0, *rates, t_max, dt)
     traces = np.einsum("tii->t", traj.states)
     scale = rate if (natural_units and rate > 0.0) else 1.0
@@ -912,6 +946,24 @@ def test_sweep_bad_grid_bounds_exit_2(tmp_path, capsys, grid, message):
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
     assert not (tmp_path / "sweep_summary.json").exists()
+
+
+def test_sweep_failed_summary_write_leaves_no_output(tmp_path, capsys):
+    # the CSV is written before the summary; a summary path that is a
+    # directory fails the run, which removes the CSV and leaves the directory
+    (tmp_path / "sweep_summary.json").mkdir()
+    out = tmp_path / "sweep.csv"
+    assert run("sweep", "--a-steps", "3", "--t-steps", "4", "--output", str(out)) == 2
+    assert "sweep_summary.json" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["sweep_summary.json"]
+    assert (tmp_path / "sweep_summary.json").is_dir()
+
+
+def test_failed_text_write_removes_its_file(tmp_path):
+    out = tmp_path / "td.json"
+    with pytest.raises(TypeError):
+        cli._write_text(str(out), ["{\n", None])
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("rate", ["nan", "inf"])
@@ -1076,8 +1128,7 @@ def test_evolve_columns_match_the_dense_routes(tmp_path, argv):
     omega_b = 1.3 if argv else 1.0
     if argv:
         kernel = ExponentialKernel(1.0, 5.0)
-        rates = table_rates(stage_times(3.0, 1e-3), full_solution(kernel, 1.0, 3.0, 1e-3),
-                            full_solution(kernel, omega_b, 3.0, 1e-3))
+        rates = [full_solution(kernel, omega, 3.0, 5e-4).f.real for omega in (1.0, omega_b)]
     else:
         rates = markov_rates(1.0)
     rho0 = xstate_to_dense(standard_family(1.0))
