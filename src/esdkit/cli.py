@@ -8,11 +8,11 @@ Exit codes: 0 success, 2 bad arguments, unreadable input or a grid too
 large to allocate, 3 numerical failure, 4 invariant or bound violation.
 
 Each subcommand's options are declared once, in its option table: the name,
-converter, built-in default and help text give the flag --name-with-hyphens
-and the config key.  A config file (--config) holds "key = value" lines, '#'
-comments; keys are the long option names with hyphens or underscores.
-Explicit flags win over config values, config values win over built-in
-defaults.
+converter, built-in default and help text give the flag --name-with-hyphens,
+its -h line and the config key, and parse_args reads argv off the tables.
+A config file (--config) holds "key = value" lines, '#' comments; keys are
+the long option names with hyphens or underscores.  Explicit flags win over
+config values, config values win over built-in defaults.
 
 CSV output: comma-separated, LF line endings, '.' decimal separator, floats
 at 17 significant digits, one '#' summary line at the end where noted.
@@ -22,12 +22,12 @@ model time).
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import json
 import math
 import os
 import sys
+from types import SimpleNamespace
 from typing import Any, Callable, Iterator, TextIO
 
 import numpy as np
@@ -51,9 +51,6 @@ def _float(raw: str) -> float:
     return float(raw) + 0.0
 
 
-_float.__name__ = "float"  # argparse names it in "invalid float value"
-
-
 def _parse_bool(raw: str) -> bool:
     val = raw.strip().lower()
     if val in ("1", "true", "yes", "on"):
@@ -63,22 +60,16 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
-class _BadValue(ValueError, argparse.ArgumentTypeError):
-    """A converter's refusal.  argparse prints the message of an
-    ArgumentTypeError for a flag, and _resolve's config route reports it like
-    any other ValueError."""
-
-
 def _parse_gammas(raw: str) -> tuple[float, ...]:
     try:
         values = tuple(_float(tok) for tok in raw.split(",") if tok.strip())
     except ValueError as exc:
-        raise _BadValue(f"bad gamma list {raw!r}") from exc
+        raise ValueError(f"bad gamma list {raw!r}") from exc
     if not values:
-        raise _BadValue("empty gamma list")
+        raise ValueError("empty gamma list")
     for g in values:
         if not 0.0 <= g <= 1.0:
-            raise _BadValue(f"gamma {g} outside [0, 1]")
+            raise ValueError(f"gamma {g} outside [0, 1]")
     return values
 
 
@@ -100,7 +91,7 @@ def _load_config(path: str) -> dict[str, str]:
 Spec = dict[str, tuple[Callable[[str], Any], Any, str]]
 
 
-def _resolve(args: argparse.Namespace, spec: Spec) -> None:
+def _resolve(args: SimpleNamespace, spec: Spec) -> None:
     """Fill unset options from the config file, then from built-in defaults."""
     cfg = _load_config(args.config) if args.config else {}
     unknown = sorted(set(cfg) - set(spec))
@@ -192,7 +183,7 @@ EVOLVE_SPEC: Spec = {
 EVOLVE_ROW = ",".join(["%.17g"] * 7) + "\n"
 
 
-def _memory_rates(args: argparse.Namespace) -> tuple[np.ndarray, ...]:
+def _memory_rates(args: SimpleNamespace) -> tuple[np.ndarray, ...]:
     """Re F and Re G at the master's 2n + 1 RK4 stages and both local
     coherences on the n-step evolve grid, read off one amplitude solve per
     atom: its step is dt/2 divided by the least k that keeps it at most the
@@ -221,7 +212,7 @@ def _memory_rates(args: argparse.Namespace) -> tuple[np.ndarray, ...]:
             sol_a.gamma[::2 * k].copy(), sol_b.gamma[::2 * k].copy())
 
 
-def cmd_evolve(args: argparse.Namespace) -> int:
+def cmd_evolve(args: SimpleNamespace) -> int:
     if not 0.0 <= args.rate < math.inf:
         raise ValueError(f"rate must be finite and non-negative, got {args.rate}")
     if not (math.isfinite(args.omega_a) and math.isfinite(args.omega_b)):
@@ -292,7 +283,7 @@ def _summary_path(output: str) -> str:
 SUMMARY_RECORD = '  {\n    "a": %%r,\n    "kind": "%s",\n    "t_d": %s,\n    "gamma_rate": %s\n  }'
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
+def cmd_sweep(args: SimpleNamespace) -> int:
     if args.a_steps < 1 or args.t_steps < 1:
         raise ValueError("a_steps and t_steps must be at least 1")
     for name in ("a_min", "a_max"):
@@ -359,7 +350,7 @@ TD_SPEC: Spec = {
 }
 
 
-def cmd_td(args: argparse.Namespace) -> int:
+def cmd_td(args: SimpleNamespace) -> int:
     """Death time from the closed form; the bisection in esdkit.reference cross-checks it."""
     t_d = float(_death_times(death_time_s(args.a), args.rate, args.natural_units))
     finite = t_d != math.inf
@@ -389,7 +380,7 @@ BOUND_SPEC: Spec = {
 BOUND_ROW = ",%.17g,%.17g,%.17g,%d,%.17g,%.17g\n"
 
 
-def cmd_bound(args: argparse.Namespace) -> int:
+def cmd_bound(args: SimpleNamespace) -> int:
     if args.samples < 1:
         raise ValueError("samples must be at least 1")
     if args.seed < 0:
@@ -428,7 +419,7 @@ def cmd_bound(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------- check
 
-def cmd_check(args: argparse.Namespace) -> int:
+def cmd_check(args: SimpleNamespace) -> int:
     # The probes and the cross-check routes they call load only for check.
     from .selfcheck import run_all
 
@@ -442,7 +433,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------- parser
 
-COMMANDS: dict[str, tuple[Callable[[argparse.Namespace], int], Spec, str]] = {
+COMMANDS: dict[str, tuple[Callable[[SimpleNamespace], int], Spec, str]] = {
     "evolve": (cmd_evolve, EVOLVE_SPEC, "trajectory CSV with Kraus vs master cross-check"),
     "sweep": (cmd_sweep, SWEEP_SPEC, "concurrence surface CSV + death-time summary JSON"),
     "td": (cmd_td, TD_SPEC, "death time for one family parameter (JSON)"),
@@ -451,39 +442,155 @@ COMMANDS: dict[str, tuple[Callable[[argparse.Namespace], int], Spec, str]] = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """One subparser per COMMANDS entry, one flag per option-table entry.
+class _Exit(Exception):
+    """Parsing stops: help, exit 0, or a usage error, exit 2; the text says which."""
 
-    Every flag defaults to None, so _resolve can tell an unset option from
-    an explicit one.
-    """
-    parser = argparse.ArgumentParser(
-        prog="esdkit",
-        description="Two-qubit damping trajectories, concurrence, sudden death.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command, (func, spec, help_text) in COMMANDS.items():
-        p = sub.add_parser(command, help=help_text)
-        p.set_defaults(func=func, spec=spec, config=None)
+    def __init__(self, code: int, text: str) -> None:
+        super().__init__(text)
+        self.code = code
+
+
+# Flag -> (option name, converter, value): a flag with a converter takes one
+# value, a flag without one sets the option to its value.
+Flags = dict[str, tuple[str, Callable[[str], Any] | None, Any]]
+
+
+def _flags(spec: Spec) -> Flags:
+    flags: Flags = {"-h": ("help", None, None), "--help": ("help", None, None)}
+    if spec:
+        flags["--config"] = ("config", str, None)
+    for name, (convert, _default, _text) in spec.items():
+        flag = "--" + name.replace("_", "-")
+        if convert is _parse_bool:
+            flags[flag], flags["--no-" + flag[2:]] = (name, None, True), (name, None, False)
+        else:
+            flags[flag] = (name, convert, None)
+    return flags
+
+
+def _help(command: str | None) -> str:
+    """Usage line; then each command, or each flag with its help and default."""
+    if command is None:
+        lines = [f"usage: esdkit [-h] {{{','.join(COMMANDS)}}} ...", "",
+                 "Two-qubit damping trajectories, concurrence, sudden death.", "", "commands:"]
+        rows = [(name, text) for name, (_func, _spec, text) in COMMANDS.items()]
+    else:
+        _func, spec, about = COMMANDS[command]
+        lines = [f"usage: esdkit {command} [-h] [--option VALUE ...]", "", about, "", "options:"]
+        rows = [("-h, --help", "show this help and exit")]
         if spec:
-            p.add_argument("--config", help="key = value file; flags win over it")
+            rows.append(("--config CONFIG", "key = value file; flags win over it"))
         for name, (convert, default, text) in spec.items():
             flag = "--" + name.replace("_", "-")
-            if default is not None:
-                text = f"{text} (default {default})"
-            if convert is _parse_bool:
-                p.add_argument(flag, action=argparse.BooleanOptionalAction, help=text)
-            else:
-                p.add_argument(flag, type=convert, help=text)
-    return parser
+            flag += f", --no-{flag[2:]}" if convert is _parse_bool else f" {name.upper()}"
+            rows.append((flag, text if default is None else f"{text} (default {default})"))
+    width = max(len(left) for left, _ in rows) + 2
+    return "\n".join(lines + [f"  {left:<{width}}{right}" for left, right in rows])
+
+
+def _usage_error(command: str | None, message: str) -> _Exit:
+    usage = _help(command).partition("\n")[0]
+    prog = "esdkit" if command is None else f"esdkit {command}"
+    return _Exit(2, f"{usage}\n{prog}: error: {message}")
+
+
+def _is_number(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+def _match(token: str, flags: Flags, command: str | None) -> str | None:
+    """The flag a token names, "" for an unknown option, None for a value.
+
+    Up to any "=value", a token names the flag it equals or, after "--",
+    the one flag it is a prefix of; a prefix of several is a usage error.
+    A number (-1e-3 too), "-" and a token with a space that names no flag
+    are values, as is every token not starting with "-"."""
+    if not token.startswith("-") or token == "-" or _is_number(token):
+        return None
+    name = token.partition("=")[0]
+    if name in flags:
+        return name
+    long = len(name) > 2 and name.startswith("--")
+    hits = [flag for flag in flags if flag.startswith(name)] if long else []
+    if len(hits) > 1:
+        raise _usage_error(command, f"ambiguous option: {token} could match {', '.join(hits)}")
+    if hits:
+        return hits[0]
+    return None if " " in token else ""
+
+
+def _act(tokens: list[str], flags: Flags, command: str | None, values: dict) -> list[str]:
+    """Set values from the flags among tokens, in order, and return the
+    tokens no flag takes.  Help raises _Exit(0); a missing or refused value
+    raises _Exit(2).  Every token is matched before the first flag acts, so
+    an ambiguous prefix is reported first."""
+    matched = [_match(token, flags, command) for token in tokens]
+    extras = []
+    i = 0
+    while i < len(tokens):
+        token, flag = tokens[i], matched[i]
+        i += 1
+        if not flag:
+            extras.append(token)
+            continue
+        name, convert, const = flags[flag]
+        _name, eq, raw = token.partition("=")
+        if convert is None:
+            if eq:
+                raise _usage_error(command, f"argument {flag}: ignored explicit argument {raw!r}")
+            if name == "help":
+                raise _Exit(0, _help(command))
+            values[name] = const
+            continue
+        if not eq:
+            if i == len(tokens) or matched[i] is not None:
+                raise _usage_error(command, f"argument {flag}: expected one argument")
+            raw = tokens[i]
+            i += 1
+        try:
+            values[name] = convert(raw)
+        except ValueError as exc:
+            raise _usage_error(command, f"argument {flag}: {exc}") from None
+    return extras
+
+
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """argv -> the command's options, each None where argv does not set it.
+
+    esdkit [-h] COMMAND [OPTION ...]: the first value names the command.  An
+    option is --name VALUE or --name=VALUE, or --name / --no-name for a
+    boolean; a unique prefix of a flag names it, the last of repeated flags
+    wins, and a number is always a value, -1e-3 too.  Unknown options and
+    stray values are reported together, once every flag has acted.
+    """
+    top = _flags({})
+    pos = next((i for i, token in enumerate(argv) if _match(token, top, None) is None),
+               len(argv))
+    extras = _act(argv[:pos], top, None, {})
+    if pos == len(argv):
+        raise _usage_error(None, "the following arguments are required: command")
+    command = argv[pos]
+    if command not in COMMANDS:
+        raise _usage_error(None, f"argument command: invalid choice: {command!r} "
+                                 f"(choose from {', '.join(map(repr, COMMANDS))})")
+    func, spec, _text = COMMANDS[command]
+    values: dict[str, Any] = {"config": None, **dict.fromkeys(spec)}
+    extras += _act(argv[pos + 1:], _flags(spec), command, values)
+    if extras:
+        raise _usage_error(None, f"unrecognized arguments: {' '.join(extras)}")
+    return SimpleNamespace(command=command, func=func, spec=spec, **values)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+    except _Exit as exc:
+        print(exc, file=sys.stderr if exc.code else sys.stdout)
+        return exc.code
     try:
         _resolve(args, args.spec)
         return args.func(args)

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import IntegratorError
 from .linalg import I2, I4, SIGMA_MINUS, dagger
-from .memory import rk4_step_matrix, uniform_grid
+from .memory import _propagate_powers, rk4_step_matrix, uniform_grid
 from .states import assert_density_matrix
 
 POSITIVITY_FLOOR = -1e-8
@@ -56,8 +56,9 @@ def _damping_piece(sm: np.ndarray) -> np.ndarray:
 # matrices are built in real arithmetic.
 _PIECES = np.ascontiguousarray(np.array([_damping_piece(np.kron(SIGMA_MINUS, I2)),
                                          _damping_piece(np.kron(I2, SIGMA_MINUS))]).real)
-# Steps whose propagators are built in one stacked pass: it bounds peak memory
-# (a whole-run stack is 4 KiB per step), and results do not depend on it.
+# Steps whose propagators are built in one stacked pass, on table rates: it
+# bounds peak memory (a whole-run stack is 4 KiB per step), and results do
+# not depend on it.
 PROPAGATOR_BLOCK = 16
 
 
@@ -91,41 +92,43 @@ def integrate_master(
     of uniform_grid(t_max, dt), even k the grid points and odd k the
     midpoints, or one number each for constant rates.  The equation is
     linear in rho, so each step is one 16x16 matrix on rho.ravel(),
-    rk4_step_matrix of the generator at t, t + dt/2 and t + dt.  The
-    matrices are built in real arithmetic PROPAGATOR_BLOCK steps at a time
-    and cast to complex once per block, and a block whose stage coefficients
-    are bitwise those of the block last built applies that block's matrices
-    again: the build is deterministic, so they are the bits a rebuild would
-    give.  Constant rates thus build two blocks, the first and a short last
-    one.  No Hermitian projection is applied.  A step that overflows raises
-    IntegratorError.  After the run the stored states are checked for
-    positivity; an eigenvalue below -1e-8 raises IntegratorError, and
-    otherwise the least eigenvalue is returned as Trajectory.min_eigenvalue.
+    rk4_step_matrix of the generator at t, t + dt/2 and t + dt, built in
+    real arithmetic.  Constant rates make every step the same matrix: it is
+    built once and state j is step^j rho0, by doubling, with the real and
+    imaginary parts of the states as the real columns of one product.  Table
+    rates build the matrices PROPAGATOR_BLOCK steps at a time and apply them
+    one matvec at a time.  No Hermitian projection is applied.  A step that
+    overflows raises IntegratorError.  After the run the stored states are
+    checked for positivity; an eigenvalue below -1e-8 raises
+    IntegratorError, and otherwise the least eigenvalue is returned as
+    Trajectory.min_eigenvalue.
     """
     rho = assert_density_matrix(rho0)
     if rho.shape != (4, 4):
         raise ValueError("master integration expects a two-qubit (4x4) state")
     grid = uniform_grid(t_max, dt)
     n = grid.size - 1
-    coeffs = np.empty((2 * n + 1, 2))  # Re F and Re G on the stage times
-    coeffs[:, 0] = re_f
-    coeffs[:, 1] = re_g
-    states = np.empty((n + 1, 4, 4), dtype=complex)
-    flat = states.reshape(n + 1, 16)
-    flat[0] = rho.ravel()
-    held = b""  # the stage coefficients, as bytes, that built `steps`
     # An unstable step overflows to inf or nan; that is refused after the run.
     with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, n, PROPAGATOR_BLOCK):
-            hi = min(lo + PROPAGATOR_BLOCK, n)
-            stage = coeffs[2 * lo:2 * hi + 1]
-            key = stage.tobytes()
-            if key != held:
-                gen = (stage @ _PIECES).reshape(-1, 16, 16)
+        if np.ndim(re_f) == 0 and np.ndim(re_g) == 0:
+            gen = (np.array([re_f, re_g], dtype=float) @ _PIECES).reshape(16, 16)
+            step = rk4_step_matrix(gen, gen, gen, dt)
+            pairs = rho.astype(complex).ravel().view(float).reshape(16, 2)
+            # Column j of the complex view is state j: the transpose is a view.
+            flat = _propagate_powers(step, pairs, n).view(complex).T
+        else:
+            coeffs = np.empty((2 * n + 1, 2))  # Re F and Re G on the stage times
+            coeffs[:, 0] = re_f
+            coeffs[:, 1] = re_g
+            flat = np.empty((n + 1, 16), dtype=complex)
+            flat[0] = rho.ravel()
+            for lo in range(0, n, PROPAGATOR_BLOCK):
+                hi = min(lo + PROPAGATOR_BLOCK, n)
+                gen = (coeffs[2 * lo:2 * hi + 1] @ _PIECES).reshape(-1, 16, 16)
                 steps = rk4_step_matrix(gen[:-1:2], gen[1::2], gen[2::2], dt).astype(complex)
-                held = key
-            for i, step in enumerate(steps, start=lo):
-                np.matmul(step, flat[i], out=flat[i + 1])
+                for i, step in enumerate(steps, start=lo):
+                    np.matmul(step, flat[i], out=flat[i + 1])
+    states = flat.reshape(n + 1, 4, 4)
     if not np.isfinite(flat).all():
         raise IntegratorError(f"integration overflowed at dt={dt}; reduce dt")
 

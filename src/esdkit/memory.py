@@ -208,28 +208,33 @@ def rk4_step_matrix(l1: np.ndarray, l2: np.ndarray, l4: np.ndarray, h: float) ->
         return eye + (h / 6.0) * (l1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _propagate_powers(phi: np.ndarray, y0: np.ndarray, n: int) -> np.ndarray:
-    """All powers phi^j y0 for j = 0..n, by doubling.
+# OpenBLAS runs a product of at most this many multiply-adds (m*n*k) on one
+# thread; a thread team costs more than it gives on these thin products.
+SERIAL_PRODUCT = 1 << 18
 
-    Columns [k, 2k) are phi^k times columns [0, k), so the n + 1 columns take
+
+def _propagate_powers(phi: np.ndarray, y0: np.ndarray, n: int) -> np.ndarray:
+    """All powers phi^j y0 for j = 0..n, by doubling, for y0 of shape (d, c):
+    column block j of the (d, (n + 1) c) result, columns jc to jc + c - 1,
+    is phi^j y0.
+
+    Blocks [k, 2k) are phi^k times blocks [0, k), so the n + 1 blocks take
     about log2(n) products, and no eigenbasis (ill-conditioned near a
-    defective phi, such as the critically damped kernel) is formed.  The
-    growth guard rejects unstable steps before the powers can overflow, and
-    a step that overflowed when it was built.
+    defective phi, such as the critically damped kernel) is formed.  Each
+    product is split into column chunks of at most SERIAL_PRODUCT / d^2, so
+    none starts BLAS threads.  An unstable phi is not refused here: its
+    powers overflow to inf or nan.
     """
-    if not np.isfinite(phi).all():
-        raise ConvergenceError("unstable step: the step matrix overflows; reduce dt")
-    amplification = float(np.max(np.abs(np.linalg.eigvals(phi))))
-    if amplification > 1.0 + 1e-9:
-        raise ConvergenceError(
-            f"unstable step: stage amplification {amplification:.6f} > 1; reduce dt"
-        )
-    out = np.empty((2, n + 1), dtype=complex)
-    out[:, 0] = y0
+    d, c = y0.shape
+    out = np.empty((d, (n + 1) * c), dtype=np.result_type(phi, y0))
+    out[:, :c] = y0
+    chunk = max(1, SERIAL_PRODUCT // (d * d))
     k, power = 1, phi
     while k <= n:
-        width = min(k, n + 1 - k)
-        out[:, k:k + width] = power @ out[:, :width]
+        width = min(k, n + 1 - k) * c
+        for lo in range(0, width, chunk):
+            hi = min(lo + chunk, width)
+            out[:, k * c + lo:k * c + hi] = power @ out[:, lo:hi]
         power = power @ power
         k *= 2
     return out
@@ -246,14 +251,28 @@ def _solve_exponential(
         [0.5 * kernel.strength * kernel.memory_rate,
          -(kernel.memory_rate + 1j * kernel.center_frequency)],
     ])
-    y0 = np.array([1.0, 0.0], dtype=complex)
+    y0 = np.array([[1.0], [0.0]], dtype=complex)
+
+    def powers(h: float, n: int) -> np.ndarray:
+        # The growth guard rejects an unstable step before its powers can
+        # overflow, and a step that overflowed when it was built.
+        phi = rk4_step_matrix(m, m, m, h)
+        if not np.isfinite(phi).all():
+            raise ConvergenceError("unstable step: the step matrix overflows; reduce dt")
+        amplification = float(np.max(np.abs(np.linalg.eigvals(phi))))
+        if amplification > 1.0 + 1e-9:
+            raise ConvergenceError(
+                f"unstable step: stage amplification {amplification:.6f} > 1; reduce dt"
+            )
+        return _propagate_powers(phi, y0, n)
+
     n = grid.size - 1
     h = float(grid[1] - grid[0])
-    b, z = _propagate_powers(rk4_step_matrix(m, m, m, h), y0, n)
+    b, z = powers(h, n)
     bdot = -1j * omega_atom * b - z
     if not halve:
         return b, bdot, None
-    b_fine = _propagate_powers(rk4_step_matrix(m, m, m, 0.5 * h), y0, 2 * n)[0][::2]
+    b_fine = powers(0.5 * h, 2 * n)[0][::2]
     return b, bdot, float(np.max(np.abs(b - b_fine)))
 
 

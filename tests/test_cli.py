@@ -506,9 +506,8 @@ def test_config_precedence(tmp_path, capsys):
 
 
 def test_option_tables_give_flags_config_keys_and_defaults(tmp_path):
-    parser = cli.build_parser()
     for command, (func, spec, _help) in cli.COMMANDS.items():
-        args = parser.parse_args([command])
+        args = cli.parse_args([command])
         cli._resolve(args, spec)
         assert args.func is func
         assert {name: getattr(args, name) for name in spec} == {
@@ -516,7 +515,7 @@ def test_option_tables_give_flags_config_keys_and_defaults(tmp_path):
         }
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text("a-steps = 7\nnatural_units = off\n")
-    args = parser.parse_args(["sweep", "--config", str(cfg), "--t-steps", "5"])
+    args = cli.parse_args(["sweep", "--config", str(cfg), "--t-steps", "5"])
     cli._resolve(args, cli.SWEEP_SPEC)
     assert (args.a_steps, args.natural_units, args.t_steps, args.rate) == (7, False, 5, 1.0)
 

@@ -1,6 +1,5 @@
 import dataclasses
 import functools
-import math
 import warnings
 from time import perf_counter
 
@@ -313,14 +312,19 @@ def test_propagator_block_does_not_change_outputs(monkeypatch, block):
     rates = _structured_rates()
     rho0 = random_state(4)
     want = integrate_master(rho0, *rates, 0.2, 1e-3)
+    markov = integrate_master(rho0, *markov_rates(1.0, 0.6), 0.2, 1e-3)
     monkeypatch.setattr(master, "PROPAGATOR_BLOCK", block)  # 205 = n + 5
     got = integrate_master(rho0, *rates, 0.2, 1e-3)
     assert np.array_equal(got.states, want.states)
+    # constant rates take powers of one step matrix, whatever the block
+    got = integrate_master(rho0, *markov_rates(1.0, 0.6), 0.2, 1e-3)
+    assert np.array_equal(got.states, markov.states)
 
 
 def integrate_building_every_block(rho0, re_f, re_g, t_max, dt):
-    """integrate_master's stepping with the step matrices of every block
-    built afresh: the reference that a stale reuse would differ from."""
+    """integrate_master's stepping on table rates, with the step matrices
+    of every block built afresh and applied one matvec at a time, also for
+    constant rates."""
     n = uniform_grid(t_max, dt).size - 1
     coeffs = np.empty((2 * n + 1, 2))
     coeffs[:, 0], coeffs[:, 1] = re_f, re_g
@@ -335,24 +339,36 @@ def integrate_building_every_block(rho0, re_f, re_g, t_max, dt):
 
 
 def count_step_builds(monkeypatch):
+    """The generator stacks integrate_master passes to rk4_step_matrix."""
     calls = []
 
     def counting(*args):
-        calls.append(args[0].shape[0])
+        calls.append(args[0].shape)
         return rk4_step_matrix(*args)
 
     monkeypatch.setattr(master, "rk4_step_matrix", counting)
     return calls
 
 
-def test_step_matrices_are_built_once_per_distinct_block(monkeypatch):
+def test_constant_rates_build_one_step_matrix(monkeypatch):
     calls = count_step_builds(monkeypatch)
     integrate_master(random_state(6), *markov_rates(1.0), 3.0, 1e-3)
-    # 3000 steps: one full block serves 187 blocks, then the short last one
-    assert calls == [master.PROPAGATOR_BLOCK, 3000 % master.PROPAGATOR_BLOCK]
+    assert calls == [(16, 16)]
     calls.clear()
     integrate_master(random_state(6), *_structured_rates(), 0.2, 1e-3)
-    assert len(calls) == math.ceil(200 / master.PROPAGATOR_BLOCK)
+    # table rates build every block: 200 steps are 12 blocks of 16 and one of 8
+    assert calls == [(16, 16, 16)] * 12 + [(8, 16, 16)]
+
+
+@pytest.mark.parametrize("rho0", [
+    xstate_to_dense(standard_family(0.8)), random_state(6),
+], ids=["family", "random"])
+def test_constant_rate_powers_match_stepping_every_block(rho0):
+    # 3000 matvecs against about log2(3000) products of one step matrix:
+    # the two roundings differ by 2.5e-14 at most (measured)
+    traj = integrate_master(rho0, *markov_rates(1.0, 0.6), 3.0, 1e-3)
+    want = integrate_building_every_block(rho0, *markov_rates(1.0, 0.6), 3.0, 1e-3)
+    assert np.max(np.abs(traj.states - want)) <= 1e-13
 
 
 def jump_rates(stage, before, after):
@@ -371,24 +387,13 @@ JUMPS = {
 
 
 @pytest.mark.parametrize("name", sorted(JUMPS))
-def test_piecewise_constant_rates_reuse_only_equal_blocks(monkeypatch, name):
+def test_piecewise_constant_rates_match_building_every_block(name):
     stage, atom = JUMPS[name]
     jump = jump_rates(stage, 0.5, 1.5)
     rates = (jump, 0.4) if atom == "f" else (0.4, jump)
     rho0 = random_state(8)
     want = integrate_building_every_block(rho0, *rates, 0.2, 1e-3)
-    calls = count_step_builds(monkeypatch)
     traj = integrate_master(rho0, *rates, 0.2, 1e-3)
-    assert np.array_equal(traj.states, want)
-    # block 0, the block holding the jump, the first block wholly after it,
-    # and the short last block
-    assert calls == [16, 16, 16, 8]
-
-
-def test_markov_run_reusing_blocks_matches_building_every_block():
-    rho0 = xstate_to_dense(standard_family(0.8))
-    traj = integrate_master(rho0, *markov_rates(1.0, 0.6), 3.0, 1e-3)
-    want = integrate_building_every_block(rho0, *markov_rates(1.0, 0.6), 3.0, 1e-3)
     assert np.array_equal(traj.states, want)
 
 

@@ -554,3 +554,22 @@ def test_rk4_step_matrix_is_one_rk4_step_of_a_time_dependent_system():
     k4 = l4 @ (y + h * k3)
     want = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     np.testing.assert_allclose(rk4_step_matrix(l1, l2, l4, h) @ y, want, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("d, c", [(2, 1), (16, 2), (3, 4)])
+@pytest.mark.parametrize("cap", [1, 7, None])
+def test_propagate_powers_are_the_stepped_powers_in_any_chunking(monkeypatch, d, c, cap):
+    # cap = chunk columns per product (1 = one column each); None keeps
+    # SERIAL_PRODUCT, under which n = 1000 fits in one chunk
+    rng = np.random.default_rng(d + c)
+    phi = np.eye(d) + 0.01 * rng.standard_normal((d, d))
+    phi /= np.max(np.abs(np.linalg.eigvals(phi)))  # contractive: no growth to hide errors
+    y0 = rng.standard_normal((d, c))
+    if cap is not None:
+        monkeypatch.setattr(memory, "SERIAL_PRODUCT", cap * d * d)
+    got = memory._propagate_powers(phi, y0, 1000)
+    assert got.shape == (d, 1001 * c)
+    y = y0
+    for j in range(1001):
+        np.testing.assert_allclose(got[:, j * c:(j + 1) * c], y, rtol=0, atol=1e-12)
+        y = phi @ y
