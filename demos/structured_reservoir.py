@@ -23,13 +23,13 @@ RATE = 1.0
 print("weak coupling: sup_t |gamma(t) - e^{-t/2}| over t in [0, 3]")
 print(f"{'lam/rate':>9} {'dt':>8} {'sup gap':>10} {'gamma=|b| defect':>17}")
 for lam, dt in ((10.0, 5e-4), (100.0, 1e-4), (1000.0, 1e-5)):
-    sol = full_solution(ExponentialKernel(RATE, lam), 0.0, 3.0, dt)
+    sol = full_solution(ExponentialKernel(RATE, lam), 3.0, dt)
     gap = float(np.max(np.abs(sol.gamma - np.exp(-0.5 * sol.t))))
     print(f"{lam:9.0f} {dt:8.0e} {gap:10.2e} {gamma_identity_defect(sol):17.2e}")
 
 print()
 print("strong coupling (lam = rate): the amplitude crosses zero")
-sol = solve_amplitude(ExponentialKernel(RATE, 1.0), 0.0, 6.0, 1e-4)
+sol = solve_amplitude(ExponentialKernel(RATE, 1.0), 6.0, 1e-4)
 k = int(np.argmin(np.abs(sol.b)))
 print(f"min |b| = {np.abs(sol.b[k]):.3e} at t = {sol.t[k]:.4f} (3*pi/2 = {1.5 * np.pi:.4f})")
 try:

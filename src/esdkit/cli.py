@@ -34,15 +34,11 @@ import numpy as np
 
 from .channel import coefficients_from_gammas
 from .entanglement import check_bound, concurrence_x
-from .errors import NumericalError
+from .errors import ConvergenceError, NumericalError
 from .esd import death_time_s, family_concurrence, family_image
 from .master import integrate_master, markov_rates
-from .memory import (
-    ExponentialKernel,
-    full_solution,
-    load_kernel_table,
-    uniform_grid,
-)
+from .memory import (ExponentialKernel, Kernel, TabulatedKernel, full_solution,
+                     load_kernel_table, uniform_grid)
 from .states import random_states, standard_family, xstate_to_dense
 
 
@@ -183,13 +179,34 @@ EVOLVE_SPEC: Spec = {
 EVOLVE_ROW = ",".join(["%.17g"] * 7) + "\n"
 
 
+def atom_kernel(kernel: Kernel, omega: float, t_max: float, mem_dt: float) -> Kernel:
+    """kernel in the rotating frame of an atom at frequency omega, where the
+    amplitude solvers read it: alpha(tau) e^{i omega tau}.  A single pole
+    moves to the detuning center - omega; a table is rotated on the solve
+    grid, whose samples alias from pi rad per step on."""
+    if isinstance(kernel, ExponentialKernel):
+        detuning = kernel.center_frequency - omega
+        if not math.isfinite(detuning):
+            raise NumericalError(f"detuning kernel_center - omega = "
+                                 f"{kernel.center_frequency!r} - {omega!r} overflows")
+        return ExponentialKernel(kernel.strength, kernel.memory_rate, detuning)
+    if not abs(omega) * mem_dt < math.pi:
+        raise ConvergenceError(f"step too coarse: at omega {omega!r} the rotating frame turns "
+                               f"the kernel {abs(omega) * mem_dt:.3g} rad per amplitude step "
+                               f"{mem_dt:.3g}, and pi rad aliases; reduce --mem-dt")
+    grid = uniform_grid(t_max, mem_dt)
+    alpha, rotation = kernel.evaluate(grid), np.multiply(grid, 1j * omega)
+    alpha *= np.exp(rotation, out=rotation)
+    return TabulatedKernel(grid, alpha, kernel.source)
+
+
 def _memory_rates(args: SimpleNamespace) -> tuple[np.ndarray, ...]:
     """Re F and Re G at the master's 2n + 1 RK4 stages and both local
     coherences on the n-step evolve grid, read off one amplitude solve per
-    atom: its step is dt/2 divided by the least k that keeps it at most the
-    target, so every k-th point is a stage and every 2k-th a grid point.  The
-    samples are copies: the kernel and the solutions die on return, before
-    the master runs."""
+    atom, each in its atom's rotating frame: its step is dt/2 divided by the
+    least k that keeps it at most the target, so every k-th point is a stage
+    and every 2k-th a grid point.  The samples are copies: the kernels and the
+    solutions die on return, before the master runs."""
     if args.kernel_file is not None:
         kernel = load_kernel_table(args.kernel_file)
         target = args.mem_dt if args.mem_dt is not None else kernel.step
@@ -204,10 +221,12 @@ def _memory_rates(args: SimpleNamespace) -> tuple[np.ndarray, ...]:
         )
     k = max(1, math.ceil(0.5 * args.dt / target - 1e-9))
     mem_dt = 0.5 * args.dt / k
-    sol_a = full_solution(kernel, args.omega_a, args.t_max, mem_dt, tol=args.mem_tol)
-    sol_b = sol_a if args.omega_b == args.omega_a else full_solution(
-        kernel, args.omega_b, args.t_max, mem_dt, tol=args.mem_tol
-    )
+    atoms = {omega: atom_kernel(kernel, omega, args.t_max, mem_dt)
+             for omega in dict.fromkeys((args.omega_a, args.omega_b))}
+    del kernel  # a table's rotated copies replace it before the solves
+    sols = {omega: full_solution(atom, args.t_max, mem_dt, tol=args.mem_tol)
+            for omega, atom in atoms.items()}
+    sol_a, sol_b = sols[args.omega_a], sols[args.omega_b]
     return (sol_a.f.real[::k].copy(), sol_b.f.real[::k].copy(),
             sol_a.gamma[::2 * k].copy(), sol_b.gamma[::2 * k].copy())
 

@@ -1,12 +1,13 @@
 """Memory-kernel evolution of the single-excitation amplitude.
 
-One damped atom with a structured reservoir obeys the Volterra equation
+One damped atom with a structured reservoir obeys, in its rotating frame,
 
-    db/dt + i*omega_atom*b + integral_0^t alpha(t - s) b(s) ds = 0,  b(0) = 1,
+    db/dt + integral_0^t alpha(t - s) b(s) ds = 0,  b(0) = 1,
 
-where alpha is the reservoir correlation kernel.  The solvers return b and
-db/dt; the time-local decay coefficient is F(t) = -(db/dt + i*omega_atom*b)/b,
-and the residual amplitude gamma(t) = |b(t)| feeds the damping channel.
+with alpha the reservoir correlation kernel as that frame sees it
+(cli.atom_kernel), so no atom frequency enters here.  The solvers return b
+and db/dt; the time-local decay coefficient is F(t) = -(db/dt)/b, and the
+residual amplitude gamma(t) = |b(t)| feeds the damping channel.
 
 A single-pole (exponential) kernel reduces the equation to a linear 2x2 ODE
 via the auxiliary memory integral; fixed-step RK4 then makes every grid value
@@ -44,8 +45,8 @@ class ExponentialKernel:
 
     strength is the Markov-limit decay rate (the kernel integrates to
     strength/2 at zero detuning), memory_rate the inverse memory time, and
-    center_frequency the reservoir center.  strength = 0 is allowed and means
-    free evolution.
+    center_frequency the reservoir center, which the solvers read as the
+    detuning from the atom.  strength = 0 is allowed and means free evolution.
     """
 
     strength: float
@@ -106,8 +107,11 @@ class TabulatedKernel:
 
     def evaluate(self, tau: np.ndarray) -> np.ndarray:
         tau = np.asarray(tau, dtype=float)
-        if np.any(tau < -1e-12) or np.any(tau > self.tau[-1] + 1e-9):
+        if np.any(tau < -1e-12):
             raise ValueError("tau outside the tabulated range")
+        if np.any(tau > self.tau[-1] + 1e-9):
+            raise ValueError(f"{self.source} covers tau <= {self.tau[-1]:.6g}, "
+                             f"but the solve needs {np.max(tau):.6g}")
         return np.interp(tau, self.tau, self.alpha)
 
 
@@ -162,7 +166,6 @@ class AmplitudeSolution:
 
     t: np.ndarray
     b: np.ndarray
-    omega_atom: float
     bdot: np.ndarray | None = None
     f: np.ndarray | None = None
     gamma: np.ndarray | None = None
@@ -240,14 +243,13 @@ def _propagate_powers(phi: np.ndarray, y0: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _solve_exponential(
-    kernel: ExponentialKernel, omega_atom: float, grid: np.ndarray, halve: bool
-) -> tuple[np.ndarray, np.ndarray, float | None]:
+def _solve_exponential(kernel: ExponentialKernel, grid: np.ndarray,
+                       halve: bool) -> tuple[np.ndarray, np.ndarray, float | None]:
     # Auxiliary pair (b, z) with z the running memory integral; the pair obeys
     # a constant-coefficient linear system, so fixed-step RK4 is one matrix
-    # power per step.  Returns b, bdot = -i*omega*b - z and the halving drift.
+    # power per step.  Returns b, bdot = -z and the halving drift.
     m = np.array([
-        [-1j * omega_atom, -1.0],
+        [0.0, -1.0],
         [0.5 * kernel.strength * kernel.memory_rate,
          -(kernel.memory_rate + 1j * kernel.center_frequency)],
     ])
@@ -269,11 +271,8 @@ def _solve_exponential(
     n = grid.size - 1
     h = float(grid[1] - grid[0])
     b, z = powers(h, n)
-    bdot = -1j * omega_atom * b - z
-    if not halve:
-        return b, bdot, None
-    b_fine = powers(0.5 * h, 2 * n)[0][::2]
-    return b, bdot, float(np.max(np.abs(b - b_fine)))
+    drift = float(np.max(np.abs(b - powers(0.5 * h, 2 * n)[0][::2]))) if halve else None
+    return b, -z, drift
 
 
 def _circular_product(x: np.ndarray, y: np.ndarray, out: np.ndarray,
@@ -285,29 +284,23 @@ def _circular_product(x: np.ndarray, y: np.ndarray, out: np.ndarray,
     return np.fft.ifft(out, out=out)
 
 
-def _solve_tabulated(
-    kernel: TabulatedKernel, omega_atom: float, grid: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, float]:
+def _solve_tabulated(kernel: TabulatedKernel,
+                     grid: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """Implicit trapezoid scheme, solved as one power-series quotient.
 
-    b_i - b_{i-1} = c (bdot_i + bdot_{i-1}), c = h/2, bdot_i = -i*omega*b_i - S_i,
-    with the trapezoid memory sum S_i = h (A B)_i - c alpha_i - c alpha_0 b_i, is
-    Q B = P in generating functions B = sum b_i x^i, A = sum alpha_k x^k (Lubich,
-    Numer. Math. 52, 129 (1988)): Q = (1 - x) + d, d = c (1 + x)(i*omega -
-    c alpha_0 + h A), and B = 1/2 + (Q_0 + (1 - c i*omega + c^2 alpha_0) x)/(2Q).
+    b_i - b_{i-1} = c (bdot_i + bdot_{i-1}), c = h/2, bdot_i = -S_i, with the
+    trapezoid memory sum S_i = h (A B)_i - c alpha_i - c alpha_0 b_i, is Q B = P
+    in generating functions B = sum b_i x^i, A = sum alpha_k x^k (Lubich,
+    Numer. Math. 52, 129 (1988)): Q = (1 - x) + d, d = c (1 + x)(h A -
+    c alpha_0), and B = 1/2 + (Q_0 + (1 + c^2 alpha_0) x)/(2Q).
     1/Q comes from Newton's iteration g <- g - g (Q g - 1) on FFT products (Kung,
     Numer. Math. 22, 341 (1974)): O(n log n), no loop over grid points.  Returns
     b, bdot and the accumulated predictor-corrector local-error estimate.
     """
-    if kernel.tau[-1] + 1e-9 < grid[-1]:
-        raise ValueError(
-            f"{kernel.source} covers tau <= {kernel.tau[-1]:.6g}, "
-            f"but the solve needs {grid[-1]:.6g}"
-        )
     h = float(grid[1] - grid[0])
     c, n = 0.5 * h, grid.size - 1
     alpha = kernel.evaluate(grid)
-    lin = c * (1j * omega_atom - c * alpha[0])
+    lin = -c * (c * alpha[0])
     q0 = 1.0 + (h * c * alpha[0] + lin)
     # Every FFT product goes through two reused buffers, which keeps the heap
     # from fragmenting; d is built in them, b in g's memory, bdot in alpha's.
@@ -339,11 +332,11 @@ def _solve_tabulated(
     b *= 0.5 * q0
     b[1:] += u[:n]
     b[0] = 1.0
-    # bdot = h (alpha/2 - A B) + (c alpha_0 - i*omega) b, with A B mod x^(n+1)
+    # bdot = h (alpha/2 - A B) + c alpha_0 b, with A B mod x^(n+1)
     # = A_lo B_lo + x^s (A_hi B_lo + A_lo B_hi) over halves of length s: no
     # product outgrows the buffers, so nothing wraps.  Each half of alpha is
     # halved in place once its last product is taken.
-    s, bdot, b_coef = (n + 2) // 2, alpha, c * alpha[0] - 1j * omega_atom
+    s, bdot, b_coef = (n + 2) // 2, alpha, c * alpha[0]
     ab = _circular_product(alpha[s:], b[:s], u, v)
     bdot[s:] *= 0.5
     bdot[s:] -= ab[: n + 1 - s]
@@ -353,23 +346,17 @@ def _solve_tabulated(
     bdot -= ab[: n + 1]
     bdot *= h
     bdot += np.multiply(b, b_coef, out=u[: n + 1])
-    bdot[0] = -1j * omega_atom
+    bdot[0] = 0.0
     # Local error b_i - b_{i-1} - h (3 bdot_{i-1} - bdot_{i-2})/2, Euler at i = 1.
     e = np.subtract(b[1:], b[:-1], out=u[:n])
     e -= np.multiply(bdot[:-1], 1.5 * h, out=v[:n])
     e[1:] += np.multiply(bdot[:-2], 0.5 * h, out=v[: n - 1])
-    e[0] += 0.5 * h * bdot[0]
     return b, bdot, float(np.sum(np.abs(e, out=v.real[:n]))) / 6.0
 
 
-def solve_amplitude(
-    kernel: Kernel,
-    omega_atom: float,
-    t_max: float,
-    dt: float,
-    tol: float = DEFAULT_TOL,
-) -> AmplitudeSolution:
-    """Solve the amplitude equation on a uniform grid 0..t_max.
+def solve_amplitude(kernel: Kernel, t_max: float, dt: float,
+                    tol: float = DEFAULT_TOL) -> AmplitudeSolution:
+    """Solve the rotating-frame amplitude equation on a uniform grid 0..t_max.
 
     Exponential kernels integrate the equivalent linear pair with fixed-step
     RK4 and gate accuracy by a step-halving comparison; tabulated kernels use
@@ -385,10 +372,10 @@ def solve_amplitude(
         raise ValueError(f"tol must be non-negative (inf skips the gate), got {tol}")
     grid = uniform_grid(t_max, dt)
     if isinstance(kernel, ExponentialKernel):
-        b, bdot, error = _solve_exponential(kernel, omega_atom, grid, np.isfinite(tol))
+        b, bdot, error = _solve_exponential(kernel, grid, np.isfinite(tol))
         gate = "halving dt moves b by"
     elif isinstance(kernel, TabulatedKernel):
-        b, bdot, error = _solve_tabulated(kernel, omega_atom, grid)
+        b, bdot, error = _solve_tabulated(kernel, grid)
         gate = "accumulated local-error estimate"
     else:
         raise ValueError(f"unsupported kernel type {type(kernel).__name__}")
@@ -401,11 +388,11 @@ def solve_amplitude(
                 f"|b| exceeds 1 by {overshoot:.3e}: the step is unstable; reduce dt")
         warnings.warn(f"|b| exceeds 1 by {overshoot:.3e}; tabulated kernel may be unphysical",
                       RuntimeWarning, stacklevel=2)
-    return AmplitudeSolution(t=grid, b=b, omega_atom=omega_atom, bdot=bdot, error_estimate=error)
+    return AmplitudeSolution(t=grid, b=b, bdot=bdot, error_estimate=error)
 
 
 def coefficient_f(sol: AmplitudeSolution, b_floor: float = B_FLOOR) -> AmplitudeSolution:
-    """Fill in the time-local decay coefficient f = -(db/dt + i*omega*b)/b.
+    """Fill in the time-local decay coefficient f = -(db/dt)/b.
 
     db/dt is the solver's own (sol.bdot).  Raises SingularCoefficientError
     when |b| dips below b_floor anywhere on the grid (f diverges where b
@@ -422,7 +409,7 @@ def coefficient_f(sol: AmplitudeSolution, b_floor: float = B_FLOOR) -> Amplitude
             f"|b| = {babs[idx]:.3e} < {b_floor:.1e} first at t = {sol.t[idx]:.6g}; "
             "the decay coefficient is singular there"
         )
-    f = -(sol.bdot + 1j * sol.omega_atom * sol.b) / sol.b
+    f = -sol.bdot / sol.b
     f[0] = 0.0
     fr_min = float(f.real.min())
     if fr_min < WEAK_COUPLING_F_FLOOR:
@@ -441,9 +428,9 @@ def _clip_round_off(gamma: np.ndarray) -> np.ndarray:
     return gamma
 
 
-def full_solution(kernel: Kernel, omega_atom: float, t_max: float, dt: float,
+def full_solution(kernel: Kernel, t_max: float, dt: float,
                   tol: float = DEFAULT_TOL) -> AmplitudeSolution:
     """solve_amplitude + coefficient_f in one call, with gamma = |b| clipped
     to 1 where it exceeds 1 by at most CONTRACTIVITY_SLACK."""
-    sol = coefficient_f(solve_amplitude(kernel, omega_atom, t_max, dt, tol=tol))
+    sol = coefficient_f(solve_amplitude(kernel, t_max, dt, tol=tol))
     return replace(sol, gamma=_clip_round_off(np.abs(sol.b)))

@@ -193,7 +193,7 @@ def _bdot(sol: AmplitudeSolution) -> np.ndarray:
 
 
 def volterra_residual(sol: AmplitudeSolution, kernel: Kernel) -> np.ndarray:
-    """Pointwise defect |db/dt + i*omega*b + memory integral| on the grid.
+    """Pointwise defect |db/dt + memory integral| on the grid.
 
     db/dt is reconstructed by centered differences (one-sided second-order
     stencils at the ends) and the memory integral by trapezoid quadrature, so
@@ -208,7 +208,7 @@ def volterra_residual(sol: AmplitudeSolution, kernel: Kernel) -> np.ndarray:
     full = _circular_product(alpha, b, *work)[: n + 1]
     q = h * (full - 0.5 * alpha * b[0] - 0.5 * alpha[0] * b)
     q[0] = 0.0
-    return np.abs(bdot + 1j * sol.omega_atom * b + q)
+    return np.abs(bdot + q)
 
 
 def gamma_of_t(sol: AmplitudeSolution) -> AmplitudeSolution:

@@ -14,11 +14,12 @@ from typing import Callable
 import numpy as np
 
 from .channel import coefficients_from_gammas
+from .cli import atom_kernel
 from .entanglement import check_bound, concurrence, concurrence_x
 from .esd import death_time_s, family_concurrence
 from .linalg import dagger
 from .master import integrate_master, markov_rates
-from .memory import ExponentialKernel, full_solution, solve_amplitude
+from .memory import ExponentialKernel, TabulatedKernel, full_solution, solve_amplitude
 from .reference import (apply_channel, coefficients_markov, disentanglement_time,
                         gamma_identity_defect, pure_state, random_xstate, volterra_residual)
 from .states import (assert_density_matrix, random_state, random_states, standard_family,
@@ -87,20 +88,26 @@ def check_bound_random() -> tuple[bool, str]:
     return True, f"worst lhs-rhs gap {gaps.max():.2e}"
 
 
-def check_memory_free() -> tuple[bool, str]:
-    sol = solve_amplitude(ExponentialKernel(0.0, 5.0), 2.0, 3.0, 1e-3)
-    worst = float(np.max(np.abs(np.abs(sol.b) - 1.0)))
-    return worst < 1e-12, f"max | |b|-1 | = {worst:.2e}"
+def check_memory_resonant_frame() -> tuple[bool, str]:
+    # An atom at omega = 50 reads a kernel centred at 50, single pole or
+    # table, at zero detuning: gamma is the two-exponential closed form.
+    pole, t, d = ExponentialKernel(1.0, 5.0, 50.0), np.arange(2001) * 1e-3, np.sqrt(15.0)
+    want = ((1 + 5 / d) * np.exp((d - 5) * t / 2) + (1 - 5 / d) * np.exp(-(d + 5) * t / 2)) / 2
+    gaps = [np.max(np.abs(full_solution(atom_kernel(k, 50.0, 2.0, 1e-3), 2.0, 1e-3,
+                                        tol=tol).gamma - want))
+            for k, tol in ((pole, 1e-8), (TabulatedKernel(t, pole.evaluate(t)), np.inf))]
+    return (gaps[0] < 1e-8 and gaps[1] < 1e-6,
+            f"gap to the closed form {gaps[0]:.2e} (pole), {gaps[1]:.2e} (table)")
 
 
 def check_memory_markov_limit() -> tuple[bool, str]:
-    sol = full_solution(ExponentialKernel(1.0, 100.0), 1.0, 3.0, 5e-5)
+    sol = full_solution(ExponentialKernel(1.0, 100.0), 3.0, 5e-5)
     worst = float(np.max(np.abs(sol.gamma - np.exp(-0.5 * sol.t))))
     return worst < 0.02, f"sup deviation from Markov decay {worst:.2e}"
 
 
 def check_memory_gamma_identity() -> tuple[bool, str]:
-    sol = full_solution(ExponentialKernel(1.0, 20.0), 1.0, 3.0, 2e-4)
+    sol = full_solution(ExponentialKernel(1.0, 20.0), 3.0, 2e-4)
     defect = gamma_identity_defect(sol)
     return defect < 1e-6, f"gamma vs |b| defect {defect:.2e}"
 
@@ -109,7 +116,7 @@ def check_memory_residual_order() -> tuple[bool, str]:
     kernel = ExponentialKernel(1.0, 5.0)
     res = []
     for dt in (4e-3, 2e-3):
-        sol = solve_amplitude(kernel, 1.0, 2.0, dt, tol=np.inf)
+        sol = solve_amplitude(kernel, 2.0, dt, tol=np.inf)
         res.append(float(np.max(volterra_residual(sol, kernel))))
     ratio = res[0] / res[1]
     return ratio > 3.5, f"residual ratio under halving {ratio:.2f}"
@@ -162,7 +169,8 @@ _CHECKS: list[tuple[str, Callable[[], tuple[bool, str]]]] = [
     ("entanglement: Hermitian route matches the X closed form", check_concurrence_x_agreement),
     ("entanglement: concurrence is local-unitary invariant", check_concurrence_local_unitary),
     ("entanglement: decay bound holds on random states", check_bound_random),
-    ("memory: zero coupling keeps |b| = 1", check_memory_free),
+    ("memory: an atom at the kernel centre sees the resonant closed form",
+     check_memory_resonant_frame),
     ("memory: broad kernel approaches the Markov law", check_memory_markov_limit),
     ("memory: gamma equals |b|", check_memory_gamma_identity),
     ("memory: residual diagnostic converges at second order", check_memory_residual_order),

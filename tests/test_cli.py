@@ -10,12 +10,16 @@ import sys
 import warnings
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from esdkit import channel, cli, entanglement, memory, reference, selfcheck
+from esdkit.cli import atom_kernel
 from esdkit.channel import coefficients_from_gammas
 from esdkit.entanglement import check_bound, concurrence, concurrence_x
 from esdkit.errors import NumericalError
@@ -229,12 +233,90 @@ def test_tabulated_kernel_matches_exponential_and_gates(tmp_path, capsys):
     assert run(*common, "--memory-rate", "5", "--output", str(pole)) == 0
     gap = np.max(np.abs(load_csv(tab) - load_csv(pole)), axis=0)
     assert np.all(gap[1:4] < 1e-6)  # concurrence, local_coh_A, local_coh_B
-    assert [quoted(g) for g in gap[1:4]] == ["3.7e-07", "5.3e-07", "5.3e-07"]
+    assert [quoted(g) for g in gap[1:4]] == ["3.7e-07", "5.5e-07", "5.5e-07"]
     capsys.readouterr()
     # without --mem-tol the default 1e-8 gate rejects the 1e-3 table step
     assert run(*common, "--kernel-file", str(table),
                "--output", str(tmp_path / "gated.csv")) == 3
     assert "accumulated local-error" in capsys.readouterr().err
+
+
+def lab_frame_pair(lam: float, centre: float, omega: float, dt: float,
+                   rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """b and z at k dt, k < rows, of the lab-frame pair b' = -i omega b - z,
+    z' = (lam/2) b - (lam + i centre) z, (b, z)(0) = (1, 0): strength 1, an
+    atom at omega, stepped by its exact propagator expm(m dt) in 30 digits.
+    The decay coefficient is F = -(b' + i omega b)/b = z/b."""
+    with mpmath.workdps(30):
+        m = mpmath.matrix([[-1j * omega, -1], [0.5 * lam, -(lam + 1j * centre)]])
+        step, y, out = mpmath.expm(m * dt), mpmath.matrix([1, 0]), []
+        for _ in range(rows):
+            out.append((complex(y[0]), complex(y[1])))
+            y = step * y
+    return tuple(np.array(out).T)
+
+
+@pytest.mark.parametrize("omega", ["100", "1000"])
+def test_resonant_memory_run_is_the_zero_frequency_run(tmp_path, omega):
+    # each amplitude is solved in its atom's rotating frame, where an atom at
+    # the reservoir centre reads the kernel at zero detuning whatever omega is
+    runs = {}
+    for w in ("0", omega):
+        out = tmp_path / f"res{w}.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("evolve", "--memory-rate", "5", "--omega-a", w, "--omega-b", w,
+                       "--kernel-center", w, "--output", str(out)) == 0
+        runs[w] = out.read_bytes()
+    assert runs[omega] == runs["0"]
+
+
+@settings(max_examples=25, deadline=None)
+@given(omega=st.floats(-1e3, 1e3), detuning=st.one_of(st.just(0.0), st.floats(-20.0, 20.0)),
+       lam=st.floats(2.0, 20.0))
+@example(omega=1e3, detuning=0.0, lam=5.0)
+@example(omega=-1e3, detuning=15.0, lam=5.0)
+def test_memory_rates_match_the_lab_frame_pair(omega, detuning, lam):
+    # |b| and Re F of evolve's solve, in each atom's rotating frame, against
+    # the exact lab-frame amplitude: within the default 1e-8 gate at any
+    # frequency, on resonance and detuned
+    args = SimpleNamespace(kernel_file=None, memory_rate=lam, rate=1.0, mem_dt=None,
+                           dt=1e-3, t_max=2.0, mem_tol=1e-8, omega_a=omega, omega_b=omega,
+                           kernel_center=omega + detuning)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # Re F < 0 off resonance
+        re_f, _, gamma, _ = cli._memory_rates(args)
+    b, z = lab_frame_pair(lam, args.kernel_center, omega, 0.25, 9)
+    assert np.max(np.abs(gamma[::250] - np.abs(b))) < 1e-8
+    assert np.max(np.abs(re_f[::500] - (z / b).real)) < 1e-8
+
+
+def test_tabulated_rotation_refuses_an_aliasing_step(tmp_path, capsys):
+    # the table recipe of docs/reproduction.md: below pi rad per amplitude
+    # step the rotated table stays near the exact solution; from pi rad on
+    # its samples alias onto another detuning, and the run exits 3
+    tau = np.arange(0, 1.0 + 5e-4, 1e-3)
+    table = tmp_path / "kern.txt"
+    write_table(table, tau, ExponentialKernel(1.0, 5.0, 0.0).evaluate(tau))
+    common = ("evolve", "--a", "1", "--kernel-file", str(table), "--t-max", "1",
+              "--mem-dt", "1e-3", "--mem-tol", "1e-3")
+    out = tmp_path / "tab.csv"
+    for omega in ("30", "100", "1000"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # Re F < 0 off resonance
+            assert run(*common, "--omega-a", omega, "--omega-b", omega,
+                       "--output", str(out)) == 0
+        b, _ = lab_frame_pair(5.0, 0.0, float(omega), 1e-3, 1001)
+        assert np.max(np.abs(load_csv(out)[:, 2:4] - np.abs(b)[:, None])) < 2.1e-7
+    out.unlink()
+    capsys.readouterr()
+    for omega in ("1e5", "1e308"):
+        assert run(*common, "--omega-a", omega, "--output", str(out)) == 3
+        assert capsys.readouterr().err == (
+            f"numerical failure: step too coarse: at omega {float(omega)!r} the rotating "
+            f"frame turns the kernel {float(omega) * 5e-4:.3g} rad per amplitude step "
+            "0.0005, and pi rad aliases; reduce --mem-dt\n")
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("t_max, extra", [("0.001", ("--dt", "0.001")), ("0.002", ())])
@@ -247,7 +329,7 @@ def test_one_step_amplitude_grid_runs(tmp_path, t_max, extra):
         assert run("evolve", "--memory-rate", "5", "--t-max", t_max, "--mem-dt", t_max,
                    *extra, "--output", str(out)) == 0
     rows = load_csv(out)
-    fine = full_solution(ExponentialKernel(1.0, 5.0), 0.0, float(t_max), 1e-6)
+    fine = full_solution(ExponentialKernel(1.0, 5.0, -1.0), float(t_max), 1e-6)
     gamma = np.interp(rows[:, 0], fine.t, fine.gamma)
     assert np.max(np.abs(rows[:, 2:4] - gamma[:, None])) < 1e-6
 
@@ -291,7 +373,7 @@ def test_evolve_local_coherences_are_the_solved_abs_b(tmp_path, source):
     assert run("evolve", *argv, "--output", str(out)) == 0
     rows = load_csv(out)
     for col, omega in ((2, 1.0), (3, 1.3)):
-        sol = solve_amplitude(kernel, omega, 1.0, 5e-4, tol=tol)
+        sol = solve_amplitude(atom_kernel(kernel, omega, 1.0, 5e-4), 1.0, 5e-4, tol=tol)
         assert np.array_equal(rows[:, col], clipped_abs_b(sol)[::2])
 
 
@@ -338,7 +420,7 @@ def test_evolve_master_rates_are_strided_off_the_solve(tmp_path, monkeypatch):
     assert run("evolve", "--memory-rate", "5", "--mem-dt", "2e-4", "--omega-b", "1.3",
                "--output", str(tmp_path / "evolve.csv")) == 0
     for rates, omega in zip(got, (1.0, 1.3)):
-        sol = full_solution(ExponentialKernel(1.0, 5.0), omega, 3.0, 5e-4 / 3)
+        sol = full_solution(ExponentialKernel(1.0, 5.0, -omega), 3.0, 5e-4 / 3)
         assert rates.shape == (6001,)
         assert rates.tobytes() == sol.f.real[::3].tobytes()
 
@@ -598,7 +680,7 @@ CHECK_NAMES = [
     "entanglement: Hermitian route matches the X closed form",
     "entanglement: concurrence is local-unitary invariant",
     "entanglement: decay bound holds on random states",
-    "memory: zero coupling keeps |b| = 1",
+    "memory: an atom at the kernel centre sees the resonant closed form",
     "memory: broad kernel approaches the Markov law",
     "memory: gamma equals |b|",
     "memory: residual diagnostic converges at second order",
@@ -627,6 +709,17 @@ def test_check_failure_exits_4(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "FAIL - forced" in out
     assert "0/1 checks passed" in out
+
+
+def test_resonant_frame_probe_fails_on_lab_frame_kernels(monkeypatch):
+    # handed the lab-frame kernels unrotated, detuned by 50, the probe fails
+    assert selfcheck.check_memory_resonant_frame()[0]
+    monkeypatch.setattr(selfcheck, "atom_kernel", lambda kernel, omega, t_max, dt: kernel)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # Re F < 0 off resonance
+        passed, detail = selfcheck.check_memory_resonant_frame()
+    assert not passed
+    assert detail == "gap to the closed form 6.18e-01 (pole), 6.18e-01 (table)"
 
 
 def test_stacked_bound_check_names_the_first_violation(monkeypatch):
@@ -783,12 +876,9 @@ def old_evolve_csv(a=1.0, rate=1.0, t_max=3.0, omega_a=1.0, omega_b=1.0,
         rates = markov_rates(rate)
         ga = gb = np.exp(-0.5 * rate * grid)
     else:
-        kernel = ExponentialKernel(rate, memory_rate, 0.0)
         k = max(1, math.ceil(0.5 * dt / mem_dt - 1e-9))
-        sol_a = full_solution(kernel, omega_a, t_max, 0.5 * dt / k, tol=1e-8)
-        sol_b = sol_a if omega_b == omega_a else full_solution(
-            kernel, omega_b, t_max, 0.5 * dt / k, tol=1e-8
-        )
+        sol_a, sol_b = (full_solution(ExponentialKernel(rate, memory_rate, -omega), t_max,
+                                      0.5 * dt / k, tol=1e-8) for omega in (omega_a, omega_b))
         rates = sol_a.f.real[::k], sol_b.f.real[::k]
         ga, gb = sol_a.gamma[::2 * k], sol_b.gamma[::2 * k]
     traj = integrate_master(rho0, *rates, t_max, dt)
@@ -1045,6 +1135,11 @@ def test_grid_too_large_to_allocate_exits_2(tmp_path, capsys, argv):
      "numerical failure: unstable step: the step matrix overflows; reduce dt"),
     (["evolve", "--memory-rate", "5", "--kernel-center", "1e308"], 3,
      "numerical failure: unstable step: the step matrix overflows; reduce dt"),
+    (["evolve", "--memory-rate", "5", "--omega-a", "1e308", "--kernel-center", "-1e308"], 3,
+     "numerical failure: detuning kernel_center - omega = -1e+308 - 1e+308 overflows"),
+    (["evolve", "--memory-rate", "5", "--omega-a", "-1e308", "--omega-b", "-1e308",
+      "--kernel-center", "1e308"], 3,
+     "numerical failure: detuning kernel_center - omega = 1e+308 - -1e+308 overflows"),
 ])
 def test_overflow_exits_with_its_code_and_no_warning(tmp_path, capsys, argv, code, message):
     with warnings.catch_warnings():
@@ -1126,8 +1221,8 @@ def test_evolve_columns_match_the_dense_routes(tmp_path, argv):
     conc, ga, gb, maxdiff = data[:, 1], data[:, 2], data[:, 3], data[:, 6]
     omega_b = 1.3 if argv else 1.0
     if argv:
-        kernel = ExponentialKernel(1.0, 5.0)
-        rates = [full_solution(kernel, omega, 3.0, 5e-4).f.real for omega in (1.0, omega_b)]
+        rates = [full_solution(ExponentialKernel(1.0, 5.0, -omega), 3.0, 5e-4).f.real
+                 for omega in (1.0, omega_b)]
     else:
         rates = markov_rates(1.0)
     rho0 = xstate_to_dense(standard_family(1.0))

@@ -114,8 +114,8 @@ def test_table_rates_match_channel_with_solved_gamma():
     # to its own RK4 error (measured 4.9e-13), the solve having a point at
     # every stage; the trapezoid route exp(-integral Re f) trails by its
     # O(h^2) quadrature (2.8e-9)
-    kernel = ExponentialKernel(1.0, 20.0, 5.0)
-    sol = full_solution(kernel, 5.0, 2.0, 1e-4)
+    kernel = ExponentialKernel(1.0, 20.0, 5.0 - 5.0)  # centre 5 as an atom at 5 reads it
+    sol = full_solution(kernel, 2.0, 1e-4)
     rho0 = xstate_to_dense(standard_family(1.0))
     re_f = stage_rates(sol, 2e-4)
     traj = integrate_master(rho0, re_f, re_f, 2.0, 2e-4)
@@ -255,7 +255,8 @@ def to_lab_frame(states, phase_a, phase_b):
 
 @functools.cache
 def _structured_solution(omega=5.0):
-    return full_solution(ExponentialKernel(1.0, 20.0, 5.0), omega, 1.0, 1e-4)
+    # the kernel centred at 5 in the rotating frame of an atom at omega
+    return full_solution(ExponentialKernel(1.0, 20.0, 5.0 - omega), 1.0, 1e-4)
 
 
 def _markov_case(rate_a, rate_b, omega_a, omega_b):
