@@ -170,7 +170,7 @@ EVOLVE_SPEC: Spec = {
     "kernel_center": (_float, 0.0, "reservoir center frequency"),
     "kernel_file": (str, None, "tabulated kernel: rows 'tau alpha_re alpha_im'"),
     "mem_dt": (_float, None, "largest amplitude-solver step; the step used divides dt/2"),
-    "mem_tol": (_float, 1e-8, "amplitude-solver convergence gate"),
+    "mem_tol": (_float, 1e-8, "tabulated-kernel solver convergence gate"),
     "natural_units": (_parse_bool, True, "report times as rate*t"),
     "output": (str, "evolve.csv", "CSV path"),
 }
@@ -204,17 +204,18 @@ def _memory_rates(args: SimpleNamespace) -> tuple[np.ndarray, ...]:
     """Re F and Re G at the master's 2n + 1 RK4 stages and both local
     coherences on the n-step evolve grid, read off one amplitude solve per
     atom, each in its atom's rotating frame: its step is dt/2 divided by the
-    least k that keeps it at most the target, so every k-th point is a stage
-    and every 2k-th a grid point.  The samples are copies: the kernels and the
+    least k that keeps it at most --mem-dt, else the table's step, else dt
+    (a single pole is exact at any step), so every k-th point is a stage and
+    every 2k-th a grid point.  The samples are copies: the kernels and the
     solutions die on return, before the master runs."""
     if args.kernel_file is not None:
         kernel = load_kernel_table(args.kernel_file)
-        target = args.mem_dt if args.mem_dt is not None else kernel.step
+        target = kernel.step
     else:
         kernel = ExponentialKernel(args.rate, args.memory_rate, args.kernel_center)
-        target = args.mem_dt if args.mem_dt is not None else min(
-            args.dt, 0.005 / args.memory_rate
-        )
+        target = args.dt
+    if args.mem_dt is not None:
+        target = args.mem_dt
     if args.t_max / target == math.inf:
         raise ValueError(
             f"t_max={args.t_max} / amplitude step {target} overflows: too many steps"

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import IntegratorError
 from .linalg import I2, I4, SIGMA_MINUS, dagger
-from .memory import _propagate_powers, rk4_step_matrix, uniform_grid
+from .memory import uniform_grid
 from .states import assert_density_matrix
 
 POSITIVITY_FLOOR = -1e-8
@@ -60,6 +60,54 @@ _PIECES = np.ascontiguousarray(np.array([_damping_piece(np.kron(SIGMA_MINUS, I2)
 # bounds peak memory (a whole-run stack is 4 KiB per step), and results do
 # not depend on it.
 PROPAGATOR_BLOCK = 16
+
+
+def rk4_step_matrix(l1: np.ndarray, l2: np.ndarray, l4: np.ndarray, h: float) -> np.ndarray:
+    """One classical RK4 step of y' = L(t) y as a matrix, for (..., d, d) stacks.
+
+    l1, l2 and l4 are L at t, t + h/2 and t + h.  The stages are
+    k2 = L2 (I + h/2 L1), k3 = L2 (I + h/2 k2), k4 = L4 (I + h k3), and the
+    step is I + h/6 (L1 + 2 k2 + 2 k3 + k4): sum_{k<=4} (h m)^k / k! for L = m.
+    A step too large for the floats comes back with inf or nan entries, and
+    no warning; the caller refuses it.
+    """
+    eye = np.eye(l1.shape[-1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        k2 = l2 @ (eye + 0.5 * h * l1)
+        k3 = l2 @ (eye + 0.5 * h * k2)
+        k4 = l4 @ (eye + h * k3)
+        return eye + (h / 6.0) * (l1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+# OpenBLAS runs a product of at most this many multiply-adds (m*n*k) on one
+# thread; a thread team costs more than it gives on these thin products.
+SERIAL_PRODUCT = 1 << 18
+
+
+def _propagate_powers(phi: np.ndarray, y0: np.ndarray, n: int) -> np.ndarray:
+    """All powers phi^j y0 for j = 0..n, by doubling, for y0 of shape (d, c):
+    column block j of the (d, (n + 1) c) result, columns jc to jc + c - 1,
+    is phi^j y0.
+
+    Blocks [k, 2k) are phi^k times blocks [0, k), so the n + 1 blocks take
+    about log2(n) products, and no eigenbasis (ill-conditioned near a
+    defective phi) is formed.  Each product is split into column chunks of
+    at most SERIAL_PRODUCT / d^2, so none starts BLAS threads.  An unstable
+    phi is not refused here: its powers overflow to inf or nan.
+    """
+    d, c = y0.shape
+    out = np.empty((d, (n + 1) * c), dtype=np.result_type(phi, y0))
+    out[:, :c] = y0
+    chunk = max(1, SERIAL_PRODUCT // (d * d))
+    k, power = 1, phi
+    while k <= n:
+        width = min(k, n + 1 - k) * c
+        for lo in range(0, width, chunk):
+            hi = min(lo + chunk, width)
+            out[:, k * c + lo:k * c + hi] = power @ out[:, lo:hi]
+        power = power @ power
+        k *= 2
+    return out
 
 
 @dataclass(frozen=True)

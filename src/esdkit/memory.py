@@ -10,8 +10,8 @@ and db/dt; the time-local decay coefficient is F(t) = -(db/dt)/b, and the
 residual amplitude gamma(t) = |b(t)| feeds the damping channel.
 
 A single-pole (exponential) kernel reduces the equation to a linear 2x2 ODE
-via the auxiliary memory integral; fixed-step RK4 then makes every grid value
-a power of one 2x2 step matrix, formed by doubling.  Tabulated kernels are
+with constant coefficients via the auxiliary memory integral, whose exact
+solution is evaluated at every grid point.  Tabulated kernels are
 handled by an implicit trapezoid scheme; being linear with constant
 coefficients, it is one power-series quotient B = P/Q in generating
 functions (Lubich 1988), and 1/Q comes from Newton's iteration with FFT
@@ -22,7 +22,7 @@ the step-by-step O(n^2) scheme to round-off.  Only numpy is needed.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from typing import Union
 
 import numpy as np
@@ -36,7 +36,6 @@ DEFAULT_TOL = 1e-8
 B_FLOOR = 1e-6
 # Allowed excess of |b| over 1 in solve_amplitude, and of gamma, clipped to 1.
 CONTRACTIVITY_SLACK = 1e-9
-WEAK_COUPLING_F_FLOOR = -1e-9
 
 
 @dataclass(frozen=True)
@@ -161,8 +160,9 @@ def load_kernel_table(path) -> TabulatedKernel:
 @dataclass(frozen=True)
 class AmplitudeSolution:
     """Amplitude b and the solver's db/dt on a uniform grid, the error estimate
-    its gate compared with tol (None if tol = inf skipped it), and, once
-    computed, the decay coefficient f and the residual amplitude gamma."""
+    the tabulated solver's gate compared with tol (None for an exponential
+    kernel, whose solution is exact), and, once computed, the decay
+    coefficient f and the residual amplitude gamma."""
 
     t: np.ndarray
     b: np.ndarray
@@ -194,85 +194,35 @@ def uniform_grid(t_max: float, dt: float) -> np.ndarray:
         raise ValueError(f"t_max={t_max} / dt={dt} gives {n + 1:.3g} grid points: {exc}") from None
 
 
-def rk4_step_matrix(l1: np.ndarray, l2: np.ndarray, l4: np.ndarray, h: float) -> np.ndarray:
-    """One classical RK4 step of y' = L(t) y as a matrix, for (..., d, d) stacks.
+def _solve_exponential(kernel: ExponentialKernel,
+                       grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """b and bdot = -z of the pair y = (b, z), z the running memory integral,
+    exactly: y' = M y with constant M = [[0, -1], [g, -(rate + i center)]],
+    g = strength * rate / 2, so y(t) = exp(M t) y(0), here by Sylvester's
+    formula about the slow root l1 (docs/derivations.md, section 6):
 
-    l1, l2 and l4 are L at t, t + h/2 and t + h.  The stages are
-    k2 = L2 (I + h/2 L1), k3 = L2 (I + h/2 k2), k4 = L4 (I + h k3), and the
-    step is I + h/6 (L1 + 2 k2 + 2 k3 + k4): sum_{k<=4} (h m)^k / k! for L = m.
-    A step too large for the floats comes back with inf or nan entries, and
-    no warning; the caller refuses it.
+        exp(M t) = e^{l1 t} [I + t phi(x) (M - l1 I)],  x = (l1 - l2) t,
+        phi(x) = -expm1(-x)/x,  phi(0) = 1.
+
+    It is exact at critical damping (l1 = l2), and zero coupling gives
+    l1 = 0, b = 1 and bdot = 0 exactly.
     """
-    eye = np.eye(l1.shape[-1])
-    with np.errstate(over="ignore", invalid="ignore"):
-        k2 = l2 @ (eye + 0.5 * h * l1)
-        k3 = l2 @ (eye + 0.5 * h * k2)
-        k4 = l4 @ (eye + h * k3)
-        return eye + (h / 6.0) * (l1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-# OpenBLAS runs a product of at most this many multiply-adds (m*n*k) on one
-# thread; a thread team costs more than it gives on these thin products.
-SERIAL_PRODUCT = 1 << 18
-
-
-def _propagate_powers(phi: np.ndarray, y0: np.ndarray, n: int) -> np.ndarray:
-    """All powers phi^j y0 for j = 0..n, by doubling, for y0 of shape (d, c):
-    column block j of the (d, (n + 1) c) result, columns jc to jc + c - 1,
-    is phi^j y0.
-
-    Blocks [k, 2k) are phi^k times blocks [0, k), so the n + 1 blocks take
-    about log2(n) products, and no eigenbasis (ill-conditioned near a
-    defective phi, such as the critically damped kernel) is formed.  Each
-    product is split into column chunks of at most SERIAL_PRODUCT / d^2, so
-    none starts BLAS threads.  An unstable phi is not refused here: its
-    powers overflow to inf or nan.
-    """
-    d, c = y0.shape
-    out = np.empty((d, (n + 1) * c), dtype=np.result_type(phi, y0))
-    out[:, :c] = y0
-    chunk = max(1, SERIAL_PRODUCT // (d * d))
-    k, power = 1, phi
-    while k <= n:
-        width = min(k, n + 1 - k) * c
-        for lo in range(0, width, chunk):
-            hi = min(lo + chunk, width)
-            out[:, k * c + lo:k * c + hi] = power @ out[:, lo:hi]
-        power = power @ power
-        k *= 2
-    return out
-
-
-def _solve_exponential(kernel: ExponentialKernel, grid: np.ndarray,
-                       halve: bool) -> tuple[np.ndarray, np.ndarray, float | None]:
-    # Auxiliary pair (b, z) with z the running memory integral; the pair obeys
-    # a constant-coefficient linear system, so fixed-step RK4 is one matrix
-    # power per step.  Returns b, bdot = -z and the halving drift.
-    m = np.array([
-        [0.0, -1.0],
-        [0.5 * kernel.strength * kernel.memory_rate,
-         -(kernel.memory_rate + 1j * kernel.center_frequency)],
-    ])
-    y0 = np.array([[1.0], [0.0]], dtype=complex)
-
-    def powers(h: float, n: int) -> np.ndarray:
-        # The growth guard rejects an unstable step before its powers can
-        # overflow, and a step that overflowed when it was built.
-        phi = rk4_step_matrix(m, m, m, h)
-        if not np.isfinite(phi).all():
-            raise ConvergenceError("unstable step: the step matrix overflows; reduce dt")
-        amplification = float(np.max(np.abs(np.linalg.eigvals(phi))))
-        if amplification > 1.0 + 1e-9:
-            raise ConvergenceError(
-                f"unstable step: stage amplification {amplification:.6f} > 1; reduce dt"
-            )
-        return _propagate_powers(phi, y0, n)
-
-    n = grid.size - 1
-    h = float(grid[1] - grid[0])
-    b, z = powers(h, n)
-    drift = float(np.max(np.abs(b - powers(0.5 * h, 2 * n)[0][::2]))) if halve else None
-    return b, -z, drift
+    g = 0.5 * kernel.strength * kernel.memory_rate
+    mu = -0.5 * complex(kernel.memory_rate, kernel.center_frequency)
+    # The fast root l2 = mu + delta, delta^2 = mu^2 - g = (mu - sqrt g)(mu + sqrt g)
+    # formed as a product, which cannot overflow, and taken along mu: the sum
+    # does not cancel, and Re(l2 - l1) <= 0.  l1 = g/l2 by Vieta; g = 0 can
+    # come with mu = 0 (memory rate 5e-324), where l2 = 0 too.
+    delta = np.sqrt(mu - np.sqrt(g)) * np.sqrt(mu + np.sqrt(g))
+    if (delta * mu.conjugate()).real < 0.0:
+        delta = -delta
+    l2 = mu + delta
+    l1 = g / l2 if g else 0.0
+    # t phi(x) = -expm1(-x)/(l1 - l2), which stays finite where x overflows
+    d = l1 - l2
+    t_phi = -np.expm1(-d * grid) / d if d != 0.0 else grid.astype(complex)
+    decay = np.exp(l1 * grid)
+    return decay * (1.0 - l1 * t_phi), -g * decay * t_phi
 
 
 def _circular_product(x: np.ndarray, y: np.ndarray, out: np.ndarray,
@@ -358,12 +308,13 @@ def solve_amplitude(kernel: Kernel, t_max: float, dt: float,
                     tol: float = DEFAULT_TOL) -> AmplitudeSolution:
     """Solve the rotating-frame amplitude equation on a uniform grid 0..t_max.
 
-    Exponential kernels integrate the equivalent linear pair with fixed-step
-    RK4 and gate accuracy by a step-halving comparison; tabulated kernels use
-    an implicit trapezoid scheme and gate by an accumulated predictor-corrector
-    error estimate, returned as error_estimate.  Both return their scheme's
-    db/dt as bdot.  The gate raises ConvergenceError when the estimate exceeds
-    tol; tol=inf skips it (convergence studies), NaN or a negative tol is a ValueError.
+    Exponential kernels take the exact solution of the equivalent linear
+    pair at every grid point; nothing is gated and error_estimate is None.
+    Tabulated kernels use an implicit trapezoid scheme and gate by an
+    accumulated predictor-corrector error estimate, returned as
+    error_estimate: it raises ConvergenceError when the estimate exceeds tol;
+    tol=inf skips it (convergence studies), NaN or a negative tol is a
+    ValueError.  Both return db/dt as bdot.
 
     The contractivity |b| <= 1 is enforced for exponential kernels and warned
     about for tabulated data, which need not be physical.
@@ -372,20 +323,24 @@ def solve_amplitude(kernel: Kernel, t_max: float, dt: float,
         raise ValueError(f"tol must be non-negative (inf skips the gate), got {tol}")
     grid = uniform_grid(t_max, dt)
     if isinstance(kernel, ExponentialKernel):
-        b, bdot, error = _solve_exponential(kernel, grid, np.isfinite(tol))
-        gate = "halving dt moves b by"
+        with np.errstate(over="ignore", invalid="ignore"):
+            b, bdot = _solve_exponential(kernel, grid)
+        if not (np.isfinite(b).all() and np.isfinite(bdot).all()):
+            raise ConvergenceError(f"the single-pole amplitude overflows for kernel "
+                                   f"parameters {astuple(kernel)}")
+        error = None
     elif isinstance(kernel, TabulatedKernel):
         b, bdot, error = _solve_tabulated(kernel, grid)
-        gate = "accumulated local-error estimate"
+        if error > tol:
+            raise ConvergenceError(f"step too coarse: accumulated local-error estimate "
+                                   f"{error:.3e} (tol {tol:.1e})")
     else:
         raise ValueError(f"unsupported kernel type {type(kernel).__name__}")
-    if error is not None and error > tol:
-        raise ConvergenceError(f"step too coarse: {gate} {error:.3e} (tol {tol:.1e})")
     overshoot = float(np.max(np.abs(b))) - 1.0
     if overshoot > CONTRACTIVITY_SLACK:
         if isinstance(kernel, ExponentialKernel):
-            raise ConvergenceError(
-                f"|b| exceeds 1 by {overshoot:.3e}: the step is unstable; reduce dt")
+            raise ConvergenceError(f"|b| exceeds 1 by {overshoot:.3e}: the single-pole "
+                                   "amplitude lost precision")
         warnings.warn(f"|b| exceeds 1 by {overshoot:.3e}; tabulated kernel may be unphysical",
                       RuntimeWarning, stacklevel=2)
     return AmplitudeSolution(t=grid, b=b, bdot=bdot, error_estimate=error)
@@ -397,8 +352,9 @@ def coefficient_f(sol: AmplitudeSolution, b_floor: float = B_FLOOR) -> Amplitude
     db/dt is the solver's own (sol.bdot).  Raises SingularCoefficientError
     when |b| dips below b_floor anywhere on the grid (f diverges where b
     passes through zero, in the strong-coupling regime).  f(0) is pinned to
-    the exact 0.  Warns when the real part goes materially negative, which
-    the weak-coupling regime forbids.
+    the exact 0.  Re f may go negative (backflow from a structured
+    reservoir); a coefficient the master cannot integrate is refused there,
+    by its positivity check.
     """
     if sol.bdot is None:
         raise ValueError("coefficient_f needs the solver's db/dt: use solve_amplitude")
@@ -411,14 +367,6 @@ def coefficient_f(sol: AmplitudeSolution, b_floor: float = B_FLOOR) -> Amplitude
         )
     f = -sol.bdot / sol.b
     f[0] = 0.0
-    fr_min = float(f.real.min())
-    if fr_min < WEAK_COUPLING_F_FLOOR:
-        warnings.warn(
-            f"decay coefficient has negative real part (min {fr_min:.3e}); "
-            "outside the weak-coupling regime this is expected",
-            RuntimeWarning,
-            stacklevel=2,
-        )
     return replace(sol, f=f)
 
 

@@ -94,8 +94,8 @@ def check_memory_resonant_frame() -> tuple[bool, str]:
     pole, t, d = ExponentialKernel(1.0, 5.0, 50.0), np.arange(2001) * 1e-3, np.sqrt(15.0)
     want = ((1 + 5 / d) * np.exp((d - 5) * t / 2) + (1 - 5 / d) * np.exp(-(d + 5) * t / 2)) / 2
     gaps = [np.max(np.abs(full_solution(atom_kernel(k, 50.0, 2.0, 1e-3), 2.0, 1e-3,
-                                        tol=tol).gamma - want))
-            for k, tol in ((pole, 1e-8), (TabulatedKernel(t, pole.evaluate(t)), np.inf))]
+                                        tol=np.inf).gamma - want))
+            for k in (pole, TabulatedKernel(t, pole.evaluate(t)))]
     return (gaps[0] < 1e-8 and gaps[1] < 1e-6,
             f"gap to the closed form {gaps[0]:.2e} (pole), {gaps[1]:.2e} (table)")
 

@@ -192,6 +192,67 @@ def test_evolve_fast_reservoir_close_to_markov(tmp_path):
     assert f"{100 * gaps[1]:.1f}" == "1.8"
 
 
+def test_fastest_reservoir_is_the_markov_limit(tmp_path):
+    # memory rate 1e308 is the memoryless limit: |b| is e^{-t/2} to rounding.
+    # Re F jumps from 0 to 1/2 inside the master's first stage, so maxdiff
+    # reads the master's own error on that step (measured 1.1e-4 at t = dt),
+    # not the amplitude's
+    out = tmp_path / "fast.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("evolve", "--memory-rate", "1e308", "--output", str(out)) == 0
+    data = load_csv(out)
+    assert data.shape == (3001, 7)
+    assert np.max(np.abs(data[:, 2:4] - np.exp(-0.5 * data[:, :1]))) <= 1.2e-16
+    assert np.argmax(data[:, 6]) == 1
+    assert quoted(np.max(data[:, 6])) == "1.1e-04"
+
+
+@pytest.mark.parametrize("memory_rate", [1e-3, 5.0, 1e4, 1e8])
+def test_memory_rates_solve_the_stages_at_any_memory_rate(monkeypatch, memory_rate):
+    # a single pole is solved exactly at the master's 2n + 1 stages, however
+    # fast its memory decays: no grid sized by the memory rate
+    sizes = []
+
+    def recording(kernel, t_max, dt, tol):
+        sol = full_solution(kernel, t_max, dt, tol=tol)
+        sizes.append(sol.t.size)
+        return sol
+
+    monkeypatch.setattr(cli, "full_solution", recording)
+    args = SimpleNamespace(kernel_file=None, memory_rate=memory_rate, rate=1.0, mem_dt=None,
+                           dt=1e-3, t_max=3.0, mem_tol=1e-8, omega_a=1.0, omega_b=1.3,
+                           kernel_center=0.0)
+    re_f, re_g, ga, gb = cli._memory_rates(args)
+    assert sizes == [6001, 6001]
+    assert re_f.shape == re_g.shape == (6001,) and ga.shape == gb.shape == (3001,)
+
+
+def test_backflow_runs_and_strong_coupling_exits_3(tmp_path, capsys):
+    # memory rate 5 > 2 x strength 1 is weak coupling; detuned by 30, Re F
+    # dips below zero (backflow, min -2.389e-02), and the run is valid with
+    # warnings as errors.  Strong coupling is refused by the master's
+    # positivity check, not by the sign of Re F
+    argv = ("--memory-rate", "5", "--omega-a", "30", "--omega-b", "30", "--mem-dt", "2e-5")
+    args = SimpleNamespace(kernel_file=None, memory_rate=5.0, rate=1.0, mem_dt=2e-5,
+                           dt=1e-3, t_max=3.0, mem_tol=1e-8, omega_a=30.0, omega_b=30.0,
+                           kernel_center=0.0)
+    assert f"{np.min(cli._memory_rates(args)[0]):.3e}" == "-2.389e-02"
+    out = tmp_path / "out.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("evolve", *argv, "--output", str(out)) == 0
+        out.unlink()
+        for strong in (("--memory-rate", "1", "--t-max", "6"),
+                       ("--rate", "100", "--memory-rate", "50", "--t-max", "0.3")):
+            capsys.readouterr()
+            assert run("evolve", *strong, "--omega-a", "0", "--omega-b", "0",
+                       "--output", str(out)) == 3
+            assert capsys.readouterr().err.startswith(
+                "numerical failure: integration produced eigenvalue -")
+            assert not out.exists()
+
+
 def test_evolve_kernel_file_round_trip(tmp_path):
     kernel = ExponentialKernel(1.0, 5.0)
     tau = np.arange(1001) * 1e-3
@@ -273,22 +334,24 @@ def test_resonant_memory_run_is_the_zero_frequency_run(tmp_path, omega):
 
 @settings(max_examples=25, deadline=None)
 @given(omega=st.floats(-1e3, 1e3), detuning=st.one_of(st.just(0.0), st.floats(-20.0, 20.0)),
-       lam=st.floats(2.0, 20.0))
-@example(omega=1e3, detuning=0.0, lam=5.0)
-@example(omega=-1e3, detuning=15.0, lam=5.0)
-def test_memory_rates_match_the_lab_frame_pair(omega, detuning, lam):
+       log_lam=st.floats(-3.0, 8.0))
+@example(omega=1e3, detuning=0.0, log_lam=np.log10(5.0))
+@example(omega=-1e3, detuning=15.0, log_lam=np.log10(5.0))
+@example(omega=0.0, detuning=0.0, log_lam=8.0)
+def test_memory_rates_match_the_lab_frame_pair(omega, detuning, log_lam):
     # |b| and Re F of evolve's solve, in each atom's rotating frame, against
-    # the exact lab-frame amplitude: within the default 1e-8 gate at any
-    # frequency, on resonance and detuned
+    # the exact lab-frame amplitude: rounding apart at any frequency and any
+    # memory rate from 1e-3 to 1e8, on resonance and detuned, with no warning
+    lam = 10.0 ** log_lam
     args = SimpleNamespace(kernel_file=None, memory_rate=lam, rate=1.0, mem_dt=None,
                            dt=1e-3, t_max=2.0, mem_tol=1e-8, omega_a=omega, omega_b=omega,
                            kernel_center=omega + detuning)
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # Re F < 0 off resonance
+        warnings.simplefilter("error")
         re_f, _, gamma, _ = cli._memory_rates(args)
     b, z = lab_frame_pair(lam, args.kernel_center, omega, 0.25, 9)
-    assert np.max(np.abs(gamma[::250] - np.abs(b))) < 1e-8
-    assert np.max(np.abs(re_f[::500] - (z / b).real)) < 1e-8
+    assert np.max(np.abs(gamma[::250] - np.abs(b))) < 1e-12
+    assert np.max(np.abs(re_f[::500] - (z / b).real)) < 1e-12
 
 
 def test_tabulated_rotation_refuses_an_aliasing_step(tmp_path, capsys):
@@ -303,7 +366,7 @@ def test_tabulated_rotation_refuses_an_aliasing_step(tmp_path, capsys):
     out = tmp_path / "tab.csv"
     for omega in ("30", "100", "1000"):
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # Re F < 0 off resonance
+            warnings.simplefilter("error")
             assert run(*common, "--omega-a", omega, "--omega-b", omega,
                        "--output", str(out)) == 0
         b, _ = lab_frame_pair(5.0, 0.0, float(omega), 1e-3, 1001)
@@ -390,9 +453,19 @@ def largest_maxdiff(tmp_path, *argv) -> float:
 ])
 def test_evolve_memory_maxdiff_is_at_round_off(tmp_path, argv):
     # the master reads Re f at its stages off the amplitude solve, so on a
-    # smooth kernel it meets the image from |b| to round-off (measured 8.9e-14,
-    # 3.4e-13 and 8.6e-14)
+    # smooth kernel it meets the image from |b| to round-off (measured 2.6e-14,
+    # 2.6e-14 and 2.6e-14)
     assert largest_maxdiff(tmp_path, *argv) <= 1e-12
+
+
+def test_evolve_memory_maxdiff_does_not_depend_on_the_amplitude_grid(tmp_path):
+    # every amplitude grid holds the exact |b| and Re F at the master's
+    # stages, so maxdiff is the master's own error whatever --mem-dt asks
+    # (measured 2.62e-14 on each grid; 30-digit F and |b| give 2.59e-14)
+    maxdiff = [largest_maxdiff(tmp_path, "--memory-rate", "5", "--mem-dt", mem_dt)
+               for mem_dt in ("1e-3", "2e-4", "1e-5")]
+    assert max(maxdiff) - min(maxdiff) <= 1e-15
+    assert quoted(maxdiff[0]) == "2.6e-14"
 
 
 def test_evolve_memory_maxdiff_is_the_masters_fourth_order_error(tmp_path):
@@ -716,7 +789,7 @@ def test_resonant_frame_probe_fails_on_lab_frame_kernels(monkeypatch):
     assert selfcheck.check_memory_resonant_frame()[0]
     monkeypatch.setattr(selfcheck, "atom_kernel", lambda kernel, omega, t_max, dt: kernel)
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # Re F < 0 off resonance
+        warnings.simplefilter("error")
         passed, detail = selfcheck.check_memory_resonant_frame()
     assert not passed
     assert detail == "gap to the closed form 6.18e-01 (pole), 6.18e-01 (table)"
@@ -1121,7 +1194,7 @@ def test_grid_too_large_to_allocate_exits_2(tmp_path, capsys, argv):
 @pytest.mark.parametrize("argv, code, message", [
     (["evolve", "--t-max", "1e308"], 2,
      "error: t_max=1e+308 / dt=0.001 overflows: too many steps"),
-    (["evolve", "--t-max", "0.01", "--memory-rate", "1e308"], 2,
+    (["evolve", "--t-max", "0.01", "--memory-rate", "1e308", "--mem-dt", "5e-311"], 2,
      "error: t_max=0.01 / amplitude step 5e-311 overflows: too many steps"),
     (["sweep", "--rate", "1e308"], 3,
      "numerical failure: time t_max*rate overflows at t_max 3.0, rate 1e+308"),
@@ -1132,9 +1205,11 @@ def test_grid_too_large_to_allocate_exits_2(tmp_path, capsys, argv):
     (["evolve", "--rate", "1e308"], 3,
      "numerical failure: integration overflowed at dt=0.001; reduce dt"),
     (["evolve", "--memory-rate", "5", "--omega-a", "1e308"], 3,
-     "numerical failure: unstable step: the step matrix overflows; reduce dt"),
+     "numerical failure: the single-pole amplitude overflows for kernel parameters "
+     "(1.0, 5.0, -1e+308)"),
     (["evolve", "--memory-rate", "5", "--kernel-center", "1e308"], 3,
-     "numerical failure: unstable step: the step matrix overflows; reduce dt"),
+     "numerical failure: the single-pole amplitude overflows for kernel parameters "
+     "(1.0, 5.0, 1e+308)"),
     (["evolve", "--memory-rate", "5", "--omega-a", "1e308", "--kernel-center", "-1e308"], 3,
      "numerical failure: detuning kernel_center - omega = -1e+308 - 1e+308 overflows"),
     (["evolve", "--memory-rate", "5", "--omega-a", "-1e308", "--omega-b", "-1e308",

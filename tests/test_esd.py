@@ -456,4 +456,4 @@ def test_family_concurrence_within_2_2e_16_of_50_digits(tmp_path):
     assert cli.main(["evolve", "--memory-rate", "5", "--omega-b", "1.3", "--output", str(out)]) == 0
     rows = np.loadtxt(out, delimiter=",", skiprows=1)[:, 1:4].tolist()
     worst = max(abs(c - float(mp_concurrence(1.0, x, y, 50))) for c, x, y in rows)
-    assert f"{worst:.1e}" == "3.3e-16"
+    assert f"{worst:.1e}" == "2.2e-16"

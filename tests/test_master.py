@@ -14,10 +14,9 @@ from esdkit.master import (
     POSITIVITY_FLOOR,
     integrate_master,
     markov_rates,
+    rk4_step_matrix,
 )
-from esdkit.memory import (
-    ExponentialKernel, full_solution, rk4_step_matrix, uniform_grid,
-)
+from esdkit.memory import ExponentialKernel, full_solution, uniform_grid
 from esdkit.reference import (
     _DIAG_A,
     _DIAG_B,
@@ -431,3 +430,52 @@ def test_generator_pieces_are_master_rhs_on_unit_matrices():
     assert master._PIECES.dtype == np.float64
     assert master._PIECES.tobytes() == np.ascontiguousarray(pieces.real).tobytes()
     assert np.all(pieces.imag == 0.0)
+
+
+def test_rk4_step_matrix_constant_generator_is_the_taylor_sum():
+    rng = np.random.default_rng(4)
+    m = rng.standard_normal((3, 5, 5)) + 1j * rng.standard_normal((3, 5, 5))
+    h = 0.05
+    got = rk4_step_matrix(m, m, m, h)
+    term, want = np.broadcast_to(np.eye(5), m.shape), np.eye(5)
+    for k in range(1, 5):
+        term = term @ (h * m) / k
+        want = want + term
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+    # stacked calls are the single calls, bit for bit
+    for i in range(3):
+        assert np.array_equal(rk4_step_matrix(m[i], m[i], m[i], h), got[i])
+
+
+def test_rk4_step_matrix_is_one_rk4_step_of_a_time_dependent_system():
+    # classical RK4 with stages at t, t + h/2 (twice) and t + h on y' = L(t) y
+    rng = np.random.default_rng(9)
+    l1, l2, l4 = (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+                  for _ in range(3))
+    y = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    h = 0.1
+    k1 = l1 @ y
+    k2 = l2 @ (y + 0.5 * h * k1)
+    k3 = l2 @ (y + 0.5 * h * k2)
+    k4 = l4 @ (y + h * k3)
+    want = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    np.testing.assert_allclose(rk4_step_matrix(l1, l2, l4, h) @ y, want, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("d, c", [(2, 1), (16, 2), (3, 4)])
+@pytest.mark.parametrize("cap", [1, 7, None])
+def test_propagate_powers_are_the_stepped_powers_in_any_chunking(monkeypatch, d, c, cap):
+    # cap = chunk columns per product (1 = one column each); None keeps
+    # SERIAL_PRODUCT, under which n = 1000 fits in one chunk
+    rng = np.random.default_rng(d + c)
+    phi = np.eye(d) + 0.01 * rng.standard_normal((d, d))
+    phi /= np.max(np.abs(np.linalg.eigvals(phi)))  # contractive: no growth to hide errors
+    y0 = rng.standard_normal((d, c))
+    if cap is not None:
+        monkeypatch.setattr(master, "SERIAL_PRODUCT", cap * d * d)
+    got = master._propagate_powers(phi, y0, 1000)
+    assert got.shape == (d, 1001 * c)
+    y = y0
+    for j in range(1001):
+        np.testing.assert_allclose(got[:, j * c:(j + 1) * c], y, rtol=0, atol=1e-12)
+        y = phi @ y
