@@ -18,6 +18,15 @@ CSV output: comma-separated, LF line endings, '.' decimal separator, floats
 at 17 significant digits, one '#' summary line at the end where noted.
 Times are reported in units of 1/rate by default (--no-natural-units for raw
 model time).
+
+bound and sweep split their blocks into contiguous parts, one per usable CPU
+(os.sched_getaffinity, which does not see a CFS CPU quota): the process
+computes the first part, and each other part runs in a child forked before
+any output file is opened, which pipes its results back and leaves by
+os._exit.  Only the parent writes; a part whose child fails is recomputed by
+the parent, and every child is killed and reaped on every exit path.  Outputs,
+messages and exit codes are byte-identical for any block size and any number
+of usable CPUs.
 """
 
 from __future__ import annotations
@@ -26,9 +35,11 @@ import contextlib
 import json
 import math
 import os
+import pickle
 import sys
+import warnings
 from types import SimpleNamespace
-from typing import Any, Callable, Iterator, TextIO
+from typing import Any, BinaryIO, Callable, Iterator, TextIO
 
 import numpy as np
 
@@ -111,6 +122,92 @@ STACK_BLOCK = 128
 def _blocks(n: int, size: int) -> list[slice]:
     """Consecutive slices of at most size items covering range(n)."""
     return [slice(i, min(i + size, n)) for i in range(0, n, size)]
+
+
+# CSV rows a forked part of `sweep` formats, at the least: about 5 ms of
+# work at ~1 us a row, against the ~3 ms round trip of a fork.
+SWEEP_FORK_ROWS = 4096
+_SIGKILL = 9  # fixed by POSIX; the signal module is not loaded
+
+
+def _fork_map(fn: Callable[[Any], Any], items: list, least: int) -> Iterator[Any]:
+    """Yield fn(item) for each item, in order, over contiguous parts: one per
+    usable CPU, each of at least `least` items.
+
+    The parent computes the first part.  Each other part runs in a forked
+    child, which computes all its results and only then pipes them back, one
+    pickle per item; the parent reads them one at a time as it reaches them.
+    A part whose child delivers fewer than all its items (it raised or
+    warned, was killed, or could not be forked) is finished by the parent,
+    so results, errors and warnings are those of the serial loop.  Every
+    child is killed and reaped when the generator ends, closed included.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    n = max(1, min(cpus, len(items) // least))
+    bounds = [len(items) * k // n for k in range(n + 1)]
+    parts = [items[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    pids: list[int] = []
+    pipes: list[BinaryIO] = []
+    try:
+        for part in parts[1:]:
+            fds: tuple[int, ...] = ()
+            try:
+                fds = os.pipe()
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")  # held back until the pid is known
+                    pid = os.fork()
+            except OSError:  # no descriptor or no process (EAGAIN): the parent goes on alone
+                for fd in fds:
+                    os.close(fd)
+                break
+            if pid == 0:
+                _fork_child(fn, part, *fds)
+            os.close(fds[1])
+            pids.append(pid)
+            pipes.append(open(fds[0], "rb"))
+            try:  # Python 3.12 warns of a fork in a process with threads
+                for warning in caught:
+                    warnings.warn(warning.message)
+            except Warning:  # an error here: the parent computes this part and the rest
+                os.kill(pid, _SIGKILL)
+                break
+        yield from map(fn, parts[0])
+        for k, part in enumerate(parts[1:]):
+            done = 0
+            while k < len(pipes) and done < len(part):
+                try:
+                    result = pickle.load(pipes[k])
+                except (EOFError, pickle.UnpicklingError):  # the child stopped short
+                    break
+                done += 1
+                yield result
+            yield from map(fn, part[done:])
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, _SIGKILL)
+            with contextlib.suppress(ChildProcessError):
+                os.waitpid(pid, 0)
+
+
+def _fork_child(fn: Callable[[Any], Any], part: list, read: int, write: int) -> None:
+    """The child's side of _fork_map: every result of fn over part, then one
+    pickle each down the pipe.  It leaves by os._exit whatever happens, so it
+    never returns into the caller nor flushes a buffer it inherited."""
+    code = 1
+    try:
+        os.close(read)
+        # A warning fails the part, which the parent then computes and warns of.
+        warnings.simplefilter("error")
+        results = [fn(item) for item in part]
+        with open(write, "wb") as pipe:
+            for result in results:
+                pickle.dump(result, pipe, pickle.HIGHEST_PROTOCOL)
+        code = 0
+    finally:
+        os._exit(code)
 
 
 @contextlib.contextmanager
@@ -334,28 +431,34 @@ def cmd_sweep(args: SimpleNamespace) -> int:
     asymptotic_record = SUMMARY_RECORD % ("asymptotic", "null", gamma_rate)
 
     # Nothing is written until every number is in hand, and a failed write
-    # removes both files, so a failed run leaves no output.  A block of at
-    # most STACK_BLOCK CSV rows is one % on a template holding the formatted
-    # a and t strings; a block of summary records is one % over the numbers
-    # they take: each a, then its t_d where it is finite.
+    # removes both files, so a failed run leaves no output.  A block of a
+    # values, at most STACK_BLOCK CSV rows or one a-row, gives its rows as
+    # one % on a template holding the formatted a and t strings, and its
+    # summary records as one % over the numbers they take: each a, then its
+    # t_d where it is finite.
     pieces = ["", *[",%.17g,%%.17g\n" % t for t in t_col.tolist()]]
     records = [finite_record if fin else asymptotic_record for fin in finite.tolist()]
     numbers = np.stack([a_grid, t_d], axis=-1)
     taken = np.stack([np.ones_like(finite), finite], axis=-1)
+
+    def block_text(block: slice) -> tuple[str, str]:
+        template = "".join([("%.17g" % a).join(pieces) for a in a_grid[block].tolist()])
+        return (template % tuple(surface[block].ravel().tolist()),
+                ",\n".join(records[block]) % tuple(numbers[block][taken[block]].tolist()))
+
+    a_rows = max(1, STACK_BLOCK // t_grid.size)
+    texts = _fork_map(block_text, _blocks(a_grid.size, a_rows),
+                      math.ceil(SWEEP_FORK_ROWS / (a_rows * t_grid.size)))
     spath = _summary_path(args.output)
-    with _all_or_nothing() as create:
-        with create(args.output) as fh:
-            fh.write("a,t,concurrence\n")
-            for block in _blocks(a_grid.size, max(1, STACK_BLOCK // t_grid.size)):
-                template = "".join([("%.17g" % a).join(pieces) for a in a_grid[block].tolist()])
-                fh.write(template % tuple(surface[block].ravel().tolist()))
-        with create(spath) as fh:
-            fh.write("[\n")
-            fh.write(",\n".join([
-                ",\n".join(records[block]) % tuple(numbers[block][taken[block]].tolist())
-                for block in _blocks(a_grid.size, STACK_BLOCK)
-            ]))
-            fh.write("\n]\n")
+    with contextlib.closing(texts):
+        rows, summary = next(texts)  # the forks happen here, before any file is opened
+        with _all_or_nothing() as create, create(args.output) as fh, create(spath) as sh:
+            fh.write("a,t,concurrence\n" + rows)
+            sh.write("[\n" + summary)
+            for rows, summary in texts:
+                fh.write(rows)
+                sh.write(",\n" + summary)
+            sh.write("\n]\n")
     print(f"wrote {args.output} ({a_grid.size * t_grid.size} rows) and {spath}")
     return 0
 
@@ -416,16 +519,24 @@ def cmd_bound(args: SimpleNamespace) -> int:
         raise ValueError(f"samples={args.samples}: {exc}") from None
     seeds = range(args.seed, args.seed + args.samples)
     pieces = ["", *[BOUND_ROW] * gammas.size]
-    for block in _blocks(args.samples, max(1, STACK_BLOCK // gammas.size)):
+
+    def block_rows(block: slice) -> tuple[str, np.ndarray]:
         rhos = random_states(seeds[block])
         # Rows are seed-major, then gamma: the report arrays have shape (seeds, gammas).
         rep = check_bound(rhos[:, None], coeffs, slack=args.slack)
-        table[block] = np.stack(np.broadcast_arrays(
+        rows = np.stack(np.broadcast_arrays(
             gammas, rep.lhs, rep.rhs, rep.satisfied, rep.first_branch_gap, rep.side_branch_max,
         ), axis=-1)
         # Seeds stay Python ints: a float column would round seeds above 2**53.
         template = "".join([("%d" % seed).join(pieces) for seed in seeds[block]])
-        chunks.append(template % tuple(table[block].ravel().tolist()))
+        return template % tuple(rows.ravel().tolist()), rows
+
+    # A block of checks takes milliseconds, more than a fork's round trip.
+    blocks = _blocks(args.samples, max(1, STACK_BLOCK // gammas.size))
+    with contextlib.closing(_fork_map(block_rows, blocks, 1)) as results:
+        for block, (text, rows) in zip(blocks, results):
+            chunks.append(text)
+            table[block] = rows
     violations = int(np.count_nonzero(table[..., 3] == 0.0))
     worst_gap = float(np.max(table[..., 1] - table[..., 2]))
     total = args.samples * len(args.gammas)

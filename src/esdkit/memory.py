@@ -218,9 +218,17 @@ def _solve_exponential(kernel: ExponentialKernel,
         delta = -delta
     l2 = mu + delta
     l1 = g / l2 if g else 0.0
-    # t phi(x) = -expm1(-x)/(l1 - l2), which stays finite where x overflows
+    # t phi(x) = -expm1(-x)/d, d = l1 - l2.  Re d >= 0, so |t phi| <= 2/|d|.
+    # Where x = d t overflows (a far-detuned pole), e^{-x} keeps only a phase
+    # no float can hold, and t phi takes 1/d, its mean over that phase: off
+    # by at most 1/|d| < t/DBL_MAX, where expm1 would give nan.
     d = l1 - l2
-    t_phi = -np.expm1(-d * grid) / d if d != 0.0 else grid.astype(complex)
+    if d == 0.0:
+        t_phi = grid.astype(complex)
+    else:
+        x = d * grid
+        t_phi = -np.expm1(-x) / d
+        t_phi[~np.isfinite(x)] = 1.0 / d
     decay = np.exp(l1 * grid)
     return decay * (1.0 - l1 * t_phi), -g * decay * t_phi
 

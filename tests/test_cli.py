@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import errno
 import json
 import math
 import os
@@ -7,6 +8,7 @@ import re
 import resource
 import subprocess
 import sys
+import time
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -1143,25 +1145,150 @@ def test_sweep_non_finite_rate_exit_2(tmp_path, capsys, rate):
     assert not out.exists()
 
 
+def count_forks(monkeypatch) -> list[int]:
+    """Patch os.fork to log, in the parent, each child it makes."""
+    real_fork, forks = os.fork, []
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+def use_cpus(monkeypatch, cpus: int) -> None:
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
+def assert_no_child_left() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_block_size_does_not_change_outputs(tmp_path, monkeypatch):
-    # 101 a values leave a partial last block of sweep's CSV (42 or 2 a-rows
-    # of 3 times) and of its summary (7 records); 200 times exceed every
-    # block, so each CSV block is then one a-row
-    runs = {}
+    # 101 a values leave a partial last block of sweep's CSV rows and
+    # summary records (42 or 2 a-rows of 3 times); 200 times exceed every
+    # block, so each block is then one a-row.  Each block size also runs
+    # on 1, 2 and 16 usable CPUs, with a forked part however few rows it
+    # holds: 16 parts exceed bound's blocks at every size (1, 5 or 9) and
+    # sweep's 3 blocks of 42 a-rows, so there the parts are one block each.
+    forks = count_forks(monkeypatch)
+    monkeypatch.setattr(cli, "SWEEP_FORK_ROWS", 1)
+    runs, forked = {}, {}
     for block in (128, 1, 7):
         monkeypatch.setattr(cli, "STACK_BLOCK", block)
-        ev, bd = tmp_path / f"ev{block}.csv", tmp_path / f"bd{block}.csv"
+        ev = tmp_path / f"ev{block}.csv"
         assert run("evolve", "--a", "0.8", "--t-max", "0.3", "--output", str(ev)) == 0
-        assert run("bound", "--samples", "9", "--seed", "3", "--output", str(bd)) == 0
-        outputs = [ev.read_bytes(), bd.read_bytes()]
-        for t_steps in ("3", "200"):
-            stem = tmp_path / f"sw{block}_{t_steps}"
-            assert run("sweep", "--a-steps", "101", "--t-steps", t_steps,
-                       "--output", f"{stem}.csv") == 0
-            outputs += [Path(f"{stem}.csv").read_bytes(),
-                        Path(f"{stem}_summary.json").read_bytes()]
-        runs[block] = outputs
-    assert runs[1] == runs[7] == runs[128]
+        for cpus in (1, 2, 16):
+            use_cpus(monkeypatch, cpus)
+            before = len(forks)
+            bd = tmp_path / f"bd{block}_{cpus}.csv"
+            assert run("bound", "--samples", "9", "--seed", "3", "--output", str(bd)) == 0
+            outputs = [ev.read_bytes(), bd.read_bytes()]
+            for t_steps in ("3", "200"):
+                stem = tmp_path / f"sw{block}_{cpus}_{t_steps}"
+                assert run("sweep", "--a-steps", "101", "--t-steps", t_steps,
+                           "--output", f"{stem}.csv") == 0
+                outputs += [Path(f"{stem}.csv").read_bytes(),
+                            Path(f"{stem}_summary.json").read_bytes()]
+            runs[block, cpus], forked[block, cpus] = outputs, len(forks) - before
+    assert [key for key, outputs in runs.items() if outputs != runs[128, 1]] == []
+    for block in (128, 1, 7):
+        assert forked[block, 1] == 0 < forked[block, 2] < forked[block, 16], forked
+    assert_no_child_left()
+
+
+def bound_and_sweep(tmp_path, tag: str) -> list[bytes]:
+    bd, sw = tmp_path / f"bd_{tag}.csv", tmp_path / f"sw_{tag}.csv"
+    assert run("bound", "--samples", "120", "--seed", "5", "--output", str(bd)) == 0
+    assert run("sweep", "--a-steps", "101", "--t-steps", "200", "--output", str(sw)) == 0
+    return [bd.read_bytes(), sw.read_bytes(), (tmp_path / f"sw_{tag}_summary.json").read_bytes()]
+
+
+@pytest.mark.parametrize("failure", ["block exits", "child exits", "no process", "fork warns"])
+def test_parts_their_children_do_not_deliver_fall_to_the_parent(tmp_path, monkeypatch, failure):
+    # bound's 120 seeds are 3 blocks and sweep's 101 a-rows 101, so 3 CPUs
+    # fork 2 children for each; whatever stops a child from delivering, the
+    # parent computes its part, and the bytes are the serial ones.
+    use_cpus(monkeypatch, 1)
+    serial = bound_and_sweep(tmp_path, "serial")
+    use_cpus(monkeypatch, 3)
+    monkeypatch.setattr(cli, "SWEEP_FORK_ROWS", 1)
+    forks = count_forks(monkeypatch)
+    parent, counted_fork, draw = os.getpid(), os.fork, cli.random_states
+
+    def exit_in_child(seeds):
+        if os.getpid() != parent:
+            os._exit(0)
+        return draw(seeds)
+
+    def fork():
+        if failure == "no process":
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+        pid = counted_fork()
+        if pid == 0 and failure == "child exits":
+            os._exit(0)
+        if pid and failure == "fork warns":  # as Python 3.12 does in a process with threads
+            warnings.warn("use of fork() may lead to deadlocks in the child", DeprecationWarning)
+        return pid
+
+    monkeypatch.setattr(cli, "random_states", exit_in_child if failure == "block exits" else draw)
+    monkeypatch.setattr(os, "fork", fork)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert bound_and_sweep(tmp_path, "forked") == serial
+    assert len(forks) == {"block exits": 4, "child exits": 4, "no process": 0, "fork warns": 2}[failure]
+    assert_no_child_left()
+
+
+def test_an_error_in_a_childs_block_is_the_serial_error(tmp_path, monkeypatch, capsys):
+    # The last of bound's 3 blocks (seeds 89-124) raises in the child that
+    # computes it; the parent recomputes that block and fails as one process does.
+    real_check = cli.check_bound
+
+    def fail_last_block(rhos, coeffs, slack):
+        if len(rhos) < 42:
+            raise NumericalError("forced in the last block")
+        return real_check(rhos, coeffs, slack=slack)
+
+    monkeypatch.setattr(cli, "check_bound", fail_last_block)
+    forks = count_forks(monkeypatch)
+    errors = []
+    for cpus in (1, 3):
+        use_cpus(monkeypatch, cpus)
+        out = tmp_path / f"bound{cpus}.csv"
+        assert run("bound", "--samples", "120", "--seed", "5", "--output", str(out)) == 3
+        errors.append(capsys.readouterr())
+        assert not out.exists()
+    assert errors[0] == errors[1]
+    assert errors[0].err == "numerical failure: forced in the last block\n"
+    assert len(forks) == 2
+    assert_no_child_left()
+
+
+def test_an_error_in_the_parents_part_ends_its_children(tmp_path, monkeypatch, capsys):
+    # The children would sleep for a minute; the parent's first block fails
+    # at once, and its children are killed and reaped before main returns.
+    parent = os.getpid()
+
+    def fail_in_parent(rhos, coeffs, slack):
+        if os.getpid() != parent:
+            time.sleep(60)
+        raise NumericalError("forced in the parent's part")
+
+    monkeypatch.setattr(cli, "check_bound", fail_in_parent)
+    forks = count_forks(monkeypatch)
+    use_cpus(monkeypatch, 3)
+    start = time.perf_counter()
+    assert run("bound", "--samples", "120", "--output", str(tmp_path / "bound.csv")) == 3
+    assert time.perf_counter() - start < 20
+    assert capsys.readouterr().err == "numerical failure: forced in the parent's part\n"
+    assert len(forks) == 2
+    assert_no_child_left()
+    assert list(tmp_path.iterdir()) == []
 
 
 # The --t-max and --t-steps grids are 1e17 points, 711 PiB: beyond any 64-bit
@@ -1204,12 +1331,6 @@ def test_grid_too_large_to_allocate_exits_2(tmp_path, capsys, argv):
      "numerical failure: integration overflowed at dt=0.001; reduce dt"),
     (["evolve", "--rate", "1e308"], 3,
      "numerical failure: integration overflowed at dt=0.001; reduce dt"),
-    (["evolve", "--memory-rate", "5", "--omega-a", "1e308"], 3,
-     "numerical failure: the single-pole amplitude overflows for kernel parameters "
-     "(1.0, 5.0, -1e+308)"),
-    (["evolve", "--memory-rate", "5", "--kernel-center", "1e308"], 3,
-     "numerical failure: the single-pole amplitude overflows for kernel parameters "
-     "(1.0, 5.0, 1e+308)"),
     (["evolve", "--memory-rate", "5", "--omega-a", "1e308", "--kernel-center", "-1e308"], 3,
      "numerical failure: detuning kernel_center - omega = -1e+308 - 1e+308 overflows"),
     (["evolve", "--memory-rate", "5", "--omega-a", "-1e308", "--omega-b", "-1e308",
@@ -1222,6 +1343,28 @@ def test_overflow_exits_with_its_code_and_no_warning(tmp_path, capsys, argv, cod
         assert run(*argv, "--output", str(tmp_path / "out.csv")) == code
     assert capsys.readouterr().err == message + "\n"
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flag", ["--omega-a", "--kernel-center"])
+def test_far_detuned_atom_keeps_its_coherence(tmp_path, flag):
+    # A pole detuned by 1e308 barely couples: (l1 - l2) t overflows past
+    # t = 1.8, where t phi takes its phase mean 1/(l1 - l2) instead of nan.
+    # --kernel-center detunes both atoms, --omega-a only A; B then solves
+    # exactly what the resonant-pole run solves.
+    far, near = tmp_path / "far.csv", tmp_path / "near.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("evolve", "--memory-rate", "5", flag, "1e308", "--output", str(far)) == 0
+        assert run("evolve", "--memory-rate", "5", "--output", str(near)) == 0
+    far_rows, near_rows = (
+        [line.split(",") for line in path.read_text().splitlines()[1:]] for path in (far, near)
+    )
+    detuned = [2, 3] if flag == "--kernel-center" else [2]
+    for col in detuned:
+        assert max(abs(1.0 - float(row[col])) for row in far_rows) <= 1e-15
+    if flag == "--omega-a":
+        assert [row[3] for row in far_rows] == [row[3] for row in near_rows]
+    assert len(far_rows) == 3001
 
 
 def test_sweep_csv_has_no_negative_zero(tmp_path):
