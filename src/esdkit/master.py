@@ -16,7 +16,9 @@ rotation, so in the frame of H' the equation is exactly
 That frame is the one integrated: the frequencies and Im F only rotate local
 phases, which change neither the populations, the coherence magnitudes nor
 the concurrence, and in it the Markov-rate evolution coincides with the
-damping channel exactly.  `reference.master_rhs` keeps the lab-frame
+damping channel exactly.  There the generator is diagonal in one fixed basis
+of product operators, so RK4 runs as one scalar recursion per basis mode
+(docs/derivations.md section 7).  `reference.master_rhs` keeps the lab-frame
 equation as the cross-check.
 """
 
@@ -27,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IntegratorError
-from .linalg import I2, I4, SIGMA_MINUS, dagger
 from .memory import uniform_grid
 from .states import assert_density_matrix
 
@@ -44,70 +45,39 @@ def markov_rates(rate_a: float, rate_b: float | None = None) -> tuple[float, flo
     return 0.5 * rate_a, 0.5 * rate_b
 
 
-def _damping_piece(sm: np.ndarray) -> np.ndarray:
-    """The dissipator 2 s- rho s+ - n rho - rho n of one atom, n = s+ s-."""
-    n = dagger(sm) @ sm
-    return (2.0 * np.kron(sm, sm.conj()) - np.kron(n, I4) - np.kron(I4, n.T)).ravel()
+# The generator Re F D_A + Re G D_B is a sum of two commuting pieces, one per
+# atom, so one basis diagonalizes it at all times.  One atom's dissipator
+# D[x] = 2 s- x s+ - n x - x n has the eigenoperators |g><g|, |e><e| - |g><g|,
+# |e><g| and |g><e| (|e> is index 0), with eigenvalues 0, -2, -1 and -1; the
+# coordinates of x on them are tr x, <e|x|e>, <e|x|g> and <g|x|e>.
+_OPERATORS = np.array([[[0, 0], [0, 1]], [[1, 0], [0, -1]], [[0, 1], [0, 0]], [[0, 0], [1, 0]]], float)
+_DUALS = np.array([[[1, 0], [0, 1]], [[1, 0], [0, 0]], [[0, 1], [0, 0]], [[0, 0], [1, 0]]], float)
+_EIGENVALUES = np.array([0.0, -2.0, -1.0, -1.0])
+# Mode m = 4p + q is np.kron(atom A's operator p, atom B's operator q).  Row m
+# of MODES is the mode as a flattened 4x4 matrix (column m of V), row m of
+# COORDINATES reads its coordinate off rho.ravel() (row m of V^-1), and
+# column m of MODE_RATES maps (Re F, Re G) to its eigenvalue.
+MODES = np.einsum("pij,qkl->pqikjl", _OPERATORS, _OPERATORS).reshape(16, 16)
+COORDINATES = np.einsum("pij,qkl->pqikjl", _DUALS, _DUALS).reshape(16, 16)
+MODE_RATES = np.array([np.repeat(_EIGENVALUES, 4), np.tile(_EIGENVALUES, 4)])
 
 
-# The generator on rho.ravel() is linear in (Re F, Re G); row k of _PIECES is
-# the 16x16 piece of coefficient k, flattened.  In row-major vec form
-# rho -> A rho B is np.kron(A, B.T).  The pieces are real, so the step
-# matrices are built in real arithmetic.
-_PIECES = np.ascontiguousarray(np.array([_damping_piece(np.kron(SIGMA_MINUS, I2)),
-                                         _damping_piece(np.kron(I2, SIGMA_MINUS))]).real)
-# Steps whose propagators are built in one stacked pass, on table rates: it
-# bounds peak memory (a whole-run stack is 4 KiB per step), and results do
-# not depend on it.
-PROPAGATOR_BLOCK = 16
-
-
-def rk4_step_matrix(l1: np.ndarray, l2: np.ndarray, l4: np.ndarray, h: float) -> np.ndarray:
-    """One classical RK4 step of y' = L(t) y as a matrix, for (..., d, d) stacks.
-
-    l1, l2 and l4 are L at t, t + h/2 and t + h.  The stages are
-    k2 = L2 (I + h/2 L1), k3 = L2 (I + h/2 k2), k4 = L4 (I + h k3), and the
-    step is I + h/6 (L1 + 2 k2 + 2 k3 + k4): sum_{k<=4} (h m)^k / k! for L = m.
-    A step too large for the floats comes back with inf or nan entries, and
-    no warning; the caller refuses it.
+def rk4_growth(l1: np.ndarray, l2: np.ndarray, l4: np.ndarray, h: float) -> np.ndarray:
+    """The factor by which one classical RK4 step of y' = l(t) y multiplies y,
+    elementwise, for l1, l2 and l4 the rate at t, t + h/2 and t + h:
+    k2 = l2 (1 + h/2 l1), k3 = l2 (1 + h/2 k2), k4 = l4 (1 + h k3), and the
+    factor is 1 + h/6 (l1 + 2 k2 + 2 k3 + k4), sum_{k<=4} (h l)^k / k! for
+    constant l.  Each stage is formed in place in one buffer.
     """
-    eye = np.eye(l1.shape[-1])
-    with np.errstate(over="ignore", invalid="ignore"):
-        k2 = l2 @ (eye + 0.5 * h * l1)
-        k3 = l2 @ (eye + 0.5 * h * k2)
-        k4 = l4 @ (eye + h * k3)
-        return eye + (h / 6.0) * (l1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-# OpenBLAS runs a product of at most this many multiply-adds (m*n*k) on one
-# thread; a thread team costs more than it gives on these thin products.
-SERIAL_PRODUCT = 1 << 18
-
-
-def _propagate_powers(phi: np.ndarray, y0: np.ndarray, n: int) -> np.ndarray:
-    """All powers phi^j y0 for j = 0..n, by doubling, for y0 of shape (d, c):
-    column block j of the (d, (n + 1) c) result, columns jc to jc + c - 1,
-    is phi^j y0.
-
-    Blocks [k, 2k) are phi^k times blocks [0, k), so the n + 1 blocks take
-    about log2(n) products, and no eigenbasis (ill-conditioned near a
-    defective phi) is formed.  Each product is split into column chunks of
-    at most SERIAL_PRODUCT / d^2, so none starts BLAS threads.  An unstable
-    phi is not refused here: its powers overflow to inf or nan.
-    """
-    d, c = y0.shape
-    out = np.empty((d, (n + 1) * c), dtype=np.result_type(phi, y0))
-    out[:, :c] = y0
-    chunk = max(1, SERIAL_PRODUCT // (d * d))
-    k, power = 1, phi
-    while k <= n:
-        width = min(k, n + 1 - k) * c
-        for lo in range(0, width, chunk):
-            hi = min(lo + chunk, width)
-            out[:, k * c + lo:k * c + hi] = power @ out[:, lo:hi]
-        power = power @ power
-        k *= 2
-    return out
+    k, acc = np.array(l1, dtype=float), np.array(l1, dtype=float)
+    for c, l, weight in ((0.5 * h, l2, 2.0), (0.5 * h, l2, 2.0), (h, l4, 1.0)):
+        k *= c
+        k += 1.0
+        k *= l  # k2, k3, k4
+        acc += weight * k
+    acc *= h / 6.0
+    acc += 1.0
+    return acc
 
 
 @dataclass(frozen=True)
@@ -127,59 +97,51 @@ class Trajectory:
         return float(np.max(np.abs(self.states - self.states.conj().transpose(0, 2, 1))))
 
 
-def integrate_master(
-    rho0: np.ndarray,
-    re_f: np.ndarray | float,
-    re_g: np.ndarray | float,
-    t_max: float,
-    dt: float,
-) -> Trajectory:
+def integrate_master(rho0: np.ndarray, re_f: np.ndarray | float, re_g: np.ndarray | float,
+                     t_max: float, dt: float) -> Trajectory:
     """Fixed-step RK4 integration in the interaction picture, storing every step.
 
     re_f and re_g are Re F and Re G at the 2n + 1 RK4 stage times k * dt/2
     of uniform_grid(t_max, dt), even k the grid points and odd k the
-    midpoints, or one number each for constant rates.  The equation is
-    linear in rho, so each step is one 16x16 matrix on rho.ravel(),
-    rk4_step_matrix of the generator at t, t + dt/2 and t + dt, built in
-    real arithmetic.  Constant rates make every step the same matrix: it is
-    built once and state j is step^j rho0, by doubling, with the real and
-    imaginary parts of the states as the real columns of one product.  Table
-    rates build the matrices PROPAGATOR_BLOCK steps at a time and apply them
-    one matvec at a time.  No Hermitian projection is applied.  A step that
-    overflows raises IntegratorError.  After the run the stored states are
-    checked for positivity; an eigenvalue below -1e-8 raises
-    IntegratorError, and otherwise the least eigenvalue is returned as
-    Trajectory.min_eigenvalue.
+    midpoints, or one number each for constant rates.  Every step is
+    diagonal in the basis MODES, so RK4 is one scalar recursion per mode,
+    rk4_growth of its eigenvalue at t, t + dt/2 and t + dt, and state j is
+    rho0 + V ((product of j factors - 1) * V^-1 rho0): zero rates give rho0
+    bit for bit, and the one mode with a trace has factor 1.  No Hermitian
+    projection is applied.  A rate that is not finite, or a step that
+    overflows, raises IntegratorError, and so does a stored state with an
+    eigenvalue below -1e-8; the least one is Trajectory.min_eigenvalue.
     """
     rho = assert_density_matrix(rho0)
     if rho.shape != (4, 4):
         raise ValueError("master integration expects a two-qubit (4x4) state")
     grid = uniform_grid(t_max, dt)
     n = grid.size - 1
+    for name, rate in (("Re F", re_f), ("Re G", re_g)):
+        if np.ndim(rate) != 0 and np.shape(rate) != (2 * n + 1,):
+            raise ValueError(f"{name} has shape {np.shape(rate)}; the {n}-step grid "
+                             f"takes one number or 2n + 1 = {2 * n + 1} stage values")
+    # Re F and Re G on the stage times; constant rates are one step's, shared.
+    rates = np.empty((3 if np.ndim(re_f) == np.ndim(re_g) == 0 else 2 * n + 1, 2))
+    rates[:, 0], rates[:, 1] = re_f, re_g
+    if not np.isfinite(rates).all():
+        k = int(np.argmin(np.isfinite(rates).all(axis=1)))
+        raise IntegratorError(f"rates (Re F, Re G) = ({rates[k, 0]}, {rates[k, 1]}) "
+                              f"at stage {k}, t = {0.5 * k * dt}, are not finite")
     # An unstable step overflows to inf or nan; that is refused after the run.
     with np.errstate(over="ignore", invalid="ignore"):
-        if np.ndim(re_f) == 0 and np.ndim(re_g) == 0:
-            gen = (np.array([re_f, re_g], dtype=float) @ _PIECES).reshape(16, 16)
-            step = rk4_step_matrix(gen, gen, gen, dt)
-            pairs = rho.astype(complex).ravel().view(float).reshape(16, 2)
-            # Column j of the complex view is state j: the transpose is a view.
-            flat = _propagate_powers(step, pairs, n).view(complex).T
-        else:
-            coeffs = np.empty((2 * n + 1, 2))  # Re F and Re G on the stage times
-            coeffs[:, 0] = re_f
-            coeffs[:, 1] = re_g
-            flat = np.empty((n + 1, 16), dtype=complex)
-            flat[0] = rho.ravel()
-            for lo in range(0, n, PROPAGATOR_BLOCK):
-                hi = min(lo + PROPAGATOR_BLOCK, n)
-                gen = (coeffs[2 * lo:2 * hi + 1] @ _PIECES).reshape(-1, 16, 16)
-                steps = rk4_step_matrix(gen[:-1:2], gen[1::2], gen[2::2], dt).astype(complex)
-                for i, step in enumerate(steps, start=lo):
-                    np.matmul(step, flat[i], out=flat[i + 1])
+        modes = rates @ MODE_RATES  # each mode's eigenvalue at each stage
+        growth = np.ones((n + 1, 16))
+        factors = rk4_growth(modes[:-1:2], modes[1::2], modes[2::2], dt)
+        np.cumprod(np.broadcast_to(factors, (n, 16)), axis=0, out=growth[1:])
+        growth -= 1.0
+        # The complex columns, V with column m scaled by coordinate m, as real pairs.
+        scaled = ((COORDINATES @ rho.ravel())[:, None] * MODES).view(float)
+        flat = (growth @ scaled).view(complex)
+        flat += rho.ravel()
     states = flat.reshape(n + 1, 4, 4)
     if not np.isfinite(flat).all():
         raise IntegratorError(f"integration overflowed at dt={dt}; reduce dt")
-
     min_eig = float(np.min(np.linalg.eigvalsh(states)))
     if min_eig < POSITIVITY_FLOOR:
         raise IntegratorError(

@@ -1,20 +1,23 @@
 import dataclasses
 import functools
+import re
 import warnings
 from time import perf_counter
 
 import numpy as np
 import pytest
 
-from esdkit import master
 from esdkit.channel import coefficients_from_gammas
 from esdkit.entanglement import concurrence
 from esdkit.errors import IntegratorError
 from esdkit.master import (
+    COORDINATES,
+    MODE_RATES,
+    MODES,
     POSITIVITY_FLOOR,
     integrate_master,
     markov_rates,
-    rk4_step_matrix,
+    rk4_growth,
 )
 from esdkit.memory import ExponentialKernel, full_solution, uniform_grid
 from esdkit.reference import (
@@ -33,6 +36,10 @@ from esdkit.states import random_state, standard_family, xstate_to_dense
 
 # Bare frequencies for the lab-frame oracle; the production master never sees them.
 OMEGA_A, OMEGA_B = 1.3, 0.7
+# Only the |gg><gg| mode has a trace, and its growth factor is exactly 1, so
+# the trace drifts by the rounding of the diagonal's sum alone (measured
+# 2.2e-16 on every run here).
+TRACE_TOL = 4 * np.finfo(float).eps
 
 
 def test_markov_rates_values_and_validation():
@@ -87,6 +94,7 @@ def test_markov_evolution_matches_channel():
     traj = integrate_master(rho0, *markov_rates(1.0), 1.0, 1e-3)
     want = apply_channel(rho0, coefficients_markov(1.0, 1.0))
     assert np.max(np.abs(traj.states[-1] - want)) < 1e-10
+    assert traj.max_trace_drift() <= TRACE_TOL
 
 
 def test_markov_run_matches_one_stacked_channel_call():
@@ -110,7 +118,7 @@ def stage_rates(sol, dt):
 def test_table_rates_match_channel_with_solved_gamma():
     # resonant structured reservoir: the master equation driven by the solved
     # coefficient must reproduce the damping channel built from gamma = |b|
-    # to its own RK4 error (measured 4.9e-13), the solve having a point at
+    # to its own RK4 error (measured 1.1e-14), the solve having a point at
     # every stage; the trapezoid route exp(-integral Re f) trails by its
     # O(h^2) quadrature (2.8e-9)
     kernel = ExponentialKernel(1.0, 20.0, 5.0 - 5.0)  # centre 5 as an atom at 5 reads it
@@ -121,13 +129,14 @@ def test_table_rates_match_channel_with_solved_gamma():
     for g, tol in ((float(sol.gamma[-1]), 1e-12), (float(gamma_of_t(sol).gamma[-1]), 1e-8)):
         want = apply_channel(rho0, coefficients_from_gammas(g, g))
         assert np.max(np.abs(traj.states[-1] - want)) < tol
+    assert traj.max_trace_drift() <= TRACE_TOL
 
 
 def test_trace_and_hermiticity_over_long_run():
     traj = integrate_master(
         xstate_to_dense(standard_family(0.7)), *markov_rates(1.0), 10.0, 1e-3
     )
-    assert traj.max_trace_drift() < 1e-10
+    assert traj.max_trace_drift() <= TRACE_TOL
     assert traj.max_hermiticity_defect() < 1e-12
 
 
@@ -142,7 +151,7 @@ def test_negative_rates_trip_the_positivity_guard():
 @pytest.mark.parametrize("rate", [1e4, 1e308])
 def test_overflowing_step_raises_integrator_error(rate):
     # rate*dt = 10 is far outside the RK4 stability region, and rate = 1e308
-    # overflows the step matrix itself
+    # overflows the modes' eigenvalues themselves
     rho0 = xstate_to_dense(standard_family(1.0))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -274,17 +283,34 @@ def _table_case():
     return f, f, 5.0, 5.0, phase, phase
 
 
+def _jump_case(stage, atom):
+    """One rate jumping from 0.5 to 1.5 at a stage of the 1.0 / 1e-3 grid,
+    the other constant at 0.4, with no Im F: the phases are the bare ones."""
+    jump = np.where(np.arange(2001) < stage, 0.5, 1.5)
+    rates = (jump, 0.4) if atom == "f" else (0.4, jump)
+    return (*rates, *_markov_case(0.0, 0.0, OMEGA_A, OMEGA_B)[2:])
+
+
 RATE_CASES = {
     "equal": lambda: _markov_case(1.0, 1.0, OMEGA_A, OMEGA_B),
     "unequal": lambda: _markov_case(0.8, 1.7, 1.1, 0.4),
+    "constant at rest": lambda: _markov_case(1.0, 0.6, 0.0, 0.0),
     "zero": lambda: _markov_case(0.0, 0.0, OMEGA_A, OMEGA_B),
     "table": _table_case,
+    "f jumps mid-step": lambda: _jump_case(111, "f"),
+    "g jumps at a grid point": lambda: _jump_case(128, "g"),
+    "f jumps one stage after a grid point": lambda: _jump_case(129, "f"),
 }
 # The gap is the lab-frame oracle's own RK4 phase error.  In the table case
 # z14 turns at omega_A + omega_B = 10: (10 dt)^5 / 120 per step gives
 # 2.1e-11 over the run, and halving dt divides it by 16 (measured 1.3e-12).
-# The Markov cases measure <= 3.3e-14.
-ORACLE_TOL = {"equal": 1e-12, "unequal": 1e-12, "zero": 1e-12, "table": 5e-11}
+# The Markov cases measure <= 3.3e-14.  At rest (no frequencies) the two
+# frames coincide and the gap is round-off (measured 1.9e-14).  The jump
+# cases measure 6.8e-14 (f mid-step), 1.6e-13 (g) and 6.8e-14 (f after a
+# grid point) on the random state, and <= 1.9e-14 on the X state.
+ORACLE_TOL = {"equal": 1e-12, "unequal": 1e-12, "zero": 1e-12, "table": 5e-11,
+              "constant at rest": 5e-14, "f jumps mid-step": 3e-13,
+              "g jumps at a grid point": 3e-13, "f jumps one stage after a grid point": 3e-13}
 
 
 @pytest.mark.parametrize("state", ["random", "x"])
@@ -298,103 +324,6 @@ def test_step_propagators_match_the_per_stage_loop(case, state):
     assert np.max(np.abs(lab - to_lab_frame(traj.states, phase_a, phase_b))) <= ORACLE_TOL[case]
     # no projection, yet the stored states stay Hermitian
     assert traj.max_hermiticity_defect() <= 1e-14
-
-
-def _structured_rates(t_max=0.2, dt=1e-3):
-    """Re F and Re G of two detuned atoms at the stages of the t_max grid."""
-    stages = 2 * round(t_max / dt) + 1
-    return (stage_rates(_structured_solution(5.0), dt)[:stages],
-            stage_rates(_structured_solution(4.0), dt)[:stages])
-
-
-@pytest.mark.parametrize("block", [1, 7, 16, 205])
-def test_propagator_block_does_not_change_outputs(monkeypatch, block):
-    rates = _structured_rates()
-    rho0 = random_state(4)
-    want = integrate_master(rho0, *rates, 0.2, 1e-3)
-    markov = integrate_master(rho0, *markov_rates(1.0, 0.6), 0.2, 1e-3)
-    monkeypatch.setattr(master, "PROPAGATOR_BLOCK", block)  # 205 = n + 5
-    got = integrate_master(rho0, *rates, 0.2, 1e-3)
-    assert np.array_equal(got.states, want.states)
-    # constant rates take powers of one step matrix, whatever the block
-    got = integrate_master(rho0, *markov_rates(1.0, 0.6), 0.2, 1e-3)
-    assert np.array_equal(got.states, markov.states)
-
-
-def integrate_building_every_block(rho0, re_f, re_g, t_max, dt):
-    """integrate_master's stepping on table rates, with the step matrices
-    of every block built afresh and applied one matvec at a time, also for
-    constant rates."""
-    n = uniform_grid(t_max, dt).size - 1
-    coeffs = np.empty((2 * n + 1, 2))
-    coeffs[:, 0], coeffs[:, 1] = re_f, re_g
-    flat = np.empty((n + 1, 16), dtype=complex)
-    flat[0] = np.asarray(rho0, dtype=complex).ravel()
-    for lo in range(0, n, master.PROPAGATOR_BLOCK):
-        hi = min(lo + master.PROPAGATOR_BLOCK, n)
-        gen = (coeffs[2 * lo:2 * hi + 1] @ master._PIECES).reshape(-1, 16, 16)
-        for i, step in enumerate(rk4_step_matrix(gen[:-1:2], gen[1::2], gen[2::2], dt), lo):
-            flat[i + 1] = step @ flat[i]
-    return flat.reshape(n + 1, 4, 4)
-
-
-def count_step_builds(monkeypatch):
-    """The generator stacks integrate_master passes to rk4_step_matrix."""
-    calls = []
-
-    def counting(*args):
-        calls.append(args[0].shape)
-        return rk4_step_matrix(*args)
-
-    monkeypatch.setattr(master, "rk4_step_matrix", counting)
-    return calls
-
-
-def test_constant_rates_build_one_step_matrix(monkeypatch):
-    calls = count_step_builds(monkeypatch)
-    integrate_master(random_state(6), *markov_rates(1.0), 3.0, 1e-3)
-    assert calls == [(16, 16)]
-    calls.clear()
-    integrate_master(random_state(6), *_structured_rates(), 0.2, 1e-3)
-    # table rates build every block: 200 steps are 12 blocks of 16 and one of 8
-    assert calls == [(16, 16, 16)] * 12 + [(8, 16, 16)]
-
-
-@pytest.mark.parametrize("rho0", [
-    xstate_to_dense(standard_family(0.8)), random_state(6),
-], ids=["family", "random"])
-def test_constant_rate_powers_match_stepping_every_block(rho0):
-    # 3000 matvecs against about log2(3000) products of one step matrix:
-    # the two roundings differ by 2.5e-14 at most (measured)
-    traj = integrate_master(rho0, *markov_rates(1.0, 0.6), 3.0, 1e-3)
-    want = integrate_building_every_block(rho0, *markov_rates(1.0, 0.6), 3.0, 1e-3)
-    assert np.max(np.abs(traj.states - want)) <= 1e-13
-
-
-def jump_rates(stage, before, after):
-    """A rate on the 401 stage times of the 0.2 / 1e-3 grid that jumps from
-    before to after at the given stage index."""
-    return np.where(np.arange(401) < stage, before, after)
-
-
-# Block k holds stage rows 32k..32k+32, so row 128 is the last of block 3
-# and the first of block 4.  200 steps make 13 blocks, the last 8 steps long.
-JUMPS = {
-    "f mid-block": (2 * (3 * 16 + 7) + 1, "f"),
-    "g on a block boundary": (128, "g"),
-    "f one stage after a boundary": (129, "f"),
-}
-
-
-@pytest.mark.parametrize("name", sorted(JUMPS))
-def test_piecewise_constant_rates_match_building_every_block(name):
-    stage, atom = JUMPS[name]
-    jump = jump_rates(stage, 0.5, 1.5)
-    rates = (jump, 0.4) if atom == "f" else (0.4, jump)
-    rho0 = random_state(8)
-    want = integrate_building_every_block(rho0, *rates, 0.2, 1e-3)
-    traj = integrate_master(rho0, *rates, 0.2, 1e-3)
-    assert np.array_equal(traj.states, want)
 
 
 def test_trajectory_reports_its_min_eigenvalue():
@@ -419,63 +348,79 @@ def test_rhs_on_a_stack_is_the_rhs_of_each_member():
 
 
 def test_generator_pieces_are_master_rhs_on_unit_matrices():
-    # _PIECES is built from the Lindblad terms; master_rhs with one rate set
-    # to 1 and no frequencies, on each of the 16 unit matrices, gives each
-    # piece's columns independently.  They are real: the real parts match
-    # bit for bit, down to the signs of their zeros, and the imaginary
-    # parts are exactly 0.
+    # master_rhs with one rate set to 1 and no frequencies, on each of the 16
+    # unit matrices, gives each piece's columns.  They are real, and the
+    # basis V = MODES.T and V^-1 = COORDINATES, written down with entries 0
+    # and +-1, diagonalize both exactly, with MODE_RATES on the diagonal.
+    v, w = MODES.T, COORDINATES
+    assert set(np.unique(v)) == {-1.0, 0.0, 1.0} and set(np.unique(w)) == {0.0, 1.0}
+    assert np.array_equal(w @ v, np.eye(16))
+    lam = np.array([0.0, -2.0, -1.0, -1.0])  # |g><g|, |e><e| - |g><g|, |e><g|, |g><e|
+    assert np.array_equal(MODE_RATES, [np.repeat(lam, 4), np.tile(lam, 4)])
     units = np.eye(16, dtype=complex).reshape(16, 4, 4)
-    pieces = np.array([master_rhs(units, re_f, re_g).reshape(16, 16).T.ravel()
-                       for re_f, re_g in np.eye(2)])
-    assert master._PIECES.dtype == np.float64
-    assert master._PIECES.tobytes() == np.ascontiguousarray(pieces.real).tobytes()
-    assert np.all(pieces.imag == 0.0)
+    for rates, eigenvalues in zip(np.eye(2), MODE_RATES):
+        piece = master_rhs(units, *rates).reshape(16, 16).T
+        assert np.all(piece.imag == 0.0)
+        assert np.array_equal(w @ piece.real @ v, np.diag(eigenvalues))
+        assert np.array_equal(v @ np.diag(eigenvalues) @ w, piece.real)
 
 
-def test_rk4_step_matrix_constant_generator_is_the_taylor_sum():
-    rng = np.random.default_rng(4)
-    m = rng.standard_normal((3, 5, 5)) + 1j * rng.standard_normal((3, 5, 5))
-    h = 0.05
-    got = rk4_step_matrix(m, m, m, h)
-    term, want = np.broadcast_to(np.eye(5), m.shape), np.eye(5)
-    for k in range(1, 5):
-        term = term @ (h * m) / k
-        want = want + term
-    np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
-    # stacked calls are the single calls, bit for bit
-    for i in range(3):
-        assert np.array_equal(rk4_step_matrix(m[i], m[i], m[i], h), got[i])
+def test_rk4_growth_of_a_constant_rate_is_the_taylor_sum():
+    lam = np.linspace(-40.0, 10.0, 501)
+    x = 0.05 * lam
+    want = 1.0 + x + x**2 / 2.0 + x**3 / 6.0 + x**4 / 24.0
+    np.testing.assert_allclose(rk4_growth(lam, lam, lam, 0.05), want, rtol=1e-14, atol=1e-15)
+    assert np.all(rk4_growth(np.zeros(3), np.zeros(3), np.zeros(3), 0.05) == 1.0)
 
 
-def test_rk4_step_matrix_is_one_rk4_step_of_a_time_dependent_system():
-    # classical RK4 with stages at t, t + h/2 (twice) and t + h on y' = L(t) y
+def test_rk4_growth_is_one_rk4_step_of_a_time_dependent_rate():
+    # classical RK4 with stages at t, t + h/2 (twice) and t + h on y' = l(t) y
     rng = np.random.default_rng(9)
-    l1, l2, l4 = (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-                  for _ in range(3))
-    y = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    l1, l2, l4 = rng.standard_normal((3, 7, 16))
+    inputs = [l.copy() for l in (l1, l2, l4)]
+    y = rng.standard_normal((7, 16))
     h = 0.1
-    k1 = l1 @ y
-    k2 = l2 @ (y + 0.5 * h * k1)
-    k3 = l2 @ (y + 0.5 * h * k2)
-    k4 = l4 @ (y + h * k3)
+    k1 = l1 * y
+    k2 = l2 * (y + 0.5 * h * k1)
+    k3 = l2 * (y + 0.5 * h * k2)
+    k4 = l4 * (y + h * k3)
     want = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    np.testing.assert_allclose(rk4_step_matrix(l1, l2, l4, h) @ y, want, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(rk4_growth(l1, l2, l4, h) * y, want, rtol=1e-14, atol=1e-15)
+    # the stages are formed in buffers of its own, never in the rates
+    assert all(np.array_equal(a, b) for a, b in zip((l1, l2, l4), inputs))
 
 
-@pytest.mark.parametrize("d, c", [(2, 1), (16, 2), (3, 4)])
-@pytest.mark.parametrize("cap", [1, 7, None])
-def test_propagate_powers_are_the_stepped_powers_in_any_chunking(monkeypatch, d, c, cap):
-    # cap = chunk columns per product (1 = one column each); None keeps
-    # SERIAL_PRODUCT, under which n = 1000 fits in one chunk
-    rng = np.random.default_rng(d + c)
-    phi = np.eye(d) + 0.01 * rng.standard_normal((d, d))
-    phi /= np.max(np.abs(np.linalg.eigvals(phi)))  # contractive: no growth to hide errors
-    y0 = rng.standard_normal((d, c))
-    if cap is not None:
-        monkeypatch.setattr(master, "SERIAL_PRODUCT", cap * d * d)
-    got = master._propagate_powers(phi, y0, 1000)
-    assert got.shape == (d, 1001 * c)
-    y = y0
-    for j in range(1001):
-        np.testing.assert_allclose(got[:, j * c:(j + 1) * c], y, rtol=0, atol=1e-12)
-        y = phi @ y
+@pytest.mark.parametrize("re_f, re_g", [(0.5, 0.5), (0.5, 0.3), (0.0, 0.85), (1e-300, 0.0)])
+def test_constant_rates_are_the_table_path_bit_for_bit(re_f, re_g):
+    # one number each is one step's stages whose factor every step shares:
+    # the same states as the rates spelled out on all 6001 stages, whether
+    # both, one or neither is an array
+    rho0 = random_state(6)
+    want = integrate_master(rho0, re_f, re_g, 3.0, 1e-3).states
+    table_f, table_g = np.full(6001, re_f), np.full(6001, re_g)
+    for rates in ((table_f, table_g), (table_f, re_g), (re_f, table_g)):
+        assert np.array_equal(integrate_master(rho0, *rates, 3.0, 1e-3).states, want)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_rates_are_refused_at_their_first_stage(bad):
+    rho0 = xstate_to_dense(standard_family(1.0))
+    re_f = np.full(401, 0.5)
+    re_f[[7, 30]] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        want = f"(Re F, Re G) = ({bad}, 0.4) at stage 7, t = 0.0035, are not finite"
+        with pytest.raises(IntegratorError, match=re.escape(want)):
+            integrate_master(rho0, re_f, 0.4, 0.2, 1e-3)
+        with pytest.raises(IntegratorError, match=r"at stage 0, t = 0.0, are not finite"):
+            integrate_master(rho0, 0.5, bad, 0.2, 1e-3)
+
+
+@pytest.mark.parametrize("shape", [(400,), (402,), (401, 1), (1,)],
+                         ids=lambda shape: "x".join(map(str, shape)))
+def test_rate_arrays_must_hold_every_stage(shape):
+    rho0 = xstate_to_dense(standard_family(1.0))
+    for rates in ((np.full(shape, 0.5), 0.4), (0.5, np.full(shape, 0.4))):
+        with pytest.raises(ValueError, match=re.escape(f"shape {shape}; the 200-step grid "
+                                                       "takes one number or 2n + 1 = 401")):
+            integrate_master(rho0, *rates, 0.2, 1e-3)

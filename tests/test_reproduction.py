@@ -9,6 +9,7 @@ import os
 import re
 import shlex
 import shutil
+import sys
 import warnings
 from pathlib import Path
 
@@ -63,6 +64,19 @@ def data_rows(path: Path) -> int:
     return sum(not line.startswith("#") for line in path.read_text().splitlines()[1:])
 
 
+# Only the master's |gg><gg| mode has a trace, and its growth factor is
+# exactly 1: every documented trajectory keeps trace_err within the rounding
+# of the diagonal's sum (measured 2.2e-16).
+TRACE_ERR_TOL = 4 * sys.float_info.epsilon
+
+
+def max_trace_err(path: Path) -> float:
+    """The largest cell of an evolve CSV's trace_err column."""
+    header, *rows = path.read_text().splitlines()
+    col = header.split(",").index("trace_err")
+    return max(float(row.split(",")[col]) for row in rows)
+
+
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory) -> Path:
     """A directory holding what the doc's python blocks write."""
@@ -115,3 +129,5 @@ def test_documented_command(line, expectations, inputs, tmp_path, monkeypatch, c
     assert code == 0 or not written, f"exit {code} left {sorted(written)}"
     for name, rows in re.findall(r"wrote (\S+) \((\d+) (?:rows|checks)", out):
         assert data_rows(tmp_path / name) == int(rows), name
+        if words[at + 1] == "evolve":
+            assert max_trace_err(tmp_path / name) <= TRACE_ERR_TOL, name
