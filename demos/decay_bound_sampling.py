@@ -18,7 +18,7 @@ Usage:
 
 import numpy as np
 
-from esdkit.channel import coefficients_from_gammas
+from esdkit.channel import DampingCoefficients
 from esdkit.entanglement import check_bound
 from esdkit.states import random_state
 
@@ -32,7 +32,7 @@ violations = 0
 for seed in range(SAMPLES):
     rho = random_state(seed)
     for g in GAMMAS:
-        rep = check_bound(rho, coefficients_from_gammas(g, g))
+        rep = check_bound(rho, DampingCoefficients(g, g))
         worst_gap = max(worst_gap, rep.lhs - rep.rhs)
         worst_first = max(worst_first, rep.first_branch_gap)
         worst_side = max(worst_side, rep.side_branch_max)

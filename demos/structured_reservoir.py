@@ -15,7 +15,7 @@ Usage:
 import numpy as np
 
 from esdkit.errors import SingularCoefficientError
-from esdkit.memory import ExponentialKernel, coefficient_f, full_solution, solve_amplitude
+from esdkit.memory import ExponentialKernel, coefficient_f, solve_amplitude
 from esdkit.reference import gamma_identity_defect
 
 RATE = 1.0
@@ -23,7 +23,7 @@ RATE = 1.0
 print("weak coupling: sup_t |gamma(t) - e^{-t/2}| over t in [0, 3]")
 print(f"{'lam/rate':>9} {'dt':>8} {'sup gap':>10} {'gamma=|b| defect':>17}")
 for lam, dt in ((10.0, 5e-4), (100.0, 1e-4), (1000.0, 1e-5)):
-    sol = full_solution(ExponentialKernel(RATE, lam), 3.0, dt)
+    sol = solve_amplitude(ExponentialKernel(RATE, lam), 3.0, dt)
     gap = float(np.max(np.abs(sol.gamma - np.exp(-0.5 * sol.t))))
     print(f"{lam:9.0f} {dt:8.0e} {gap:10.2e} {gamma_identity_defect(sol):17.2e}")
 

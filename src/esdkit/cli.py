@@ -43,13 +43,13 @@ from typing import Any, BinaryIO, Callable, Iterator, TextIO
 
 import numpy as np
 
-from .channel import coefficients_from_gammas
+from .channel import DampingCoefficients
 from .entanglement import check_bound, concurrence_x
 from .errors import ConvergenceError, NumericalError
 from .esd import death_time_s, family_concurrence, family_image
 from .master import integrate_master, markov_rates
-from .memory import (ExponentialKernel, Kernel, TabulatedKernel, full_solution,
-                     load_kernel_table, uniform_grid)
+from .memory import (DEFAULT_TOL, ExponentialKernel, Kernel, TabulatedKernel, coefficient_f,
+                     load_kernel_table, solve_amplitude, uniform_grid)
 from .states import random_states, standard_family, xstate_to_dense
 
 
@@ -267,7 +267,7 @@ EVOLVE_SPEC: Spec = {
     "kernel_center": (_float, 0.0, "reservoir center frequency"),
     "kernel_file": (str, None, "tabulated kernel: rows 'tau alpha_re alpha_im'"),
     "mem_dt": (_float, None, "largest amplitude-solver step; the step used divides dt/2"),
-    "mem_tol": (_float, 1e-8, "tabulated-kernel solver convergence gate"),
+    "mem_tol": (_float, DEFAULT_TOL, "tabulated-kernel solver convergence gate"),
     "natural_units": (_parse_bool, True, "report times as rate*t"),
     "output": (str, "evolve.csv", "CSV path"),
 }
@@ -322,11 +322,12 @@ def _memory_rates(args: SimpleNamespace) -> tuple[np.ndarray, ...]:
     atoms = {omega: atom_kernel(kernel, omega, args.t_max, mem_dt)
              for omega in dict.fromkeys((args.omega_a, args.omega_b))}
     del kernel  # a table's rotated copies replace it before the solves
-    sols = {omega: full_solution(atom, args.t_max, mem_dt, tol=args.mem_tol)
-            for omega, atom in atoms.items()}
-    sol_a, sol_b = sols[args.omega_a], sols[args.omega_b]
-    return (sol_a.f.real[::k].copy(), sol_b.f.real[::k].copy(),
-            sol_a.gamma[::2 * k].copy(), sol_b.gamma[::2 * k].copy())
+    rates = {}
+    for omega, atom in atoms.items():
+        sol = solve_amplitude(atom, args.t_max, mem_dt, tol=args.mem_tol)
+        rates[omega] = coefficient_f(sol).real[::k].copy(), sol.gamma[::2 * k].copy()
+    (re_f, ga), (re_g, gb) = rates[args.omega_a], rates[args.omega_b]
+    return re_f, re_g, ga, gb
 
 
 def cmd_evolve(args: SimpleNamespace) -> int:
@@ -336,6 +337,10 @@ def cmd_evolve(args: SimpleNamespace) -> int:
         raise ValueError(f"omega_a={args.omega_a} and omega_b={args.omega_b} must be finite")
     if args.mem_dt is not None and not 0.0 < args.mem_dt < math.inf:
         raise ValueError(f"mem_dt must be finite and positive, got {args.mem_dt}")
+    if not args.mem_tol >= 0.0:
+        raise ValueError(f"mem_tol must be non-negative (inf skips the gate), got {args.mem_tol}")
+    if not math.isfinite(args.kernel_center):
+        raise ValueError(f"kernel_center must be finite, got {args.kernel_center}")
     if args.memory_rate is not None and args.kernel_file is not None:
         raise ValueError("choose either --memory-rate or --kernel-file, not both")
 
@@ -510,7 +515,7 @@ def cmd_bound(args: SimpleNamespace) -> int:
         raise ValueError(f"seed must be nonnegative, got {args.seed}")
     chunks = ["seed,gamma,lhs,rhs,satisfied,first_branch_gap,side_branch_max\n"]
     gammas = np.array(args.gammas)
-    coeffs = coefficients_from_gammas(gammas, gammas)
+    coeffs = DampingCoefficients(gammas, gammas)
     try:
         # Every check's numbers, filled block by block: a sample count too
         # large to hold fails here, before any state is drawn.

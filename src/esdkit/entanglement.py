@@ -18,7 +18,7 @@ import numpy as np
 from .channel import DampingCoefficients, _kraus_terms
 from .linalg import (HERMITIAN_TOL, _psd_sqrt_from_eigen, dagger, first_bad,
                      hermiticity_defect, member)
-from .states import XState, assert_density_matrix
+from .states import EIG_FLOOR, XState, assert_density_matrix
 
 # Eigenvalues of the Hermitian product below this fraction of the largest are
 # zeroed before the square root; otherwise sqrt of round-off dust (~1e-16)
@@ -49,11 +49,11 @@ def spin_flipped(rho: np.ndarray) -> np.ndarray:
     return _FLIP_PHASES * rho[..., ::-1, ::-1].conj()
 
 
-def concurrence(rho: np.ndarray, eig_floor: float = 1e-9) -> ConcurrenceResult:
+def concurrence(rho: np.ndarray) -> ConcurrenceResult:
     """Concurrence of a (possibly unnormalized) PSD 4x4 matrix, or of each
     matrix in a stack (..., 4, 4).
 
-    Validates Hermiticity to HERMITIAN_TOL and positivity down to -eig_floor,
+    Validates Hermiticity to HERMITIAN_TOL and positivity down to EIG_FLOOR,
     then takes max(0, r1 - r2 - r3 - r4) over the descending square roots of
     the eigenvalues of sqrt(rho) flipped(rho) sqrt(rho).  One Hermitian
     eigendecomposition of each input feeds both the check and sqrt(rho).
@@ -68,7 +68,7 @@ def concurrence(rho: np.ndarray, eig_floor: float = 1e-9) -> ConcurrenceResult:
     rho = 0.5 * (rho + dagger(rho))
     # rho is now exactly Hermitian, so this is the decomposition psd_sqrt(rho) would make.
     w, v = np.linalg.eigh(rho)
-    bad = first_bad(w[..., 0] < -eig_floor)
+    bad = first_bad(w[..., 0] < EIG_FLOOR)
     if bad is not None:
         raise ValueError(f"input{member(bad)} is not PSD: min eigenvalue {w[bad][0]:.3e}")
     s = _psd_sqrt_from_eigen(w, v)

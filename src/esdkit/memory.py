@@ -22,7 +22,7 @@ the step-by-step O(n^2) scheme to round-off.  Only numpy is needed.
 from __future__ import annotations
 
 import warnings
-from dataclasses import astuple, dataclass, replace
+from dataclasses import astuple, dataclass
 from typing import Union
 
 import numpy as np
@@ -159,21 +159,24 @@ def load_kernel_table(path) -> TabulatedKernel:
 
 @dataclass(frozen=True)
 class AmplitudeSolution:
-    """Amplitude b and the solver's db/dt on a uniform grid, the error estimate
-    the tabulated solver's gate compared with tol (None for an exponential
-    kernel, whose solution is exact), and, once computed, the decay
-    coefficient f and the residual amplitude gamma."""
+    """Amplitude b and the solver's db/dt on a uniform grid, with the error
+    estimate the tabulated solver's gate compared with tol (None for an
+    exponential kernel, whose solution is exact)."""
 
     t: np.ndarray
     b: np.ndarray
-    bdot: np.ndarray | None = None
-    f: np.ndarray | None = None
-    gamma: np.ndarray | None = None
-    error_estimate: float | None = None
+    bdot: np.ndarray
+    error_estimate: float | None
 
     @property
     def dt(self) -> float:
         return float(self.t[1] - self.t[0])
+
+    @property
+    def gamma(self) -> np.ndarray:
+        """The residual amplitude |b|, an excess over 1 of at most
+        CONTRACTIVITY_SLACK clipped to 1."""
+        return _clip_round_off(np.abs(self.b))
 
 
 def uniform_grid(t_max: float, dt: float) -> np.ndarray:
@@ -354,39 +357,29 @@ def solve_amplitude(kernel: Kernel, t_max: float, dt: float,
     return AmplitudeSolution(t=grid, b=b, bdot=bdot, error_estimate=error)
 
 
-def coefficient_f(sol: AmplitudeSolution, b_floor: float = B_FLOOR) -> AmplitudeSolution:
-    """Fill in the time-local decay coefficient f = -(db/dt)/b.
+def coefficient_f(sol: AmplitudeSolution) -> np.ndarray:
+    """The time-local decay coefficient f = -(db/dt)/b on sol's grid.
 
     db/dt is the solver's own (sol.bdot).  Raises SingularCoefficientError
-    when |b| dips below b_floor anywhere on the grid (f diverges where b
+    when |b| dips below B_FLOOR anywhere on the grid (f diverges where b
     passes through zero, in the strong-coupling regime).  f(0) is pinned to
     the exact 0.  Re f may go negative (backflow from a structured
     reservoir); a coefficient the master cannot integrate is refused there,
     by its positivity check.
     """
-    if sol.bdot is None:
-        raise ValueError("coefficient_f needs the solver's db/dt: use solve_amplitude")
     babs = np.abs(sol.b)
-    if babs.min() < b_floor:
-        idx = int(np.argmax(babs < b_floor))
+    if babs.min() < B_FLOOR:
+        idx = int(np.argmax(babs < B_FLOOR))
         raise SingularCoefficientError(
-            f"|b| = {babs[idx]:.3e} < {b_floor:.1e} first at t = {sol.t[idx]:.6g}; "
+            f"|b| = {babs[idx]:.3e} < {B_FLOOR:.1e} first at t = {sol.t[idx]:.6g}; "
             "the decay coefficient is singular there"
         )
     f = -sol.bdot / sol.b
     f[0] = 0.0
-    return replace(sol, f=f)
+    return f
 
 
 def _clip_round_off(gamma: np.ndarray) -> np.ndarray:
     """Clip, in place, an excess over 1 of at most CONTRACTIVITY_SLACK to 1."""
     gamma[(gamma > 1.0) & (gamma <= 1.0 + CONTRACTIVITY_SLACK)] = 1.0
     return gamma
-
-
-def full_solution(kernel: Kernel, t_max: float, dt: float,
-                  tol: float = DEFAULT_TOL) -> AmplitudeSolution:
-    """solve_amplitude + coefficient_f in one call, with gamma = |b| clipped
-    to 1 where it exceeds 1 by at most CONTRACTIVITY_SLACK."""
-    sol = coefficient_f(solve_amplitude(kernel, t_max, dt, tol=tol))
-    return replace(sol, gamma=_clip_round_off(np.abs(sol.b)))

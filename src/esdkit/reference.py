@@ -10,18 +10,18 @@ probes.  No production module imports this one; of the package only
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import DampingCoefficients, _kraus_terms, coefficients_from_gammas
+from .channel import DampingCoefficients, _kraus_terms, _omega
 from .entanglement import concurrence_x
 from .errors import NumericalError
 from .esd import death_time_s, family_concurrence, family_image
 from .linalg import (HERMITIAN_TOL, I2, I4, SIGMA_MINUS, _psd_sqrt_from_eigen, dagger,
                      first_bad, hermiticity_defect, member)
 from .master import Trajectory
-from .memory import AmplitudeSolution, Kernel, _circular_product, _clip_round_off
+from .memory import AmplitudeSolution, Kernel, _circular_product, _clip_round_off, coefficient_f
 from .states import XState, assert_density_matrix
 
 # ---------------------------------------------------------------- linalg
@@ -137,7 +137,7 @@ def coefficients_markov(rate: float, t: float) -> DampingCoefficients:
     if t < 0.0:
         raise ValueError(f"negative time {t}")
     g = float(np.exp(-0.5 * rate * t))
-    return coefficients_from_gammas(g, g)
+    return DampingCoefficients(g, g)
 
 
 def build_kraus(c: DampingCoefficients) -> list[np.ndarray]:
@@ -149,8 +149,8 @@ def build_kraus(c: DampingCoefficients) -> list[np.ndarray]:
     """
     keep_a = np.diag([c.gamma_a, 1.0]).astype(complex)
     keep_b = np.diag([c.gamma_b, 1.0]).astype(complex)
-    drop_a = c.omega_a * SIGMA_MINUS
-    drop_b = c.omega_b * SIGMA_MINUS
+    drop_a = _omega(c.gamma_a) * SIGMA_MINUS
+    drop_b = _omega(c.gamma_b) * SIGMA_MINUS
     return [
         np.kron(keep_a, keep_b),
         np.kron(keep_a, drop_b),
@@ -211,23 +211,23 @@ def volterra_residual(sol: AmplitudeSolution, kernel: Kernel) -> np.ndarray:
     return np.abs(bdot + q)
 
 
-def gamma_of_t(sol: AmplitudeSolution) -> AmplitudeSolution:
-    """Fill in gamma(t) = exp(-integral of Re f), the reference route to |b|.
+def gamma_of_t(t: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """gamma(t) = exp(-integral of Re f) on the uniform grid t, the reference
+    route to |b| from the decay coefficient f.
 
-    Requires coefficient_f to have run; gamma(0) = 1 exactly.  An excess over
-    1 of at most CONTRACTIVITY_SLACK is round-off in f and is clipped to 1.
+    gamma(0) = 1 exactly.  An excess over 1 of at most CONTRACTIVITY_SLACK is
+    round-off in f and is clipped to 1.
     """
-    if sol.f is None:
-        raise ValueError("coefficient_f must run before gamma_of_t")
-    f = sol.f.real
-    integral = np.concatenate(([0.0], np.cumsum(sol.dt * (f[1:] + f[:-1]) / 2.0)))
-    return replace(sol, gamma=_clip_round_off(np.exp(-integral)))
+    f = f.real
+    dt = float(t[1] - t[0])
+    integral = np.concatenate(([0.0], np.cumsum(dt * (f[1:] + f[:-1]) / 2.0)))
+    return _clip_round_off(np.exp(-integral))
 
 
 def gamma_identity_defect(sol: AmplitudeSolution) -> float:
     """Largest deviation of gamma_of_t's exp(-integral Re f) from |b(t)|, which
     it equals identically: the combined error of f and of the quadrature."""
-    return float(np.max(np.abs(gamma_of_t(sol).gamma - np.abs(sol.b))))
+    return float(np.max(np.abs(gamma_of_t(sol.t, coefficient_f(sol)) - np.abs(sol.b))))
 
 
 # ---------------------------------------------------------------- master

@@ -13,13 +13,13 @@ from typing import Callable
 
 import numpy as np
 
-from .channel import coefficients_from_gammas
+from .channel import DampingCoefficients
 from .cli import atom_kernel
 from .entanglement import check_bound, concurrence, concurrence_x
 from .esd import death_time_s, family_concurrence
 from .linalg import dagger
 from .master import integrate_master, markov_rates
-from .memory import ExponentialKernel, TabulatedKernel, full_solution, solve_amplitude
+from .memory import ExponentialKernel, TabulatedKernel, solve_amplitude
 from .reference import (apply_channel, coefficients_markov, disentanglement_time,
                         gamma_identity_defect, pure_state, random_xstate, volterra_residual)
 from .states import (assert_density_matrix, random_state, random_states, standard_family,
@@ -80,7 +80,7 @@ def check_bound_random() -> tuple[bool, str]:
     # One stacked call, seed-major like cmd_bound: the report arrays are (seeds, gammas).
     gammas = np.array([0.9, 0.5, 0.1])
     rhos = random_states(range(200))
-    rep = check_bound(rhos[:, None], coefficients_from_gammas(gammas, gammas))
+    rep = check_bound(rhos[:, None], DampingCoefficients(gammas, gammas))
     gaps = rep.lhs - rep.rhs
     if not rep.satisfied.all():
         seed, j = np.argwhere(~rep.satisfied)[0]
@@ -93,21 +93,21 @@ def check_memory_resonant_frame() -> tuple[bool, str]:
     # table, at zero detuning: gamma is the two-exponential closed form.
     pole, t, d = ExponentialKernel(1.0, 5.0, 50.0), np.arange(2001) * 1e-3, np.sqrt(15.0)
     want = ((1 + 5 / d) * np.exp((d - 5) * t / 2) + (1 - 5 / d) * np.exp(-(d + 5) * t / 2)) / 2
-    gaps = [np.max(np.abs(full_solution(atom_kernel(k, 50.0, 2.0, 1e-3), 2.0, 1e-3,
-                                        tol=np.inf).gamma - want))
+    gaps = [np.max(np.abs(solve_amplitude(atom_kernel(k, 50.0, 2.0, 1e-3), 2.0, 1e-3,
+                                          tol=np.inf).gamma - want))
             for k in (pole, TabulatedKernel(t, pole.evaluate(t)))]
     return (gaps[0] < 1e-8 and gaps[1] < 1e-6,
             f"gap to the closed form {gaps[0]:.2e} (pole), {gaps[1]:.2e} (table)")
 
 
 def check_memory_markov_limit() -> tuple[bool, str]:
-    sol = full_solution(ExponentialKernel(1.0, 100.0), 3.0, 5e-5)
+    sol = solve_amplitude(ExponentialKernel(1.0, 100.0), 3.0, 5e-5)
     worst = float(np.max(np.abs(sol.gamma - np.exp(-0.5 * sol.t))))
     return worst < 0.02, f"sup deviation from Markov decay {worst:.2e}"
 
 
 def check_memory_gamma_identity() -> tuple[bool, str]:
-    sol = full_solution(ExponentialKernel(1.0, 20.0), 3.0, 2e-4)
+    sol = solve_amplitude(ExponentialKernel(1.0, 20.0), 3.0, 2e-4)
     defect = gamma_identity_defect(sol)
     return defect < 1e-6, f"gamma vs |b| defect {defect:.2e}"
 

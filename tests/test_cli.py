@@ -22,13 +22,13 @@ from hypothesis import strategies as st
 
 from esdkit import channel, cli, entanglement, memory, reference, selfcheck
 from esdkit.cli import atom_kernel
-from esdkit.channel import coefficients_from_gammas
+from esdkit.channel import DampingCoefficients
 from esdkit.entanglement import check_bound, concurrence, concurrence_x
 from esdkit.errors import NumericalError
 from esdkit.esd import death_time_s, family_concurrence
 from esdkit.master import integrate_master, markov_rates
 from esdkit.memory import (
-    ExponentialKernel, full_solution, load_kernel_table, solve_amplitude, uniform_grid,
+    ExponentialKernel, coefficient_f, load_kernel_table, solve_amplitude, uniform_grid,
 )
 from esdkit.reference import apply_channel, family_trajectory
 from esdkit.states import random_state, standard_family, xstate_to_dense
@@ -217,11 +217,11 @@ def test_memory_rates_solve_the_stages_at_any_memory_rate(monkeypatch, memory_ra
     sizes = []
 
     def recording(kernel, t_max, dt, tol):
-        sol = full_solution(kernel, t_max, dt, tol=tol)
+        sol = solve_amplitude(kernel, t_max, dt, tol=tol)
         sizes.append(sol.t.size)
         return sol
 
-    monkeypatch.setattr(cli, "full_solution", recording)
+    monkeypatch.setattr(cli, "solve_amplitude", recording)
     args = SimpleNamespace(kernel_file=None, memory_rate=memory_rate, rate=1.0, mem_dt=None,
                            dt=1e-3, t_max=3.0, mem_tol=1e-8, omega_a=1.0, omega_b=1.3,
                            kernel_center=0.0)
@@ -394,7 +394,7 @@ def test_one_step_amplitude_grid_runs(tmp_path, t_max, extra):
         assert run("evolve", "--memory-rate", "5", "--t-max", t_max, "--mem-dt", t_max,
                    *extra, "--output", str(out)) == 0
     rows = load_csv(out)
-    fine = full_solution(ExponentialKernel(1.0, 5.0, -1.0), float(t_max), 1e-6)
+    fine = solve_amplitude(ExponentialKernel(1.0, 5.0, -1.0), float(t_max), 1e-6)
     gamma = np.interp(rows[:, 0], fine.t, fine.gamma)
     assert np.max(np.abs(rows[:, 2:4] - gamma[:, None])) < 1e-6
 
@@ -498,9 +498,9 @@ def test_evolve_master_rates_are_strided_off_the_solve(tmp_path, monkeypatch):
     assert run("evolve", "--memory-rate", "5", "--mem-dt", "2e-4", "--omega-b", "1.3",
                "--output", str(tmp_path / "evolve.csv")) == 0
     for rates, omega in zip(got, (1.0, 1.3)):
-        sol = full_solution(ExponentialKernel(1.0, 5.0, -omega), 3.0, 5e-4 / 3)
+        f = coefficient_f(solve_amplitude(ExponentialKernel(1.0, 5.0, -omega), 3.0, 5e-4 / 3))
         assert rates.shape == (6001,)
-        assert rates.tobytes() == sol.f.real[::3].tobytes()
+        assert rates.tobytes() == f.real[::3].tobytes()
 
 
 def assert_bad_kernel_row(tmp_path, capsys, row) -> None:
@@ -568,6 +568,24 @@ def test_evolve_bad_mem_dt_exit_2(tmp_path, capsys, mem_dt):
     assert code == 2
     assert f"mem_dt must be finite and positive, got {float(mem_dt)}" in err
     assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kernel", [[], ["--memory-rate", "5"]], ids=["markov", "memory"])
+@pytest.mark.parametrize("argv, message", [
+    (["--mem-tol", "-1"], "mem_tol must be non-negative (inf skips the gate), got -1.0"),
+    (["--mem-tol", "nan"], "mem_tol must be non-negative (inf skips the gate), got nan"),
+    (["--kernel-center", "nan"], "kernel_center must be finite, got nan"),
+    (["--kernel-center", "-inf"], "kernel_center must be finite, got -inf"),
+])
+def test_evolve_bad_mem_tol_or_kernel_center_exit_2_on_every_run(tmp_path, capsys, kernel,
+                                                                 argv, message):
+    # refused like a bad --mem-dt, whether or not a memory kernel reads them
+    out = tmp_path / "x.csv"
+    code = run("evolve", *kernel, *argv, "--output", str(out))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"error: {message}\n"
     assert not out.exists()
 
 
@@ -955,9 +973,9 @@ def old_evolve_csv(a=1.0, rate=1.0, t_max=3.0, omega_a=1.0, omega_b=1.0,
         ga = gb = np.exp(-0.5 * rate * grid)
     else:
         k = max(1, math.ceil(0.5 * dt / mem_dt - 1e-9))
-        sol_a, sol_b = (full_solution(ExponentialKernel(rate, memory_rate, -omega), t_max,
-                                      0.5 * dt / k, tol=1e-8) for omega in (omega_a, omega_b))
-        rates = sol_a.f.real[::k], sol_b.f.real[::k]
+        sol_a, sol_b = (solve_amplitude(ExponentialKernel(rate, memory_rate, -omega), t_max,
+                                        0.5 * dt / k, tol=1e-8) for omega in (omega_a, omega_b))
+        rates = coefficient_f(sol_a).real[::k], coefficient_f(sol_b).real[::k]
         ga, gb = sol_a.gamma[::2 * k], sol_b.gamma[::2 * k]
     traj = integrate_master(rho0, *rates, t_max, dt)
     traces = np.einsum("tii->t", traj.states)
@@ -990,7 +1008,7 @@ def test_evolve_csv_is_byte_identical_to_per_cell_format(tmp_path, argv, params)
 def old_bound_csv(samples, seed, gammas) -> bytes:
     """The bound CSV as the per-cell loop formatted it, one state at a time."""
     lines = ["seed,gamma,lhs,rhs,satisfied,first_branch_gap,side_branch_max"]
-    coeffs = coefficients_from_gammas(np.array(gammas), np.array(gammas))
+    coeffs = DampingCoefficients(np.array(gammas), np.array(gammas))
     worst, bad = -math.inf, 0
     for s in range(seed, seed + samples):
         rep = check_bound(random_state(s), coeffs)
@@ -1412,7 +1430,7 @@ DENSE_ROUTE_ARGV = [[], ["--memory-rate", "5", "--mem-dt", "1e-3", "--omega-b", 
 @pytest.mark.parametrize("argv", DENSE_ROUTE_ARGV)
 def test_evolve_needs_no_dense_route(tmp_path, monkeypatch, argv):
     # Every esdkit namespace that binds a dense route gets a stub that raises.
-    dense = (reference.apply_channel, channel.coefficients_from_gammas, entanglement.concurrence)
+    dense = (reference.apply_channel, channel.DampingCoefficients, entanglement.concurrence)
 
     def refuse(*args, **kwargs):
         raise AssertionError("evolve called a dense route")
@@ -1442,13 +1460,14 @@ def test_evolve_columns_match_the_dense_routes(tmp_path, argv):
     conc, ga, gb, maxdiff = data[:, 1], data[:, 2], data[:, 3], data[:, 6]
     omega_b = 1.3 if argv else 1.0
     if argv:
-        rates = [full_solution(ExponentialKernel(1.0, 5.0, -omega), 3.0, 5e-4).f.real
+        rates = [coefficient_f(solve_amplitude(ExponentialKernel(1.0, 5.0, -omega), 3.0,
+                                               5e-4)).real
                  for omega in (1.0, omega_b)]
     else:
         rates = markov_rates(1.0)
     rho0 = xstate_to_dense(standard_family(1.0))
     states = integrate_master(rho0, *rates, 3.0, 1e-3).states
-    evolved = apply_channel(rho0, coefficients_from_gammas(ga, gb))
+    evolved = apply_channel(rho0, DampingCoefficients(ga, gb))
     assert np.max(np.abs(conc - concurrence(evolved).value)) <= 1e-10
     dense_maxdiff = np.max(np.abs(evolved - states), axis=(-2, -1))
     assert np.max(np.abs(maxdiff - dense_maxdiff)) <= 1e-13

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy import kron
 
-from esdkit.channel import coefficients_from_gammas
+from esdkit.channel import DampingCoefficients
 from esdkit.entanglement import (
     check_bound,
     concurrence,
@@ -131,7 +131,7 @@ def test_accepts_unnormalized_input():
     rho = random_state(5)
     res = concurrence(2.0 * rho)
     assert abs(res.value - 2.0 * concurrence(rho).value) < 1e-12
-    term = kraus_term(rho, coefficients_from_gammas(0.7, 0.4), 1)
+    term = kraus_term(rho, DampingCoefficients(0.7, 0.4), 1)
     assert np.trace(term).real < 1.0
     concurrence(term)  # must not raise
 
@@ -176,7 +176,7 @@ def test_decay_bound_rejects_bad_arguments():
 
 def test_check_bound_identity_channel():
     rho = random_state(6)
-    rep = check_bound(rho, coefficients_from_gammas(1.0, 1.0))
+    rep = check_bound(rho, DampingCoefficients(1.0, 1.0))
     assert rep.satisfied
     assert rep.lhs == rep.rhs == rep.initial
     assert rep.first_branch_gap < 1e-14
@@ -203,7 +203,7 @@ def test_check_bound_random_smoke():
     for seed in range(25):
         rho = random_state(seed)
         for g in (0.9, 0.5, 0.1):
-            rep = check_bound(rho, coefficients_from_gammas(g, g))
+            rep = check_bound(rho, DampingCoefficients(g, g))
             assert rep.satisfied
             assert rep.first_branch_gap < 1e-9
             assert rep.side_branch_max < 1e-10
@@ -213,7 +213,7 @@ def test_check_bound_holds_on_1000_ginibre_states():
     # 1000 Ginibre states x 3 gammas in one stacked call
     start = perf_counter()
     g = np.array([0.9, 0.5, 0.1])
-    rep = check_bound(random_states(range(1000))[:, None], coefficients_from_gammas(g, g),
+    rep = check_bound(random_states(range(1000))[:, None], DampingCoefficients(g, g),
                       slack=1e-10)
     assert rep.satisfied.shape == (1000, 3) and np.all(rep.satisfied)
     assert np.max(rep.first_branch_gap) < 1e-9
@@ -224,4 +224,4 @@ def test_check_bound_holds_on_1000_ginibre_states():
 @pytest.mark.parametrize("slack", [np.nan, -1.0, np.inf])
 def test_check_bound_rejects_bad_slack(slack):
     with pytest.raises(ValueError, match="slack"):
-        check_bound(random_state(0), coefficients_from_gammas(0.5, 0.5), slack=slack)
+        check_bound(random_state(0), DampingCoefficients(0.5, 0.5), slack=slack)

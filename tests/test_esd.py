@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from esdkit import cli
-from esdkit.channel import coefficients_from_gammas
+from esdkit.channel import DampingCoefficients
 from esdkit.entanglement import concurrence, concurrence_x
 from esdkit.errors import NumericalError
 from esdkit.esd import FINITE_DEATH_THRESHOLD, death_time_s, family_concurrence, family_image
@@ -58,7 +58,7 @@ def dense_concurrence(a, s) -> np.ndarray:
     per a, one column per rate*t in s."""
     rho0 = np.stack([xstate_to_dense(standard_family(float(x))) for x in np.atleast_1d(a)])
     g = np.exp(-0.5 * np.asarray(s, dtype=float))
-    return concurrence(apply_channel(rho0[:, None], coefficients_from_gammas(g, g))).value
+    return concurrence(apply_channel(rho0[:, None], DampingCoefficients(g, g))).value
 
 
 def assert_dense_crossing(a: float, s_d: float) -> None:
@@ -95,7 +95,7 @@ def test_family_trajectory_matches_channel():
     for a in (0.0, 0.4, 1.0):
         for ga, gb in ((0.9, 0.9), (0.8, 0.3), (1.0, 0.5)):
             want = apply_channel(
-                xstate_to_dense(standard_family(a)), coefficients_from_gammas(ga, gb)
+                xstate_to_dense(standard_family(a)), DampingCoefficients(ga, gb)
             )
             got = xstate_to_dense(family_trajectory(a, ga, gb))
             assert np.max(np.abs(got - want)) < 1e-13
@@ -384,7 +384,7 @@ def test_family_concurrence_matches_x_and_dense_routes():
         via_x = [concurrence_x(family_trajectory(a, float(x), float(y))) for x, y in zip(ga, gb)]
         assert np.max(np.abs(closed - via_x)) < 1e-15
         dense = concurrence(apply_channel(xstate_to_dense(standard_family(a)),
-                                          coefficients_from_gammas(ga, gb))).value
+                                          DampingCoefficients(ga, gb))).value
         assert np.max(np.abs(closed - dense)) < 1e-10
 
 

@@ -7,7 +7,7 @@ from time import perf_counter
 import numpy as np
 import pytest
 
-from esdkit.channel import coefficients_from_gammas
+from esdkit.channel import DampingCoefficients
 from esdkit.entanglement import concurrence
 from esdkit.errors import IntegratorError
 from esdkit.master import (
@@ -19,7 +19,7 @@ from esdkit.master import (
     markov_rates,
     rk4_growth,
 )
-from esdkit.memory import ExponentialKernel, full_solution, uniform_grid
+from esdkit.memory import ExponentialKernel, coefficient_f, solve_amplitude, uniform_grid
 from esdkit.reference import (
     _DIAG_A,
     _DIAG_B,
@@ -103,7 +103,7 @@ def test_markov_run_matches_one_stacked_channel_call():
     rho0 = xstate_to_dense(standard_family(1.0))
     traj = integrate_master(rho0, *markov_rates(1.0), 3.0, 1e-3)
     g = np.exp(-0.5 * traj.t)
-    want = apply_channel(rho0, coefficients_from_gammas(g, g))
+    want = apply_channel(rho0, DampingCoefficients(g, g))
     assert traj.t.size == 3001
     assert np.max(np.abs(traj.states - want)) < 1e-8
     assert perf_counter() - start < 5.0
@@ -112,7 +112,7 @@ def test_markov_run_matches_one_stacked_channel_call():
 def stage_rates(sol, dt):
     """Re f at the RK4 stages of master steps dt, read off a solve whose step
     divides dt/2 by stride, as evolve reads them."""
-    return sol.f.real[::round(0.5 * dt / sol.dt)]
+    return coefficient_f(sol).real[::round(0.5 * dt / sol.dt)]
 
 
 def test_table_rates_match_channel_with_solved_gamma():
@@ -122,12 +122,13 @@ def test_table_rates_match_channel_with_solved_gamma():
     # every stage; the trapezoid route exp(-integral Re f) trails by its
     # O(h^2) quadrature (2.8e-9)
     kernel = ExponentialKernel(1.0, 20.0, 5.0 - 5.0)  # centre 5 as an atom at 5 reads it
-    sol = full_solution(kernel, 2.0, 1e-4)
+    sol = solve_amplitude(kernel, 2.0, 1e-4)
     rho0 = xstate_to_dense(standard_family(1.0))
     re_f = stage_rates(sol, 2e-4)
     traj = integrate_master(rho0, re_f, re_f, 2.0, 2e-4)
-    for g, tol in ((float(sol.gamma[-1]), 1e-12), (float(gamma_of_t(sol).gamma[-1]), 1e-8)):
-        want = apply_channel(rho0, coefficients_from_gammas(g, g))
+    reference_gamma = gamma_of_t(sol.t, coefficient_f(sol))
+    for g, tol in ((float(sol.gamma[-1]), 1e-12), (float(reference_gamma[-1]), 1e-8)):
+        want = apply_channel(rho0, DampingCoefficients(g, g))
         assert np.max(np.abs(traj.states[-1] - want)) < tol
     assert traj.max_trace_drift() <= TRACE_TOL
 
@@ -262,9 +263,9 @@ def to_lab_frame(states, phase_a, phase_b):
 
 
 @functools.cache
-def _structured_solution(omega=5.0):
-    # the kernel centred at 5 in the rotating frame of an atom at omega
-    return full_solution(ExponentialKernel(1.0, 20.0, 5.0 - omega), 1.0, 1e-4)
+def _structured_f(omega=5.0):
+    # F of the kernel centred at 5 in the rotating frame of an atom at omega
+    return coefficient_f(solve_amplitude(ExponentialKernel(1.0, 20.0, 5.0 - omega), 1.0, 1e-4))
 
 
 def _markov_case(rate_a, rate_b, omega_a, omega_b):
@@ -276,7 +277,7 @@ def _markov_case(rate_a, rate_b, omega_a, omega_b):
 def _table_case():
     # F at the stages is every fifth amplitude point; the phase of Im F is
     # Simpson's rule on the stages, step by step
-    f = _structured_solution().f[::5]
+    f = _structured_f()[::5]
     grid = uniform_grid(1.0, 1e-3)
     steps = (1e-3 / 6.0) * (f.imag[:-1:2] + 4.0 * f.imag[1::2] + f.imag[2::2])
     phase = 5.0 * grid + np.concatenate(([0.0], np.cumsum(steps)))

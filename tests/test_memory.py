@@ -15,7 +15,6 @@ from esdkit.memory import (
     ExponentialKernel,
     TabulatedKernel,
     coefficient_f,
-    full_solution,
     load_kernel_table,
     solve_amplitude,
     uniform_grid,
@@ -127,7 +126,7 @@ def test_memoryless_limit_ladder():
     # |b| approaches exp(-t/2) monotonically as the memory rate grows tenfold
     ladder = [(10.0, 1e-3), (100.0, 1e-4), (1000.0, 1e-5)]
     sups = [np.max(np.abs(sol.gamma - np.exp(-0.5 * sol.t)))
-            for sol in (full_solution(ExponentialKernel(1.0, rate), 3.0, dt)
+            for sol in (solve_amplitude(ExponentialKernel(1.0, rate), 3.0, dt)
                         for rate, dt in ladder)]
     assert sups[0] > sups[1] > sups[2] and sups[2] < 0.01
 
@@ -135,9 +134,9 @@ def test_memoryless_limit_ladder():
 def test_decay_rate_approaches_markov():
     # after a few memory times the local rate settles at strength/2 (1% here)
     rate = 1000.0
-    sol = coefficient_f(solve_amplitude(ExponentialKernel(1.0, rate), 0.02, 1e-5))
+    sol = solve_amplitude(ExponentialKernel(1.0, rate), 0.02, 1e-5)
     late = sol.t >= 5.0 / rate
-    rel = np.abs(sol.f.real[late] / 0.5 - 1.0)
+    rel = np.abs(coefficient_f(sol).real[late] / 0.5 - 1.0)
     assert np.max(rel) < 0.01
 
 
@@ -150,12 +149,12 @@ def test_off_resonant_frequency_shift():
     delta = w_atom - w_center
     kernel = atom_kernel(ExponentialKernel(strength, rate, w_center), w_atom, 3.0, 1e-4)
     assert kernel.center_frequency == -delta
-    sol = full_solution(kernel, 3.0, 1e-4)
+    f = coefficient_f(solve_amplitude(kernel, 3.0, 1e-4))
     roots = np.roots([1.0, rate - 1j * delta, 0.5 * strength * rate])
     slow = roots[np.argmin(np.abs(roots))]
     formula = 0.5 * strength * rate * delta / (rate * rate + delta * delta)
-    assert abs(sol.f.imag[-1] - (-slow.imag)) < 1e-12
-    assert abs(sol.f.imag[-1] / formula - 1.0) < 0.03
+    assert abs(f.imag[-1] - (-slow.imag)) < 1e-12
+    assert abs(f.imag[-1] / formula - 1.0) < 0.03
 
 
 @pytest.mark.parametrize("dt", [1e-3, 1e-4, 2e-5])
@@ -407,7 +406,7 @@ def test_volterra_residual_matches_direct_sum_tabulated(n):
 
 def test_gamma_identity():
     for rate, dt in ((10.0, 5e-4), (100.0, 1e-4), (1000.0, 1e-5)):
-        sol = full_solution(ExponentialKernel(1.0, rate), 3.0, dt)
+        sol = solve_amplitude(ExponentialKernel(1.0, rate), 3.0, dt)
         assert sol.gamma[0] == 1.0
         assert gamma_identity_defect(sol) < 1e-6
 
@@ -417,9 +416,9 @@ def test_gamma_of_t_is_exact_for_linear_decay_rate(c0, c1):
     # the trapezoid rule integrates a linear Re f exactly: only cumsum round-off
     t = uniform_grid(3.0, 1e-3)
     f = (c0 + c1 * t) + 0.4j
-    sol = gamma_of_t(AmplitudeSolution(t=t, b=np.ones_like(f), f=f))
-    assert sol.gamma[0] == 1.0
-    np.testing.assert_allclose(sol.gamma, np.exp(-(c0 * t + 0.5 * c1 * t * t)),
+    gamma = gamma_of_t(t, f)
+    assert gamma[0] == 1.0
+    np.testing.assert_allclose(gamma, np.exp(-(c0 * t + 0.5 * c1 * t * t)),
                                rtol=1e-13, atol=0)
 
 
@@ -429,8 +428,7 @@ def test_gamma_of_t_clips_only_round_off_above_1():
     gammas = {}
     for excess in (5e-10, 1e-6):
         f = np.full(t.size, -np.log1p(excess) + 0.0j)
-        sol = gamma_of_t(AmplitudeSolution(t=t, b=np.ones_like(f), f=f))
-        gammas[excess] = sol.gamma
+        gammas[excess] = gamma_of_t(t, f)
     assert np.all(gammas[5e-10] == 1.0)
     rising = gammas[1e-6]
     assert np.all(rising[rising <= 1.0 + memory.CONTRACTIVITY_SLACK] == 1.0)
@@ -441,10 +439,10 @@ def test_gamma_of_t_clips_only_round_off_above_1():
 
 
 def test_gamma_without_coupling_is_one():
-    sol = full_solution(ExponentialKernel(0.0, 1.0, -1.0), 2.0, 1e-3)
+    sol = solve_amplitude(ExponentialKernel(0.0, 1.0, -1.0), 2.0, 1e-3)
     # no memory integral: b stays 1 and the solver's db/dt 0, so f is 0
     assert np.all(sol.gamma == 1.0)
-    assert np.all(sol.f == 0.0)
+    assert np.all(coefficient_f(sol) == 0.0)
 
 
 @pytest.mark.parametrize("points", [1, 2])
@@ -452,29 +450,45 @@ def test_differences_need_three_points(points):
     # only the residual's centered differences need three points; f comes
     # from the solver's db/dt, so a one-step solve has its coefficient
     t = np.arange(points) * 1e-3
-    sol = AmplitudeSolution(t=t, b=np.exp(-t) + 0j)
+    sol = AmplitudeSolution(t=t, b=np.exp(-t) + 0j, bdot=-np.exp(-t) + 0j, error_estimate=None)
     with pytest.raises(ValueError, match=f"at least 3 grid points .*got {points}"):
         volterra_residual(sol, ExponentialKernel(1.0, 5.0))
     one_step = coefficient_f(solve_amplitude(ExponentialKernel(1.0, 5.0), 1e-3, 1e-3))
-    assert one_step.f[0] == 0.0 and np.isfinite(one_step.f[1])
+    assert one_step[0] == 0.0 and np.isfinite(one_step[1])
 
 
-def test_pipeline_order_is_enforced():
+def test_gamma_clips_only_round_off_above_1():
+    # gamma is |b|, with an excess over 1 of at most CONTRACTIVITY_SLACK
+    # clipped to 1 and a larger one kept; below 1 nothing moves.
+    t = uniform_grid(4e-3, 1e-3)
+    slack = memory.CONTRACTIVITY_SLACK
+    b = np.array([1.0, 1.0 + 0.5 * slack, 1.0 + slack, 1.0 + 2.0 * slack, 0.5]) * 1j
+    sol = AmplitudeSolution(t=t, b=b, bdot=np.zeros_like(b), error_estimate=None)
+    np.testing.assert_array_equal(sol.gamma, [1.0, 1.0, 1.0, abs(b[3]), 0.5])
+    # each read is a fresh array: clipping never writes into b
+    assert sol.gamma is not sol.gamma and abs(sol.b[1]) > 1.0
+
+
+def test_coefficient_f_is_minus_bdot_over_b_from_zero():
     sol = solve_amplitude(ExponentialKernel(1.0, 5.0), 1.0, 1e-3)
-    with pytest.raises(ValueError):
-        gamma_of_t(sol)
-    with pytest.raises(ValueError):
-        gamma_identity_defect(sol)
-    # f needs the solver's db/dt, which a hand-built record lacks
-    with pytest.raises(ValueError, match="solver's db/dt"):
-        coefficient_f(AmplitudeSolution(t=sol.t, b=sol.b))
+    f = coefficient_f(sol)
+    assert f[0] == 0.0
+    assert f[1:].tobytes() == (-sol.bdot[1:] / sol.b[1:]).tobytes()
+    # the same F feeds the reference route to |b|
+    assert gamma_identity_defect(sol) == np.max(np.abs(gamma_of_t(sol.t, f) - np.abs(sol.b)))
 
 
 def test_singular_coefficient_in_strong_coupling():
     # memory as slow as the decay: b crosses zero near t = 3*pi/2
     sol = solve_amplitude(ExponentialKernel(1.0, 1.0), 6.0, 1e-5)
-    with pytest.raises(SingularCoefficientError, match="4.712"):
+    with pytest.raises(SingularCoefficientError,
+                       match=r"\|b\| = 6\.019e-07 < 1\.0e-06 first at t = 4\.71238; "):
         coefficient_f(sol)
+    with pytest.raises(SingularCoefficientError):
+        gamma_identity_defect(sol)
+    # the floor is memory.B_FLOOR, where the same run up to t = 4.7 stops short
+    assert memory.B_FLOOR == 1e-6
+    assert np.isfinite(coefficient_f(solve_amplitude(ExponentialKernel(1.0, 1.0), 4.7, 1e-5))).all()
 
 
 def test_coarse_step_is_exact():

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from esdkit.channel import coefficients_from_gammas
+from esdkit.channel import DampingCoefficients
 from esdkit.entanglement import check_bound, concurrence
 from esdkit.linalg import dagger
 from esdkit.reference import apply_channel, kraus_term, psd_sqrt, random_xstate
-from esdkit.states import assert_density_matrix, random_state, xstate_to_dense
+from esdkit.states import EIG_FLOOR, assert_density_matrix, random_state, xstate_to_dense
 
 REPORT_FIELDS = ("initial", "lhs", "rhs", "satisfied", "first_branch_gap", "side_branch_max")
 
@@ -33,7 +33,7 @@ def bits(x) -> bytes:
 @given(kind=kinds, seed_list=seeds, ga=unit, gb=unit)
 def test_stacked_calls_match_single_calls_bitwise(kind, seed_list, ga, gb):
     rhos = make_stack(kind, seed_list)
-    c = coefficients_from_gammas(ga, gb)
+    c = DampingCoefficients(ga, gb)
     assert bits(assert_density_matrix(rhos)) == bits(rhos)
     out = apply_channel(rhos, c)
     terms = [kraus_term(rhos, c, mu) for mu in (1, 2, 3, 4)]
@@ -58,11 +58,11 @@ def test_per_state_gammas_match_single_calls_bitwise(kind, seed_list, data):
     n = len(seed_list)
     ga = np.array(data.draw(st.lists(unit, min_size=n, max_size=n)))
     gb = np.array(data.draw(st.lists(unit, min_size=n, max_size=n)))
-    c = coefficients_from_gammas(ga, gb)
+    c = DampingCoefficients(ga, gb)
     out = apply_channel(rhos, c)
     rep = check_bound(rhos, c)
     for i, rho in enumerate(rhos):
-        ci = coefficients_from_gammas(float(ga[i]), float(gb[i]))
+        ci = DampingCoefficients(float(ga[i]), float(gb[i]))
         assert bits(out[i]) == bits(apply_channel(rho, ci))
         one = check_bound(rho, ci)
         for field in REPORT_FIELDS:
@@ -72,24 +72,23 @@ def test_per_state_gammas_match_single_calls_bitwise(kind, seed_list, data):
 def test_state_by_gamma_grid_is_seed_major():
     rhos = np.stack([random_state(s) for s in range(4)])
     gammas = np.array([0.9, 0.5, 0.1])
-    rep = check_bound(rhos[:, None], coefficients_from_gammas(gammas, gammas))
+    rep = check_bound(rhos[:, None], DampingCoefficients(gammas, gammas))
     assert rep.lhs.shape == (4, 3)
     for i in range(4):
         for j, g in enumerate(gammas):
-            one = check_bound(rhos[i], coefficients_from_gammas(float(g), float(g)))
+            one = check_bound(rhos[i], DampingCoefficients(float(g), float(g)))
             assert rep.lhs[i, j] == one.lhs and rep.rhs[i, j] == one.rhs
 
 
 def test_single_state_results_keep_scalar_types():
     rho = random_state(1)
-    c = coefficients_from_gammas(0.6, 0.4)
+    c = DampingCoefficients(0.6, 0.4)
     res = concurrence(rho)
     assert type(res.value) is float
     assert isinstance(res.roots, tuple) and all(type(r) is float for r in res.roots)
     rep = check_bound(rho, c)
     assert type(rep.satisfied) is bool
     assert all(type(getattr(rep, f)) is float for f in REPORT_FIELDS if f != "satisfied")
-    assert type(c.omega_a) is float
 
 
 def test_dagger_swaps_only_last_two_axes():
@@ -107,7 +106,7 @@ def test_stack_with_one_non_psd_member_names_its_index():
     with pytest.raises(ValueError, match=r"state 3 is not positive"):
         assert_density_matrix(rhos)
     with pytest.raises(ValueError, match=r"state 3 is not positive"):
-        apply_channel(rhos, coefficients_from_gammas(0.5, 0.5))
+        apply_channel(rhos, DampingCoefficients(0.5, 0.5))
     with pytest.raises(ValueError, match=r"input 3 is not PSD"):
         concurrence(rhos)
     with pytest.raises(ValueError, match=r"matrix 3 is not PSD"):
@@ -126,12 +125,16 @@ def stack_with_min_eigenvalue(w_min: float) -> np.ndarray:
 
 
 def test_concurrence_psd_check_and_clamp_share_one_eigendecomposition():
-    with pytest.raises(ValueError, match=r"input 2 is not PSD: min eigenvalue -5\.000e-09"):
-        concurrence(stack_with_min_eigenvalue(-5e-9))
-    # A looser eig_floor still meets the square root's -1e-8 clamp.
+    # concurrence refuses below states.EIG_FLOOR = -1e-9, before the square
+    # root's looser -1e-8 clamp, which psd_sqrt still meets on its own.
+    assert EIG_FLOOR == -1e-9
+    for w_min in (-1.1e-9, -5e-9, -5e-8):
+        with pytest.raises(ValueError, match=rf"input 2 is not PSD: min eigenvalue {w_min:.3e}"):
+            concurrence(stack_with_min_eigenvalue(w_min))
+    assert np.all(np.isfinite(concurrence(stack_with_min_eigenvalue(-0.9e-9)).value))
     clamp = r"matrix 2 is not PSD: min eigenvalue -5\.000e-08 < -1\.0e-08"
     with pytest.raises(ValueError, match=clamp):
-        concurrence(stack_with_min_eigenvalue(-5e-8), eig_floor=1e-7)
+        psd_sqrt(stack_with_min_eigenvalue(-5e-8))
     rhos = stack_with_min_eigenvalue(-5e-10)
     value = concurrence(rhos).value
     assert np.all(np.isfinite(value))
@@ -141,7 +144,7 @@ def test_concurrence_psd_check_and_clamp_share_one_eigendecomposition():
 def test_check_bound_initial_is_one_concurrence_per_state():
     rhos = np.stack([random_state(s) for s in range(6)])
     gammas = np.array([0.9, 0.5, 0.1])
-    initial = check_bound(rhos[:, None], coefficients_from_gammas(gammas, gammas)).initial
+    initial = check_bound(rhos[:, None], DampingCoefficients(gammas, gammas)).initial
     assert initial.shape == (6, 3)
     for i, rho in enumerate(rhos):
         c0 = concurrence(rho).value
