@@ -32,7 +32,6 @@ of usable CPUs.
 from __future__ import annotations
 
 import contextlib
-import json
 import math
 import os
 import pickle
@@ -343,6 +342,9 @@ def cmd_evolve(args: SimpleNamespace) -> int:
         raise ValueError(f"kernel_center must be finite, got {args.kernel_center}")
     if args.memory_rate is not None and args.kernel_file is not None:
         raise ValueError("choose either --memory-rate or --kernel-file, not both")
+    if args.kernel_file is not None and args.kernel_center != 0.0:
+        # A table holds its own center; the flag would be dropped silently.
+        raise ValueError("choose either --kernel-center or --kernel-file, not both")
 
     x0 = standard_family(args.a)
     rho0 = xstate_to_dense(x0)
@@ -399,10 +401,12 @@ def _summary_path(output: str) -> str:
     return f"{stem}_summary.json"
 
 
-# One summary record as json.dump(indent=2) lays out a dict in a list, with
-# kind, t_d and gamma_rate still to fill; json writes floats by repr, so a and
-# a finite t_d go in by %r.
-SUMMARY_RECORD = '  {\n    "a": %%r,\n    "kind": "%s",\n    "t_d": %s,\n    "gamma_rate": %s\n  }'
+# One death-time record as json.dumps(indent=2) lays out a dict, with kind,
+# t_d and gamma_rate still to fill; json writes floats by repr, so the rate,
+# then a and a finite t_d, go in by %r.  In the sweep summary each record is
+# an item of a list, two spaces further in.
+TD_RECORD = '{\n  "a": %%r,\n  "kind": "%s",\n  "t_d": %s,\n  "gamma_rate": %r\n}'
+SUMMARY_RECORD = "  " + TD_RECORD.replace("\n", "\n  ")
 
 
 def cmd_sweep(args: SimpleNamespace) -> int:
@@ -431,9 +435,8 @@ def cmd_sweep(args: SimpleNamespace) -> int:
     surface = family_concurrence(a_grid[:, None], gamma, gamma)
     # a in [0, 1] and the rate are finite, and t_d is finite where it is
     # reported, so no NaN or Infinity can reach the summary.
-    gamma_rate = json.dumps(args.rate, allow_nan=False)
-    finite_record = SUMMARY_RECORD % ("finite", "%r", gamma_rate)
-    asymptotic_record = SUMMARY_RECORD % ("asymptotic", "null", gamma_rate)
+    finite_record = SUMMARY_RECORD % ("finite", "%r", args.rate)
+    asymptotic_record = SUMMARY_RECORD % ("asymptotic", "null", args.rate)
 
     # Nothing is written until every number is in hand, and a failed write
     # removes both files, so a failed run leaves no output.  A block of a
@@ -481,10 +484,11 @@ TD_SPEC: Spec = {
 def cmd_td(args: SimpleNamespace) -> int:
     """Death time from the closed form; the bisection in esdkit.reference cross-checks it."""
     t_d = float(_death_times(death_time_s(args.a), args.rate, args.natural_units))
-    finite = t_d != math.inf
-    payload = {"a": args.a, "kind": "finite" if finite else "asymptotic",
-               "t_d": t_d if finite else None, "gamma_rate": args.rate}
-    text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    # a is in [0, 1] and the rate finite, so no NaN or Infinity reaches the record.
+    if t_d == math.inf:
+        text = TD_RECORD % ("asymptotic", "null", args.rate) % args.a + "\n"
+    else:
+        text = TD_RECORD % ("finite", "%r", args.rate) % (args.a, t_d) + "\n"
     if args.output:
         _write_text(args.output, [text])
         print(f"wrote {args.output}")
@@ -535,6 +539,10 @@ def cmd_bound(args: SimpleNamespace) -> int:
         # Seeds stay Python ints: a float column would round seeds above 2**53.
         template = "".join([("%d" % seed).join(pieces) for seed in seeds[block]])
         return template % tuple(rows.ravel().tolist()), rows
+
+    # numpy loads numpy.random on first use: load it once, here, so that the
+    # children forked below inherit it instead of each importing it again.
+    import numpy.random  # noqa: F401
 
     # A block of checks takes milliseconds, more than a fork's round trip.
     blocks = _blocks(args.samples, max(1, STACK_BLOCK // gammas.size))

@@ -33,6 +33,11 @@ from .memory import uniform_grid
 from .states import assert_density_matrix
 
 POSITIVITY_FLOOR = -1e-8
+# Most rows per product of the growth factors with the basis change, 16 x 32
+# real: 512 keeps m n k at 262 144, which OpenBLAS computes on the calling
+# thread.  Above it OpenBLAS wakes its threads, and on a small host they then
+# slow the eigvalsh positivity check that follows.
+PRODUCT_ROWS = 512
 
 
 def markov_rates(rate_a: float, rate_b: float | None = None) -> tuple[float, float]:
@@ -137,7 +142,13 @@ def integrate_master(rho0: np.ndarray, re_f: np.ndarray | float, re_g: np.ndarra
         growth -= 1.0
         # The complex columns, V with column m scaled by coordinate m, as real pairs.
         scaled = ((COORDINATES @ rho.ravel())[:, None] * MODES).view(float)
-        flat = (growth @ scaled).view(complex)
+        # Equal row blocks give the single product's bits: each has at least
+        # two rows, since numpy sends one row to gemv, which rounds otherwise.
+        flat = np.empty((n + 1, 16), dtype=complex)
+        parts = -(-(n + 1) // PRODUCT_ROWS)
+        bounds = [(n + 1) * k // parts for k in range(parts + 1)]
+        for lo, hi in zip(bounds, bounds[1:]):
+            np.matmul(growth[lo:hi], scaled, out=flat[lo:hi].view(float))
         flat += rho.ravel()
     states = flat.reshape(n + 1, 4, 4)
     if not np.isfinite(flat).all():

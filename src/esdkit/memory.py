@@ -26,9 +26,6 @@ from dataclasses import astuple, dataclass
 from typing import Union
 
 import numpy as np
-# numpy >= 2 loads numpy.fft on first attribute access; load it with this
-# module so the first solve does not pay for the import.
-import numpy.fft  # noqa: F401
 
 from .errors import ConvergenceError, SingularCoefficientError
 
@@ -295,16 +292,21 @@ def _solve_tabulated(kernel: TabulatedKernel,
     b[0] = 1.0
     # bdot = h (alpha/2 - A B) + c alpha_0 b, with A B mod x^(n+1)
     # = A_lo B_lo + x^s (A_hi B_lo + A_lo B_hi) over halves of length s: no
-    # product outgrows the buffers, so nothing wraps.  Each half of alpha is
-    # halved in place once its last product is taken.
+    # product outgrows the buffers, so nothing wraps.  The transforms of B_lo
+    # (left in v) and A_lo (kept in w) serve two products each.  Every
+    # product is fft(alpha) * fft(b) in that order, as in _circular_product:
+    # the other order rounds differently.  Each half of alpha is halved in
+    # place once it is transformed.
     s, bdot, b_coef = (n + 2) // 2, alpha, c * alpha[0]
+    w = np.fft.fft(alpha[:s], u.size)
     ab = _circular_product(alpha[s:], b[:s], u, v)
     bdot[s:] *= 0.5
     bdot[s:] -= ab[: n + 1 - s]
-    bdot[s:] -= _circular_product(alpha[:s], b[s:], u, v)[: n + 1 - s]
-    ab = _circular_product(alpha[:s], b[:s], u, v)
+    ab = np.multiply(w, np.fft.fft(b[s:], u.size, out=u), out=u)
+    bdot[s:] -= np.fft.ifft(ab, out=ab)[: n + 1 - s]
+    ab = np.multiply(w, v, out=u)
     bdot[:s] *= 0.5
-    bdot -= ab[: n + 1]
+    bdot -= np.fft.ifft(ab, out=ab)[: n + 1]
     bdot *= h
     bdot += np.multiply(b, b_coef, out=u[: n + 1])
     bdot[0] = 0.0

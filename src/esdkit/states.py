@@ -11,9 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-# numpy >= 2 loads numpy.random on first attribute access; load it with this
-# module so the first seeded draw does not pay for the import.
-import numpy.random  # noqa: F401
 
 from .linalg import HERMITIAN_TOL, dagger, first_bad, hermiticity_defect, member
 

@@ -55,20 +55,55 @@ def quoted(x: float) -> str:
     return f"{x:.1e}"
 
 
-def test_cli_import_needs_no_scipy_and_loads_lazy_numpy_modules():
-    # numpy >= 2 loads numpy.random and numpy.fft on first use; esdkit imports
-    # them up front so a run does not pay for them, and it needs no scipy.
-    probe = (
-        "import json, sys, esdkit.cli; print(json.dumps("
-        "[sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'),"
-        " 'numpy.random' in sys.modules, 'numpy.fft' in sys.modules]))"
-    )
+# Run in a fresh interpreter: what importing esdkit.cli loads of the
+# modules only some runs need, what was loaded at each fork (two usable CPUs
+# claimed, so bound forks on any host), and what was loaded after the run.
+IMPORT_PROBE = """
+import os, sys
+import esdkit.cli
+def loaded():
+    return [m for m in ("scipy", "numpy.random", "numpy.fft", "json") if m in sys.modules]
+at_import, at_fork, fork = loaded(), [], os.fork
+def logged_fork():
+    at_fork.append(loaded())
+    return fork()
+os.fork, os.sched_getaffinity = logged_fork, lambda pid: {0, 1}
+code = esdkit.cli.main(sys.argv[1:])
+print(repr([at_import, at_fork, loaded()]))
+sys.exit(code)
+"""
+
+
+def test_cli_import_needs_no_scipy_and_each_run_loads_only_what_it_uses(tmp_path):
+    # numpy >= 2 loads numpy.random and numpy.fft on first attribute access,
+    # so only bound (numpy.random, before it forks, so that its children
+    # inherit it) and a table kernel (numpy.fft) load them; td and sweep
+    # write their JSON from templates, and nothing needs scipy
+    (tmp_path / "kern.txt").write_text("0 1 0\n0.001 1 0\n0.002 1 0\n")
+    runs = {
+        "evolve": ["evolve", "--t-max", "0.002"],
+        "evolve --kernel-file": ["evolve", "--kernel-file", "kern.txt", "--t-max", "0.002",
+                                 "--mem-tol", "inf"],
+        "sweep": ["sweep", "--a-steps", "3", "--t-steps", "2"],
+        "td": ["td"],
+        "bound": ["bound", "--samples", "100"],
+    }
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                         text=True, timeout=120, check=True)
-    assert json.loads(out.stdout) == [[], True, True]
+    seen = {}
+    for name, argv in runs.items():
+        out = subprocess.run([sys.executable, "-c", IMPORT_PROBE, *argv, "--output", "out.csv"],
+                             cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+                             check=True)
+        seen[name] = ast.literal_eval(out.stdout.splitlines()[-1])
+    assert seen == {
+        "evolve": [[], [], []],
+        "evolve --kernel-file": [[], [], ["numpy.fft"]],
+        "sweep": [[], [], []],
+        "td": [[], [], []],
+        "bound": [[], [["numpy.random"]], ["numpy.random"]],
+    }
 
 
 LAYERS = ("linalg", "states", "channel", "entanglement", "memory", "master", "esd")
@@ -623,6 +658,27 @@ def test_evolve_rejects_conflicting_kernel_options(tmp_path, capsys):
     assert "not both" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("center", ["5", "-1e-3", "1e308"])
+def test_evolve_refuses_kernel_center_with_kernel_file(tmp_path, capsys, center):
+    # a table holds its own center, so a --kernel-center other than 0 would
+    # be dropped; refused like --memory-rate with --kernel-file
+    table = tmp_path / "two.txt"
+    table.write_text("0 1 0\n0.001 1 0\n")
+    out = tmp_path / "x.csv"
+    code = run("evolve", "--kernel-file", str(table), "--kernel-center", center,
+               "--output", str(out))
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: choose either --kernel-center or --kernel-file, not both\n")
+    assert not out.exists()
+    # 0, the default, and -0.0 are no center; a Markov run checks the value
+    # and reads it, as before
+    for argv in (["--kernel-file", str(table), "--mem-tol", "inf", "--kernel-center", "-0.0"],
+                 ["--kernel-center", center]):
+        assert run("evolve", *argv, "--t-max", "0.001", "--dt", "0.001", "--output", str(out)) == 0
+        out.unlink()
+
+
 def test_sweep_surface_and_summary(tmp_path):
     out = tmp_path / "sweep.csv"
     assert run(
@@ -953,6 +1009,23 @@ def test_sweep_summary_is_byte_identical_to_json_dump(tmp_path, case):
         argv.append("--no-natural-units")
     assert run(*argv) == 0
     assert (tmp_path / "sweep_summary.json").read_bytes() == old_sweep_summary(*case)
+
+
+@pytest.mark.parametrize("argv", [
+    ["--a", "1"], ["--a", "0.5", "--rate", "0.37"], ["--a", "0.2"], ["--a", "0"],
+    ["--a", "0.33333333333333337", "--rate", "1e-310"],
+    ["--a", "0.7", "--rate", "3", "--no-natural-units"],
+    ["--a", "0.3333333333333333", "--rate", "1e308", "--no-natural-units"],
+], ids=" ".join)
+def test_td_record_is_byte_identical_to_json_dumps(capsys, argv):
+    assert run("td", *argv) == 0
+    args = cli.parse_args(["td", *argv])
+    cli._resolve(args, args.spec)
+    t_d = float(cli._death_times(death_time_s(args.a), args.rate, args.natural_units))
+    finite = t_d != math.inf
+    payload = {"a": args.a, "kind": "finite" if finite else "asymptotic",
+               "t_d": t_d if finite else None, "gamma_rate": args.rate}
+    assert capsys.readouterr().out == json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 def fmt_row(values) -> str:

@@ -15,6 +15,7 @@ from esdkit.master import (
     MODE_RATES,
     MODES,
     POSITIVITY_FLOOR,
+    PRODUCT_ROWS,
     integrate_master,
     markov_rates,
     rk4_growth,
@@ -401,6 +402,35 @@ def test_constant_rates_are_the_table_path_bit_for_bit(re_f, re_g):
     table_f, table_g = np.full(6001, re_f), np.full(6001, re_g)
     for rates in ((table_f, table_g), (table_f, re_g), (re_f, table_g)):
         assert np.array_equal(integrate_master(rho0, *rates, 3.0, 1e-3).states, want)
+
+
+def single_product_states(rho0, re_f, re_g, t_max, dt):
+    """integrate_master's states with the growth factors and the basis
+    change multiplied in one product, as before the row blocks."""
+    n = uniform_grid(t_max, dt).size - 1
+    rates = np.empty((2 * n + 1, 2))
+    rates[:, 0], rates[:, 1] = re_f, re_g
+    modes = rates @ MODE_RATES
+    growth = np.ones((n + 1, 16))
+    np.cumprod(rk4_growth(modes[:-1:2], modes[1::2], modes[2::2], dt), axis=0, out=growth[1:])
+    growth -= 1.0
+    scaled = ((COORDINATES @ rho0.ravel())[:, None] * MODES).view(float)
+    flat = (growth @ scaled).view(complex)
+    flat += rho0.ravel()
+    return flat.reshape(n + 1, 4, 4)
+
+
+@pytest.mark.parametrize("steps", [1, 2, PRODUCT_ROWS - 1, PRODUCT_ROWS, PRODUCT_ROWS + 1,
+                                   2 * PRODUCT_ROWS, 3000])
+def test_row_blocked_product_is_the_single_product_bit_for_bit(steps):
+    # 3000 steps is the default evolve grid, 3001 rows in 6 blocks, whose
+    # single product is past OpenBLAS's threading threshold; 512 and 1024
+    # steps would leave a one-row block, had the blocks not equal sizes
+    rho0 = random_state(8)
+    t_max = steps * 1e-3
+    re_f = 0.5 + 0.4 * np.sin(np.arange(2 * steps + 1) * 1e-3)
+    traj = integrate_master(rho0, re_f, 0.3, t_max, 1e-3)
+    assert np.array_equal(traj.states, single_product_states(rho0, re_f, 0.3, t_max, 1e-3))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -322,6 +322,55 @@ def test_tabulated_bdot_is_the_trapezoid_schemes(depth):
         assert sol.bdot[0] == 0.0
 
 
+def three_product_bdot(alpha: np.ndarray, b: np.ndarray, h: float):
+    """bdot and the error estimate of the tabulated solver from its b, with
+    A B mod x^(n+1) = A_lo B_lo + x^s (A_hi B_lo + A_lo B_hi) taken as three
+    circular products of two transforms and an inverse each: nine FFTs."""
+    n, s = b.size - 1, (b.size + 1) // 2
+    size = 1 << n.bit_length()
+
+    def product(x, y):
+        fx = np.fft.fft(x, size)
+        fx *= np.fft.fft(y, size)
+        return np.fft.ifft(fx)
+
+    bdot = alpha.copy()
+    bdot[s:] *= 0.5
+    bdot[s:] -= product(alpha[s:], b[:s])[: n + 1 - s]
+    bdot[s:] -= product(alpha[:s], b[s:])[: n + 1 - s]
+    bdot[:s] *= 0.5
+    bdot -= product(alpha[:s], b[:s])[: n + 1]
+    bdot *= h
+    bdot += b * (0.5 * h * alpha[0])
+    bdot[0] = 0.0
+    e = b[1:] - b[:-1]
+    e -= bdot[:-1] * (1.5 * h)
+    e[1:] += bdot[:-2] * (0.5 * h)
+    return bdot, float(np.sum(np.abs(e))) / 6.0
+
+
+@pytest.mark.parametrize("recipe", ["kern.txt", "50 001 rows"])
+def test_tabulated_bdot_is_the_three_product_form_bit_for_bit(tmp_path, recipe):
+    # the tab.csv run of docs/reproduction.md, solved at 5e-4 on the 1e-3
+    # table, and a benchmark-sized table solved at its own 2e-5 step; both
+    # as the atom at omega 1 reads them.  The solver takes seven FFTs.
+    path = tmp_path / "kern.txt"
+    if recipe == "kern.txt":
+        tau, t_max, step, tol = np.arange(0, 1.0 + 5e-4, 1e-3), 1.0, 5e-4, 1e-3
+        alpha = ExponentialKernel(1.0, 5.0, 0.0).evaluate(tau)
+        fmt = "%.17e"
+    else:
+        tau, t_max, step, tol = np.arange(50001) * 2e-5, 1.0, 2e-5, 1e-8
+        alpha = 0.5 * 7.3 * np.exp(-(7.3 + 0.4j) * tau)
+        fmt = "%.17g"
+    np.savetxt(path, np.c_[tau, alpha.real, alpha.imag], fmt=fmt)
+    kernel = atom_kernel(load_kernel_table(path), 1.0, t_max, step)
+    sol = solve_amplitude(kernel, t_max, step, tol=tol)
+    bdot, error = three_product_bdot(kernel.evaluate(sol.t), sol.b, sol.dt)
+    assert np.array_equal(sol.bdot, bdot)
+    assert sol.error_estimate == error
+
+
 def test_gate_raises_exactly_when_the_error_estimate_exceeds_tol():
     kernel, dt = decaying_table(400, 2.0, 1.0 - 0.5j, 4.0, 1.0), 5e-3
     estimate = solve_amplitude(kernel, 2.0, dt, tol=np.inf).error_estimate
