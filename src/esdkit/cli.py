@@ -44,11 +44,11 @@ import numpy as np
 
 from .channel import DampingCoefficients
 from .entanglement import check_bound, concurrence_x
-from .errors import ConvergenceError, NumericalError
+from .errors import NumericalError
 from .esd import death_time_s, family_concurrence, family_image
-from .master import integrate_master, markov_rates
-from .memory import (DEFAULT_TOL, ExponentialKernel, Kernel, TabulatedKernel, coefficient_f,
-                     load_kernel_table, solve_amplitude, uniform_grid)
+from .master import integrate_master
+from .memory import (DEFAULT_TOL, ExponentialKernel, coefficient_f, load_kernel_table,
+                     solve_amplitude, uniform_grid)
 from .states import random_states, standard_family, xstate_to_dense
 
 
@@ -257,7 +257,7 @@ def _death_times(s_d: np.ndarray, rate: float, natural_units: bool) -> np.ndarra
 
 EVOLVE_SPEC: Spec = {
     "a": (_float, 1.0, "family parameter in [0, 1]"),
-    "rate": (_float, 1.0, "damping rate"),
+    "rate": (_float, 1.0, "damping rate; a --kernel-file table sets its own"),
     "t_max": (_float, 3.0, "final time"),
     "dt": (_float, 1e-3, "integration step"),
     "omega_a": (_float, 1.0, "atom A frequency"),
@@ -275,35 +275,14 @@ EVOLVE_SPEC: Spec = {
 EVOLVE_ROW = ",".join(["%.17g"] * 7) + "\n"
 
 
-def atom_kernel(kernel: Kernel, omega: float, t_max: float, mem_dt: float) -> Kernel:
-    """kernel in the rotating frame of an atom at frequency omega, where the
-    amplitude solvers read it: alpha(tau) e^{i omega tau}.  A single pole
-    moves to the detuning center - omega; a table is rotated on the solve
-    grid, whose samples alias from pi rad per step on."""
-    if isinstance(kernel, ExponentialKernel):
-        detuning = kernel.center_frequency - omega
-        if not math.isfinite(detuning):
-            raise NumericalError(f"detuning kernel_center - omega = "
-                                 f"{kernel.center_frequency!r} - {omega!r} overflows")
-        return ExponentialKernel(kernel.strength, kernel.memory_rate, detuning)
-    if not abs(omega) * mem_dt < math.pi:
-        raise ConvergenceError(f"step too coarse: at omega {omega!r} the rotating frame turns "
-                               f"the kernel {abs(omega) * mem_dt:.3g} rad per amplitude step "
-                               f"{mem_dt:.3g}, and pi rad aliases; reduce --mem-dt")
-    grid = uniform_grid(t_max, mem_dt)
-    alpha, rotation = kernel.evaluate(grid), np.multiply(grid, 1j * omega)
-    alpha *= np.exp(rotation, out=rotation)
-    return TabulatedKernel(grid, alpha, kernel.source)
-
-
 def _memory_rates(args: SimpleNamespace) -> tuple[np.ndarray, ...]:
     """Re F and Re G at the master's 2n + 1 RK4 stages and both local
     coherences on the n-step evolve grid, read off one amplitude solve per
-    atom, each in its atom's rotating frame: its step is dt/2 divided by the
-    least k that keeps it at most --mem-dt, else the table's step, else dt
-    (a single pole is exact at any step), so every k-th point is a stage and
-    every 2k-th a grid point.  The samples are copies: the kernels and the
-    solutions die on return, before the master runs."""
+    distinct atom frequency, each in that atom's rotating frame: its step is
+    dt/2 divided by the least k that keeps it at most --mem-dt, else the
+    table's step, else dt (a single pole is exact at any step), so every k-th
+    point is a stage and every 2k-th a grid point.  The samples are copies:
+    the kernel and the solutions die on return, before the master runs."""
     if args.kernel_file is not None:
         kernel = load_kernel_table(args.kernel_file)
         target = kernel.step
@@ -318,12 +297,9 @@ def _memory_rates(args: SimpleNamespace) -> tuple[np.ndarray, ...]:
         )
     k = max(1, math.ceil(0.5 * args.dt / target - 1e-9))
     mem_dt = 0.5 * args.dt / k
-    atoms = {omega: atom_kernel(kernel, omega, args.t_max, mem_dt)
-             for omega in dict.fromkeys((args.omega_a, args.omega_b))}
-    del kernel  # a table's rotated copies replace it before the solves
     rates = {}
-    for omega, atom in atoms.items():
-        sol = solve_amplitude(atom, args.t_max, mem_dt, tol=args.mem_tol)
+    for omega in dict.fromkeys((args.omega_a, args.omega_b)):
+        sol = solve_amplitude(kernel, args.t_max, mem_dt, omega, tol=args.mem_tol)
         rates[omega] = coefficient_f(sol).real[::k].copy(), sol.gamma[::2 * k].copy()
     (re_f, ga), (re_g, gb) = rates[args.omega_a], rates[args.omega_b]
     return re_f, re_g, ga, gb
@@ -345,6 +321,9 @@ def cmd_evolve(args: SimpleNamespace) -> int:
     if args.kernel_file is not None and args.kernel_center != 0.0:
         # A table holds its own center; the flag would be dropped silently.
         raise ValueError("choose either --kernel-center or --kernel-file, not both")
+    if args.kernel_file is not None and args.rate != 1.0:
+        # A table sets its own decay strength; the rate would only rescale t.
+        raise ValueError("choose either --rate or --kernel-file, not both")
 
     x0 = standard_family(args.a)
     rho0 = xstate_to_dense(x0)
@@ -352,7 +331,7 @@ def cmd_evolve(args: SimpleNamespace) -> int:
     grid = uniform_grid(args.t_max, args.dt)
 
     if args.memory_rate is None and args.kernel_file is None:
-        re_f, re_g = markov_rates(args.rate)
+        re_f = re_g = 0.5 * args.rate
         ga = np.exp(-0.5 * args.rate * grid)
         gb = ga
     else:

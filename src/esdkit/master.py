@@ -40,16 +40,6 @@ POSITIVITY_FLOOR = -1e-8
 PRODUCT_ROWS = 512
 
 
-def markov_rates(rate_a: float, rate_b: float | None = None) -> tuple[float, float]:
-    """(Re F, Re G) = (rate_a/2, rate_b/2): the memoryless limit of the kernel
-    coefficient, constant in time."""
-    if rate_b is None:
-        rate_b = rate_a
-    if not (0.0 <= rate_a < np.inf and 0.0 <= rate_b < np.inf):
-        raise ValueError(f"damping rates ({rate_a}, {rate_b}) must be finite and non-negative")
-    return 0.5 * rate_a, 0.5 * rate_b
-
-
 # The generator Re F D_A + Re G D_B is a sum of two commuting pieces, one per
 # atom, so one basis diagonalizes it at all times.  One atom's dissipator
 # D[x] = 2 s- x s+ - n x - x n has the eigenoperators |g><g|, |e><e| - |g><g|,

@@ -4,10 +4,13 @@ One damped atom with a structured reservoir obeys, in its rotating frame,
 
     db/dt + integral_0^t alpha(t - s) b(s) ds = 0,  b(0) = 1,
 
-with alpha the reservoir correlation kernel as that frame sees it
-(cli.atom_kernel), so no atom frequency enters here.  The solvers return b
-and db/dt; the time-local decay coefficient is F(t) = -(db/dt)/b, and the
-residual amplitude gamma(t) = |b(t)| feeds the damping channel.
+with alpha the reservoir correlation kernel as that frame sees it.
+solve_amplitude forms it from the lab-frame kernel and the atom frequency
+omega, alpha(tau) e^{i omega tau}, so the solvers below never see omega:
+a single pole moves to the detuning center - omega, and a table is rotated
+on the solve grid.  The solvers return b and db/dt; the time-local decay
+coefficient is F(t) = -(db/dt)/b, and the residual amplitude
+gamma(t) = |b(t)| feeds the damping channel.
 
 A single-pole (exponential) kernel reduces the equation to a linear 2x2 ODE
 with constant coefficients via the auxiliary memory integral, whose exact
@@ -22,12 +25,12 @@ the step-by-step O(n^2) scheme to round-off.  Only numpy is needed.
 from __future__ import annotations
 
 import warnings
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
-from .errors import ConvergenceError, SingularCoefficientError
+from .errors import ConvergenceError, NumericalError, SingularCoefficientError
 
 DEFAULT_TOL = 1e-8
 B_FLOOR = 1e-6
@@ -41,8 +44,9 @@ class ExponentialKernel:
 
     strength is the Markov-limit decay rate (the kernel integrates to
     strength/2 at zero detuning), memory_rate the inverse memory time, and
-    center_frequency the reservoir center, which the solvers read as the
-    detuning from the atom.  strength = 0 is allowed and means free evolution.
+    center_frequency the reservoir center, which solve_amplitude reads as a
+    detuning from the atom frequency.  strength = 0 is allowed and means free
+    evolution.
     """
 
     strength: float
@@ -194,10 +198,10 @@ def uniform_grid(t_max: float, dt: float) -> np.ndarray:
         raise ValueError(f"t_max={t_max} / dt={dt} gives {n + 1:.3g} grid points: {exc}") from None
 
 
-def _solve_exponential(kernel: ExponentialKernel,
+def _solve_exponential(strength: float, memory_rate: float, detuning: float,
                        grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """b and bdot = -z of the pair y = (b, z), z the running memory integral,
-    exactly: y' = M y with constant M = [[0, -1], [g, -(rate + i center)]],
+    exactly: y' = M y with constant M = [[0, -1], [g, -(rate + i detuning)]],
     g = strength * rate / 2, so y(t) = exp(M t) y(0), here by Sylvester's
     formula about the slow root l1 (docs/derivations.md, section 6):
 
@@ -207,8 +211,8 @@ def _solve_exponential(kernel: ExponentialKernel,
     It is exact at critical damping (l1 = l2), and zero coupling gives
     l1 = 0, b = 1 and bdot = 0 exactly.
     """
-    g = 0.5 * kernel.strength * kernel.memory_rate
-    mu = -0.5 * complex(kernel.memory_rate, kernel.center_frequency)
+    g = 0.5 * strength * memory_rate
+    mu = -0.5 * complex(memory_rate, detuning)
     # The fast root l2 = mu + delta, delta^2 = mu^2 - g = (mu - sqrt g)(mu + sqrt g)
     # formed as a product, which cannot overflow, and taken along mu: the sum
     # does not cancel, and Re(l2 - l1) <= 0.  l1 = g/l2 by Vieta; g = 0 can
@@ -242,7 +246,7 @@ def _circular_product(x: np.ndarray, y: np.ndarray, out: np.ndarray,
     return np.fft.ifft(out, out=out)
 
 
-def _solve_tabulated(kernel: TabulatedKernel,
+def _solve_tabulated(alpha: np.ndarray,
                      grid: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """Implicit trapezoid scheme, solved as one power-series quotient.
 
@@ -252,12 +256,12 @@ def _solve_tabulated(kernel: TabulatedKernel,
     Numer. Math. 52, 129 (1988)): Q = (1 - x) + d, d = c (1 + x)(h A -
     c alpha_0), and B = 1/2 + (Q_0 + (1 + c^2 alpha_0) x)/(2Q).
     1/Q comes from Newton's iteration g <- g - g (Q g - 1) on FFT products (Kung,
-    Numer. Math. 22, 341 (1974)): O(n log n), no loop over grid points.  Returns
+    Numer. Math. 22, 341 (1974)): O(n log n), no loop over grid points.  alpha
+    holds the kernel on grid and is overwritten: it comes back as bdot.  Returns
     b, bdot and the accumulated predictor-corrector local-error estimate.
     """
     h = float(grid[1] - grid[0])
     c, n = 0.5 * h, grid.size - 1
-    alpha = kernel.evaluate(grid)
     lin = -c * (c * alpha[0])
     q0 = 1.0 + (h * c * alpha[0] + lin)
     # Every FFT product goes through two reused buffers, which keeps the heap
@@ -317,14 +321,18 @@ def _solve_tabulated(kernel: TabulatedKernel,
     return b, bdot, float(np.sum(np.abs(e, out=v.real[:n]))) / 6.0
 
 
-def solve_amplitude(kernel: Kernel, t_max: float, dt: float,
+def solve_amplitude(kernel: Kernel, t_max: float, dt: float, omega: float = 0.0,
                     tol: float = DEFAULT_TOL) -> AmplitudeSolution:
-    """Solve the rotating-frame amplitude equation on a uniform grid 0..t_max.
+    """Solve the amplitude equation of an atom at frequency omega, in its
+    rotating frame, on a uniform grid 0..t_max.
 
-    Exponential kernels take the exact solution of the equivalent linear
-    pair at every grid point; nothing is gated and error_estimate is None.
-    Tabulated kernels use an implicit trapezoid scheme and gate by an
-    accumulated predictor-corrector error estimate, returned as
+    That frame reads the kernel as alpha(tau) e^{i omega tau}.  A single pole
+    moves to the detuning center_frequency - omega, a NumericalError where
+    that overflows; it takes the exact solution of the equivalent linear
+    pair at every grid point, nothing is gated and error_estimate is None.
+    A table is rotated on the grid, whose samples alias from pi rad per step
+    on, a ConvergenceError; it takes an implicit trapezoid scheme and is
+    gated by an accumulated predictor-corrector error estimate, returned as
     error_estimate: it raises ConvergenceError when the estimate exceeds tol;
     tol=inf skips it (convergence studies), NaN or a negative tol is a
     ValueError.  Both return db/dt as bdot.
@@ -334,16 +342,28 @@ def solve_amplitude(kernel: Kernel, t_max: float, dt: float,
     """
     if not tol >= 0.0:
         raise ValueError(f"tol must be non-negative (inf skips the gate), got {tol}")
-    grid = uniform_grid(t_max, dt)
     if isinstance(kernel, ExponentialKernel):
+        detuning = kernel.center_frequency - omega
+        if not np.isfinite(detuning):
+            raise NumericalError(f"detuning kernel_center - omega = "
+                                 f"{kernel.center_frequency!r} - {omega!r} overflows")
+        params = (kernel.strength, kernel.memory_rate, detuning)
+        grid = uniform_grid(t_max, dt)
         with np.errstate(over="ignore", invalid="ignore"):
-            b, bdot = _solve_exponential(kernel, grid)
+            b, bdot = _solve_exponential(*params, grid)
         if not (np.isfinite(b).all() and np.isfinite(bdot).all()):
             raise ConvergenceError(f"the single-pole amplitude overflows for kernel "
-                                   f"parameters {astuple(kernel)}")
+                                   f"parameters {params}")
         error = None
     elif isinstance(kernel, TabulatedKernel):
-        b, bdot, error = _solve_tabulated(kernel, grid)
+        if not abs(omega) * dt < np.pi:
+            raise ConvergenceError(f"step too coarse: at omega {omega!r} the rotating frame "
+                                   f"turns the kernel {abs(omega) * dt:.3g} rad per amplitude "
+                                   f"step {dt:.3g}, and pi rad aliases; reduce --mem-dt")
+        grid = uniform_grid(t_max, dt)
+        alpha = kernel.evaluate(grid)
+        alpha *= np.exp(np.multiply(grid, 1j * omega))
+        b, bdot, error = _solve_tabulated(alpha, grid)
         if error > tol:
             raise ConvergenceError(f"step too coarse: accumulated local-error estimate "
                                    f"{error:.3e} (tol {tol:.1e})")

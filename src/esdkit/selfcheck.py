@@ -14,11 +14,10 @@ from typing import Callable
 import numpy as np
 
 from .channel import DampingCoefficients
-from .cli import atom_kernel
 from .entanglement import check_bound, concurrence, concurrence_x
 from .esd import death_time_s, family_concurrence
 from .linalg import dagger
-from .master import integrate_master, markov_rates
+from .master import integrate_master
 from .memory import ExponentialKernel, TabulatedKernel, solve_amplitude
 from .reference import (apply_channel, coefficients_markov, disentanglement_time,
                         gamma_identity_defect, pure_state, random_xstate, volterra_residual)
@@ -93,8 +92,7 @@ def check_memory_resonant_frame() -> tuple[bool, str]:
     # table, at zero detuning: gamma is the two-exponential closed form.
     pole, t, d = ExponentialKernel(1.0, 5.0, 50.0), np.arange(2001) * 1e-3, np.sqrt(15.0)
     want = ((1 + 5 / d) * np.exp((d - 5) * t / 2) + (1 - 5 / d) * np.exp(-(d + 5) * t / 2)) / 2
-    gaps = [np.max(np.abs(solve_amplitude(atom_kernel(k, 50.0, 2.0, 1e-3), 2.0, 1e-3,
-                                          tol=np.inf).gamma - want))
+    gaps = [np.max(np.abs(solve_amplitude(k, 2.0, 1e-3, 50.0, tol=np.inf).gamma - want))
             for k in (pole, TabulatedKernel(t, pole.evaluate(t)))]
     return (gaps[0] < 1e-8 and gaps[1] < 1e-6,
             f"gap to the closed form {gaps[0]:.2e} (pole), {gaps[1]:.2e} (table)")
@@ -124,14 +122,14 @@ def check_memory_residual_order() -> tuple[bool, str]:
 
 def check_master_conservation() -> tuple[bool, str]:
     rho0 = xstate_to_dense(standard_family(1.0))
-    traj = integrate_master(rho0, *markov_rates(1.0), 5.0, 1e-3)
+    traj = integrate_master(rho0, 0.5, 0.5, 5.0, 1e-3)
     drift = max(traj.max_trace_drift(), traj.max_hermiticity_defect())
     return drift < 1e-10, f"max trace/hermiticity drift {drift:.2e}"
 
 
 def check_master_matches_channel() -> tuple[bool, str]:
     rho0 = xstate_to_dense(standard_family(1.0))
-    traj = integrate_master(rho0, *markov_rates(1.0), 1.0, 1e-3)
+    traj = integrate_master(rho0, 0.5, 0.5, 1.0, 1e-3)
     worst = 0.0
     for i in range(0, traj.t.size, 100):
         ref = apply_channel(rho0, coefficients_markov(1.0, float(traj.t[i])))

@@ -98,15 +98,15 @@ def xstate_to_dense(x: XState) -> np.ndarray:
     return rho
 
 
-def random_states(seeds, dim: int = 4) -> np.ndarray:
-    """Ginibre-random density matrices G G^dagger / tr(G G^dagger), one per seed,
-    as a (len(seeds), dim, dim) stack.
+def random_states(seeds) -> np.ndarray:
+    """Ginibre-random two-qubit density matrices G G^dagger / tr(G G^dagger),
+    one per seed, as a (len(seeds), 4, 4) stack.
 
-    Each G is drawn from its own np.random.default_rng(seed), so a given
-    (seed, dim) always produces the same state, whatever stack it is in.
+    Each G is drawn from its own np.random.default_rng(seed), so a given seed
+    always produces the same state, whatever stack it is in.
     """
     # One draw of both halves per seed: the real part, then the imaginary.
-    parts = np.empty((len(seeds), 2, dim, dim))
+    parts = np.empty((len(seeds), 2, 4, 4))
     for part, seed in zip(parts, seeds):
         np.random.default_rng(seed).standard_normal(out=part)
     g = parts[:, 0] + 1j * parts[:, 1]
@@ -114,6 +114,6 @@ def random_states(seeds, dim: int = 4) -> np.ndarray:
     return rho / np.trace(rho, axis1=-2, axis2=-1).real[:, None, None]
 
 
-def random_state(seed: int, dim: int = 4) -> np.ndarray:
+def random_state(seed: int) -> np.ndarray:
     """The one-seed stack of random_states."""
-    return random_states([seed], dim)[0]
+    return random_states([seed])[0]

@@ -21,12 +21,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from esdkit import channel, cli, entanglement, memory, reference, selfcheck
-from esdkit.cli import atom_kernel
 from esdkit.channel import DampingCoefficients
 from esdkit.entanglement import check_bound, concurrence, concurrence_x
 from esdkit.errors import NumericalError
 from esdkit.esd import death_time_s, family_concurrence
-from esdkit.master import integrate_master, markov_rates
+from esdkit.master import integrate_master
 from esdkit.memory import (
     ExponentialKernel, coefficient_f, load_kernel_table, solve_amplitude, uniform_grid,
 )
@@ -109,18 +108,30 @@ def test_cli_import_needs_no_scipy_and_each_run_loads_only_what_it_uses(tmp_path
 LAYERS = ("linalg", "states", "channel", "entanglement", "memory", "master", "esd")
 
 
-def test_cli_import_loads_every_layer_and_no_cross_check_code():
+def esdkit_modules_after_import(module: str) -> set[str]:
+    """The esdkit modules a fresh interpreter holds once it imports module."""
     probe = (
-        "import json, sys, esdkit.cli; print(json.dumps(sorted("
+        f"import json, sys, {module}; print(json.dumps(sorted("
         "m for m in sys.modules if m.split('.')[0] == 'esdkit')))"
     )
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": path},
                          capture_output=True, text=True, timeout=120, check=True)
-    loaded = set(json.loads(out.stdout))
+    return set(json.loads(out.stdout))
+
+
+def test_cli_import_loads_every_layer_and_no_cross_check_code():
+    loaded = esdkit_modules_after_import("esdkit.cli")
     assert {f"esdkit.{layer}" for layer in LAYERS} <= loaded
     assert not loaded & {"esdkit.reference", "esdkit.selfcheck"}
+
+
+@pytest.mark.parametrize("module", ["esdkit.selfcheck", "esdkit.memory"])
+def test_selfcheck_and_memory_import_no_cli(module):
+    # the atom's rotating frame is formed in esdkit.memory, so neither the
+    # amplitude solver nor the check suites reach into the CLI
+    assert "esdkit.cli" not in esdkit_modules_after_import(module)
 
 
 def imported_modules(node: ast.AST, package: str) -> set[str]:
@@ -251,8 +262,8 @@ def test_memory_rates_solve_the_stages_at_any_memory_rate(monkeypatch, memory_ra
     # fast its memory decays: no grid sized by the memory rate
     sizes = []
 
-    def recording(kernel, t_max, dt, tol):
-        sol = solve_amplitude(kernel, t_max, dt, tol=tol)
+    def recording(kernel, t_max, dt, omega, tol):
+        sol = solve_amplitude(kernel, t_max, dt, omega, tol=tol)
         sizes.append(sol.t.size)
         return sol
 
@@ -473,7 +484,7 @@ def test_evolve_local_coherences_are_the_solved_abs_b(tmp_path, source):
     assert run("evolve", *argv, "--output", str(out)) == 0
     rows = load_csv(out)
     for col, omega in ((2, 1.0), (3, 1.3)):
-        sol = solve_amplitude(atom_kernel(kernel, omega, 1.0, 5e-4), 1.0, 5e-4, tol=tol)
+        sol = solve_amplitude(kernel, 1.0, 5e-4, omega, tol=tol)
         assert np.array_equal(rows[:, col], clipped_abs_b(sol)[::2])
 
 
@@ -580,6 +591,8 @@ def test_evolve_kernel_table_refusals_name_the_file(tmp_path, capsys, rows, argv
     (["--memory-rate", "inf"], "(1.0, inf, 0.0) must be finite"),
     (["--rate", "nan"], "rate must be finite and non-negative, got nan"),
     (["--rate", "inf"], "rate must be finite and non-negative, got inf"),
+    (["--rate", "-1"], "rate must be finite and non-negative, got -1.0"),
+    (["--rate", "-inf"], "rate must be finite and non-negative, got -inf"),
     (["--omega-a", "nan"], "omega_a=nan"),
     (["--omega-b", "inf"], "omega_b=inf"),
     (["--memory-rate", "5", "--mem-tol", "nan"],
@@ -656,6 +669,20 @@ def test_evolve_rejects_conflicting_kernel_options(tmp_path, capsys):
     )
     assert code == 2
     assert "not both" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rate", ["2", "5e-324", "0", "1e308"])
+def test_evolve_refuses_rate_with_kernel_file(tmp_path, capsys, rate):
+    # a table sets its own decay strength, so --rate would only rescale the
+    # t column; anything but the default 1 is refused
+    table = tmp_path / "two.txt"
+    table.write_text("0 1 0\n0.001 1 0\n")
+    out = tmp_path / "x.csv"
+    assert run("evolve", "--kernel-file", str(table), "--rate", rate, "--output", str(out)) == 2
+    assert capsys.readouterr().err == "error: choose either --rate or --kernel-file, not both\n"
+    assert not out.exists()
+    argv = ["--kernel-file", str(table), "--mem-tol", "inf", "--t-max", "0.001", "--dt", "0.001"]
+    assert run("evolve", *argv, "--rate", "1", "--output", str(out)) == 0
 
 
 @pytest.mark.parametrize("center", ["5", "-1e-3", "1e308"])
@@ -864,9 +891,12 @@ def test_check_failure_exits_4(monkeypatch, capsys):
 
 
 def test_resonant_frame_probe_fails_on_lab_frame_kernels(monkeypatch):
-    # handed the lab-frame kernels unrotated, detuned by 50, the probe fails
+    # solved with no atom frequency, the kernels stay detuned by 50 and the
+    # probe fails
     assert selfcheck.check_memory_resonant_frame()[0]
-    monkeypatch.setattr(selfcheck, "atom_kernel", lambda kernel, omega, t_max, dt: kernel)
+    solve = selfcheck.solve_amplitude
+    monkeypatch.setattr(selfcheck, "solve_amplitude",
+                        lambda kernel, t_max, dt, omega, tol: solve(kernel, t_max, dt, tol=tol))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         passed, detail = selfcheck.check_memory_resonant_frame()
@@ -1042,7 +1072,7 @@ def old_evolve_csv(a=1.0, rate=1.0, t_max=3.0, omega_a=1.0, omega_b=1.0,
     c0 = concurrence_x(x0)
     grid = uniform_grid(t_max, dt)
     if memory_rate is None:
-        rates = markov_rates(rate)
+        rates = 0.5 * rate, 0.5 * rate
         ga = gb = np.exp(-0.5 * rate * grid)
     else:
         k = max(1, math.ceil(0.5 * dt / mem_dt - 1e-9))
@@ -1537,7 +1567,7 @@ def test_evolve_columns_match_the_dense_routes(tmp_path, argv):
                                                5e-4)).real
                  for omega in (1.0, omega_b)]
     else:
-        rates = markov_rates(1.0)
+        rates = 0.5, 0.5
     rho0 = xstate_to_dense(standard_family(1.0))
     states = integrate_master(rho0, *rates, 3.0, 1e-3).states
     evolved = apply_channel(rho0, DampingCoefficients(ga, gb))

@@ -17,7 +17,6 @@ from esdkit.master import (
     POSITIVITY_FLOOR,
     PRODUCT_ROWS,
     integrate_master,
-    markov_rates,
     rk4_growth,
 )
 from esdkit.memory import ExponentialKernel, coefficient_f, solve_amplitude, uniform_grid
@@ -41,15 +40,6 @@ OMEGA_A, OMEGA_B = 1.3, 0.7
 # the trace drifts by the rounding of the diagonal's sum alone (measured
 # 2.2e-16 on every run here).
 TRACE_TOL = 4 * np.finfo(float).eps
-
-
-def test_markov_rates_values_and_validation():
-    assert markov_rates(1.0) == (0.5, 0.5)
-    assert markov_rates(1.0, 3.0) == (0.5, 1.5)
-    with pytest.raises(ValueError):
-        markov_rates(-1.0)
-    with pytest.raises(ValueError):
-        markov_rates(1.0, -0.5)
 
 
 def test_ground_state_is_a_fixed_point():
@@ -92,7 +82,7 @@ def test_unitary_limit_is_a_phase_mask():
 
 def test_markov_evolution_matches_channel():
     rho0 = random_state(5)
-    traj = integrate_master(rho0, *markov_rates(1.0), 1.0, 1e-3)
+    traj = integrate_master(rho0, 0.5, 0.5, 1.0, 1e-3)
     want = apply_channel(rho0, coefficients_markov(1.0, 1.0))
     assert np.max(np.abs(traj.states[-1] - want)) < 1e-10
     assert traj.max_trace_drift() <= TRACE_TOL
@@ -102,7 +92,7 @@ def test_markov_run_matches_one_stacked_channel_call():
     # all 3001 states of the a = 1 run against one stacked channel call
     start = perf_counter()
     rho0 = xstate_to_dense(standard_family(1.0))
-    traj = integrate_master(rho0, *markov_rates(1.0), 3.0, 1e-3)
+    traj = integrate_master(rho0, 0.5, 0.5, 3.0, 1e-3)
     g = np.exp(-0.5 * traj.t)
     want = apply_channel(rho0, DampingCoefficients(g, g))
     assert traj.t.size == 3001
@@ -136,7 +126,7 @@ def test_table_rates_match_channel_with_solved_gamma():
 
 def test_trace_and_hermiticity_over_long_run():
     traj = integrate_master(
-        xstate_to_dense(standard_family(0.7)), *markov_rates(1.0), 10.0, 1e-3
+        xstate_to_dense(standard_family(0.7)), 0.5, 0.5, 10.0, 1e-3
     )
     assert traj.max_trace_drift() <= TRACE_TOL
     assert traj.max_hermiticity_defect() < 1e-12
@@ -158,22 +148,22 @@ def test_overflowing_step_raises_integrator_error(rate):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(IntegratorError, match="reduce dt"):
-            integrate_master(rho0, *markov_rates(rate), 1.0, 1e-3)
+            integrate_master(rho0, 0.5 * rate, 0.5 * rate, 1.0, 1e-3)
 
 
 def test_integrate_master_validates_input():
     bad = np.diag([0.7, 0.5, 0.0, 0.0]).astype(complex)
     with pytest.raises(ValueError):
-        integrate_master(bad, *markov_rates(1.0), 1.0, 0.1)
+        integrate_master(bad, 0.5, 0.5, 1.0, 0.1)
     one_qubit = np.diag([0.5, 0.5]).astype(complex)
     with pytest.raises(ValueError, match="two-qubit"):
-        integrate_master(one_qubit, *markov_rates(1.0), 1.0, 0.1)
+        integrate_master(one_qubit, 0.5, 0.5, 1.0, 0.1)
 
 
 def test_interaction_picture_preserves_concurrence():
     # the lab frame differs by the local phases of H' alone
     rho0 = xstate_to_dense(standard_family(1.0))
-    traj = integrate_master(rho0, *markov_rates(1.0), 1.0, 1e-3)
+    traj = integrate_master(rho0, 0.5, 0.5, 1.0, 1e-3)
     lab = reference_integrate(rho0, 0.5, 0.5, OMEGA_A, OMEGA_B, 1.0, 1e-3)
     for k in (0, 250, 500):  # the pair dies at t = 0.535
         gap = abs(concurrence(lab[k]).value - concurrence(traj.states[k]).value)
@@ -184,7 +174,7 @@ def test_local_coherence_single_atom_halves_rate():
     # atom A in (|e>+|g>)/sqrt(2), atom B in the ground state: the lowering
     # coherence decays at rate/2 while atom B never develops one
     psi = np.array([0.0, 1.0, 0.0, 1.0]) / np.sqrt(2.0)
-    traj = integrate_master(pure_state(psi), *markov_rates(1.0), 3.0, 1e-3)
+    traj = integrate_master(pure_state(psi), 0.5, 0.5, 3.0, 1e-3)
     coh_a, coh_b = local_coherence_decay(traj)
     np.testing.assert_allclose(coh_a, 0.5 * np.exp(-0.5 * traj.t), atol=1e-9)
     assert np.max(coh_b) == 0.0
@@ -195,7 +185,7 @@ def test_local_coherence_decays_smoothly_while_concurrence_dies():
     # up to rate*t = 1 each atom's coherence decays as e^(-t/2); the pair's
     # concurrence is already exactly zero there
     psi = np.array([0.0, 1.0, 0.0, 1.0]) / np.sqrt(2.0)
-    traj = integrate_master(pure_state(psi), *markov_rates(1.0), 1.0, 1e-3)
+    traj = integrate_master(pure_state(psi), 0.5, 0.5, 1.0, 1e-3)
     coh_a, _ = local_coherence_decay(traj)
     assert np.max(np.abs(coh_a / coh_a[0] - np.exp(-0.5 * traj.t))) < 1e-9
     dead = apply_channel(xstate_to_dense(standard_family(1.0)), coefficients_markov(1.0, 1.0))
@@ -204,7 +194,7 @@ def test_local_coherence_decays_smoothly_while_concurrence_dies():
 
 def test_local_coherence_second_atom_and_unequal_rates():
     psi = np.array([0.0, 0.0, 1.0, 1.0]) / np.sqrt(2.0)
-    traj = integrate_master(pure_state(psi), *markov_rates(1.0, 2.0), 2.0, 1e-3)
+    traj = integrate_master(pure_state(psi), 0.5, 1.0, 2.0, 1e-3)
     coh_a, coh_b = local_coherence_decay(traj)
     np.testing.assert_allclose(coh_b, 0.5 * np.exp(-1.0 * traj.t), atol=1e-9)
     assert np.max(coh_a) == 0.0
@@ -212,7 +202,7 @@ def test_local_coherence_second_atom_and_unequal_rates():
 
 def test_local_coherence_is_picture_independent():
     psi = np.array([0.0, 1.0, 0.0, 1.0]) / np.sqrt(2.0)
-    traj = integrate_master(pure_state(psi), *markov_rates(1.0), 1.0, 1e-2)
+    traj = integrate_master(pure_state(psi), 0.5, 0.5, 1.0, 1e-2)
     lab = reference_integrate(pure_state(psi), 0.5, 0.5, OMEGA_A, OMEGA_B, 1.0, 1e-2)
     a_int, b_int = local_coherence_decay(traj)
     a_lab, b_lab = local_coherence_decay(dataclasses.replace(traj, states=lab))
@@ -222,7 +212,7 @@ def test_local_coherence_is_picture_independent():
 
 def test_diagonal_state_never_develops_coherence():
     rho0 = np.diag([0.3, 0.3, 0.2, 0.2]).astype(complex)
-    traj = integrate_master(rho0, *markov_rates(1.0), 2.0, 1e-3)
+    traj = integrate_master(rho0, 0.5, 0.5, 2.0, 1e-3)
     coh_a, coh_b = local_coherence_decay(traj)
     assert np.max(coh_a) == 0.0
     assert np.max(coh_b) == 0.0
@@ -329,17 +319,9 @@ def test_step_propagators_match_the_per_stage_loop(case, state):
 
 
 def test_trajectory_reports_its_min_eigenvalue():
-    traj = integrate_master(random_state(12), *markov_rates(1.0), 3.0, 1e-3)
+    traj = integrate_master(random_state(12), 0.5, 0.5, 3.0, 1e-3)
     assert traj.min_eigenvalue == float(np.linalg.eigvalsh(traj.states).min())
     assert POSITIVITY_FLOOR <= traj.min_eigenvalue
-
-
-@pytest.mark.parametrize("rate_a, rate_b", [
-    (np.nan, None), (np.inf, None), (1.0, np.nan), (1.0, np.inf), (-np.inf, 1.0),
-])
-def test_markov_rates_reject_non_finite(rate_a, rate_b):
-    with pytest.raises(ValueError, match="finite"):
-        markov_rates(rate_a, rate_b)
 
 
 def test_rhs_on_a_stack_is_the_rhs_of_each_member():

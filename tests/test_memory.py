@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from esdkit import memory
-from esdkit.cli import atom_kernel
-from esdkit.errors import ConvergenceError, SingularCoefficientError
+from esdkit.errors import ConvergenceError, NumericalError, SingularCoefficientError
 from esdkit.esd import family_image
 from esdkit.memory import (
     AmplitudeSolution,
@@ -101,7 +100,7 @@ def test_uniform_grid():
 def test_free_evolution_is_a_pure_phase():
     # the lab-frame amplitude of a free atom at omega = 2 is e^{-2it} b, and
     # in its rotating frame b stays exactly 1: no phase to resolve
-    sol = solve_amplitude(atom_kernel(ExponentialKernel(0.0, 1.0), 2.0, 3.0, 1e-3), 3.0, 1e-3)
+    sol = solve_amplitude(ExponentialKernel(0.0, 1.0), 3.0, 1e-3, 2.0)
     assert np.all(sol.b == 1.0)
     assert np.all(sol.bdot == 0.0)
 
@@ -147,9 +146,10 @@ def test_off_resonant_frequency_shift():
     # only leading order
     rate, strength, w_atom, w_center = 100.0, 1.0, 2.0, -48.0
     delta = w_atom - w_center
-    kernel = atom_kernel(ExponentialKernel(strength, rate, w_center), w_atom, 3.0, 1e-4)
-    assert kernel.center_frequency == -delta
-    f = coefficient_f(solve_amplitude(kernel, 3.0, 1e-4))
+    sol = solve_amplitude(ExponentialKernel(strength, rate, w_center), 3.0, 1e-4, w_atom)
+    detuned = solve_amplitude(ExponentialKernel(strength, rate, -delta), 3.0, 1e-4)
+    assert np.array_equal(sol.b, detuned.b) and np.array_equal(sol.bdot, detuned.bdot)
+    f = coefficient_f(sol)
     roots = np.roots([1.0, rate - 1j * delta, 0.5 * strength * rate])
     slow = roots[np.argmin(np.abs(roots))]
     formula = 0.5 * strength * rate * delta / (rate * rate + delta * delta)
@@ -191,14 +191,16 @@ def test_repeat_solves_are_identical():
 
 def test_tabulated_matches_exponential():
     # the same lab-frame kernel, single pole and table, seen by an atom at
-    # omega = 1: the pole moves to the detuning, the table is rotated
+    # omega = 1: the pole moves to the detuning, the table is rotated.  The
+    # residual reads the kernel in that frame, built here by hand.
     exp_kernel = ExponentialKernel(1.0, 5.0)
     tau = np.arange(2001) * 1e-3
     tab_kernel = TabulatedKernel(tau=tau, alpha=exp_kernel.evaluate(tau))
-    exp_atom, tab_atom = (atom_kernel(k, 1.0, 2.0, 1e-3) for k in (exp_kernel, tab_kernel))
-    np.testing.assert_allclose(tab_atom.alpha, exp_atom.evaluate(tab_atom.tau), rtol=1e-14)
-    se = solve_amplitude(exp_atom, 2.0, 1e-3)
-    st = solve_amplitude(tab_atom, 2.0, 1e-3, tol=np.inf)
+    tab_atom = TabulatedKernel(tau=tau, alpha=tab_kernel.alpha * np.exp(1j * tau))
+    np.testing.assert_allclose(tab_atom.alpha, ExponentialKernel(1.0, 5.0, -1.0).evaluate(tau),
+                               rtol=1e-14)
+    se = solve_amplitude(exp_kernel, 2.0, 1e-3, 1.0)
+    st = solve_amplitude(tab_kernel, 2.0, 1e-3, 1.0, tol=np.inf)
     assert np.max(np.abs(se.b - st.b)) < 1e-6
     assert np.max(volterra_residual(st, tab_atom)) < 2e-5
 
@@ -240,6 +242,22 @@ def test_overflowing_exponential_step_raises_convergence_error():
         with pytest.raises(ConvergenceError, match=r"single-pole amplitude overflows for "
                                                    r"kernel parameters \(1e\+308, 10.0, 0.0\)"):
             solve_amplitude(kernel, 1.0, 1e-3)
+    # the parameters named are the pole's in the atom's frame, at the detuning
+    with pytest.raises(ConvergenceError, match=r"parameters \(1e\+308, 10.0, 1.5\)"):
+        solve_amplitude(ExponentialKernel(1e308, 10.0, 2.0), 1.0, 1e-3, 0.5)
+
+
+def test_atom_frames_that_cannot_be_formed_are_refused():
+    # a pole whose detuning overflows, and a table turned pi rad or more per step
+    with pytest.raises(NumericalError, match=r"^detuning kernel_center - omega = "
+                                             r"-1e\+308 - 1e\+308 overflows$"):
+        solve_amplitude(ExponentialKernel(1.0, 5.0, -1e308), 1.0, 1e-3, 1e308)
+    tau = np.arange(11) * 0.1
+    table = TabulatedKernel(tau, np.exp(-tau) + 0j)
+    with pytest.raises(ConvergenceError, match=r"at omega 31.5 the rotating frame turns the "
+                                               r"kernel 3.15 rad per amplitude step 0.1"):
+        solve_amplitude(table, 1.0, 0.1, 31.5)
+    assert solve_amplitude(table, 1.0, 0.1, 31.4, tol=np.inf).b.size == 11
 
 
 def test_uniform_grid_refuses_an_overflowing_step_count():
@@ -364,9 +382,9 @@ def test_tabulated_bdot_is_the_three_product_form_bit_for_bit(tmp_path, recipe):
         alpha = 0.5 * 7.3 * np.exp(-(7.3 + 0.4j) * tau)
         fmt = "%.17g"
     np.savetxt(path, np.c_[tau, alpha.real, alpha.imag], fmt=fmt)
-    kernel = atom_kernel(load_kernel_table(path), 1.0, t_max, step)
-    sol = solve_amplitude(kernel, t_max, step, tol=tol)
-    bdot, error = three_product_bdot(kernel.evaluate(sol.t), sol.b, sol.dt)
+    table = load_kernel_table(path)
+    sol = solve_amplitude(table, t_max, step, 1.0, tol=tol)
+    bdot, error = three_product_bdot(table.evaluate(sol.t) * np.exp(1j * sol.t), sol.b, sol.dt)
     assert np.array_equal(sol.bdot, bdot)
     assert sol.error_estimate == error
 
@@ -434,8 +452,9 @@ def residual_from(sol: AmplitudeSolution, q: np.ndarray) -> np.ndarray:
 )
 def test_volterra_residual_matches_direct_sums_exponential(kernel, omega):
     # the kernel as an atom at omega reads it, in its rotating frame
-    kernel = atom_kernel(kernel, omega, 2.0, 2e-3)
-    sol = solve_amplitude(kernel, 2.0, 2e-3)
+    sol = solve_amplitude(kernel, 2.0, 2e-3, omega)
+    kernel = ExponentialKernel(kernel.strength, kernel.memory_rate,
+                               kernel.center_frequency - omega)
     res = volterra_residual(sol, kernel)
     np.testing.assert_allclose(res, residual_from(sol, one_pole_memory(sol, kernel)),
                                rtol=0, atol=1e-13)
@@ -563,9 +582,8 @@ def exact_pair(kernel: ExponentialKernel, t: np.ndarray) -> tuple[np.ndarray, np
 def test_detuned_coarse_step_is_exact(centre):
     # the rotating frame keeps the phase of a large detuning (-50 here, 0.5
     # rad per step), which the exact solution carries at any step
-    kernel = atom_kernel(ExponentialKernel(1.0, 5.0, centre), 50.0, 2.0, 0.01)
-    sol = solve_amplitude(kernel, 2.0, 0.01)
-    b, bdot = exact_pair(kernel, sol.t[::10])
+    sol = solve_amplitude(ExponentialKernel(1.0, 5.0, centre), 2.0, 0.01, 50.0)
+    b, bdot = exact_pair(ExponentialKernel(1.0, 5.0, centre - 50.0), sol.t[::10])
     assert np.max(np.abs(sol.b[::10] - b)) <= 5e-16
     assert np.max(np.abs(sol.bdot[::10] - bdot)) <= 5e-16
 
