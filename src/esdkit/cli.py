@@ -6,10 +6,14 @@ family parameter), bound (decay-bound Monte Carlo), check (invariant suites).
 
 Exit codes: 0 success, 2 bad arguments, unreadable input or a grid too
 large to allocate, 3 numerical failure, 4 invariant or bound violation.
+A closed stdout fails no run: what the run would print is dropped.
 
 Each subcommand's options are declared once, in its option table: the name,
 converter, built-in default and help text give the flag --name-with-hyphens,
 its -h line and the config key, and parse_args reads argv off the tables.
+A number's converter is its Domain, which -h prints; a value outside is
+refused like text that is no number: "argument --rate: nan is not in (0,
+inf)", or "run.cfg: rate: nan is not in (0, inf)" from a config file.
 A config file (--config) holds "key = value" lines, '#' comments; keys are
 the long option names with hyphens or underscores.  Explicit flags win over
 config values, config values win over built-in defaults.
@@ -37,6 +41,7 @@ import os
 import pickle
 import sys
 import warnings
+from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Any, BinaryIO, Callable, Iterator, TextIO
 
@@ -73,10 +78,41 @@ def _parse_gammas(raw: str) -> tuple[float, ...]:
         raise ValueError(f"bad gamma list {raw!r}") from exc
     if not values:
         raise ValueError("empty gamma list")
-    for g in values:
-        if not 0.0 <= g <= 1.0:
-            raise ValueError(f"gamma {g} outside [0, 1]")
     return values
+
+
+@dataclass(frozen=True)
+class Domain:
+    """A number option's converter: convert(raw), refused like text that is
+    no number if it (or an element of its tuple) lies outside the interval
+    from low to high, whose ends are "[" or "]" where included; nan never
+    lies inside.  str() gives the interval."""
+
+    convert: Callable[[str], Any]
+    low: float
+    high: float
+    ends: str
+
+    def __str__(self) -> str:
+        return f"{self.ends[0]}{self.low:g}, {self.high:g}{self.ends[1]}"
+
+    def __call__(self, raw: str) -> Any:
+        value = self.convert(raw)
+        for x in value if isinstance(value, tuple) else (value,):
+            if not ((self.low <= x if self.ends[0] == "[" else self.low < x)
+                    and (x <= self.high if self.ends[1] == "]" else x < self.high)):
+                raise ValueError(f"{x!r} is not in {self}")
+        return value
+
+
+UNIT = Domain(_float, 0.0, 1.0, "[]")
+UNIT_LIST = Domain(_parse_gammas, 0.0, 1.0, "[]")
+FINITE = Domain(_float, -math.inf, math.inf, "()")
+POSITIVE = Domain(_float, 0.0, math.inf, "()")
+NONNEGATIVE = Domain(_float, 0.0, math.inf, "[)")
+TOLERANCE = Domain(_float, 0.0, math.inf, "[]")  # inf: no gate
+COUNT = Domain(int, 1, math.inf, "[)")
+INDEX = Domain(int, 0, math.inf, "[)")
 
 
 def _load_config(path: str) -> dict[str, str]:
@@ -234,14 +270,24 @@ def _write_text(path: str, chunks: list[str]) -> None:
         fh.writelines(chunks)
 
 
+def _say(text: str) -> None:
+    """Print text now.  Once the reader has closed (EPIPE), stdout goes to
+    /dev/null, so no later line nor the flush at exit raises: the run ends
+    with its own exit code and its own files."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _death_times(s_d: np.ndarray, rate: float, natural_units: bool) -> np.ndarray:
     """Death times of `td` and `sweep` in the reported unit, elementwise over
     the array s_d = rate*t_d: s_d itself in natural units, finite however
     small the rate, else the model time s_d/rate; +inf where death is only
-    asymptotic.  The rate must be finite and positive; a model time that
-    overflows is a NumericalError, never an infinite t_d."""
-    if not (math.isfinite(rate) and rate > 0.0):
-        raise ValueError(f"rate must be finite and positive, got {rate}")
+    asymptotic.  The rate is finite and positive (POSITIVE); a model time
+    that overflows is a NumericalError, never an infinite t_d."""
     if natural_units:
         return s_d
     with np.errstate(over="ignore"):
@@ -256,17 +302,17 @@ def _death_times(s_d: np.ndarray, rate: float, natural_units: bool) -> np.ndarra
 # ---------------------------------------------------------------- evolve
 
 EVOLVE_SPEC: Spec = {
-    "a": (_float, 1.0, "family parameter in [0, 1]"),
-    "rate": (_float, 1.0, "damping rate; a --kernel-file table sets its own"),
-    "t_max": (_float, 3.0, "final time"),
-    "dt": (_float, 1e-3, "integration step"),
-    "omega_a": (_float, 1.0, "atom A frequency"),
-    "omega_b": (_float, 1.0, "atom B frequency"),
-    "memory_rate": (_float, None, "reservoir memory rate; enables the structured kernel"),
-    "kernel_center": (_float, 0.0, "reservoir center frequency"),
+    "a": (UNIT, 1.0, "family parameter"),
+    "rate": (NONNEGATIVE, 1.0, "damping rate; a --kernel-file table sets its own"),
+    "t_max": (POSITIVE, 3.0, "final time"),
+    "dt": (POSITIVE, 1e-3, "integration step"),
+    "omega_a": (FINITE, 1.0, "atom A frequency"),
+    "omega_b": (FINITE, 1.0, "atom B frequency"),
+    "memory_rate": (POSITIVE, None, "reservoir memory rate; enables the structured kernel"),
+    "kernel_center": (FINITE, 0.0, "reservoir center frequency"),
     "kernel_file": (str, None, "tabulated kernel: rows 'tau alpha_re alpha_im'"),
-    "mem_dt": (_float, None, "largest amplitude-solver step; the step used divides dt/2"),
-    "mem_tol": (_float, DEFAULT_TOL, "tabulated-kernel solver convergence gate"),
+    "mem_dt": (POSITIVE, None, "largest amplitude-solver step; the step used divides dt/2"),
+    "mem_tol": (TOLERANCE, DEFAULT_TOL, "tabulated-kernel solver convergence gate"),
     "natural_units": (_parse_bool, True, "report times as rate*t"),
     "output": (str, "evolve.csv", "CSV path"),
 }
@@ -291,10 +337,12 @@ def _memory_rates(args: SimpleNamespace) -> tuple[np.ndarray, ...]:
         target = args.dt
     if args.mem_dt is not None:
         target = args.mem_dt
-    if args.t_max / target == math.inf:
-        raise ValueError(
-            f"t_max={args.t_max} / amplitude step {target} overflows: too many steps"
-        )
+    # The step used is at most target, and numpy holds at most sys.maxsize // 8
+    # floats; a --dt this fine fails on the evolve grid first.
+    if not args.t_max / target < sys.maxsize // 8:
+        given = "--mem-dt" if args.mem_dt is not None else f"the step of {args.kernel_file}"
+        raise ValueError(f"{given} {target!r}: t_max={args.t_max!r} takes at least "
+                         f"{args.t_max / target:.3g} amplitude steps, beyond numpy's index range")
     k = max(1, math.ceil(0.5 * args.dt / target - 1e-9))
     mem_dt = 0.5 * args.dt / k
     rates = {}
@@ -306,16 +354,6 @@ def _memory_rates(args: SimpleNamespace) -> tuple[np.ndarray, ...]:
 
 
 def cmd_evolve(args: SimpleNamespace) -> int:
-    if not 0.0 <= args.rate < math.inf:
-        raise ValueError(f"rate must be finite and non-negative, got {args.rate}")
-    if not (math.isfinite(args.omega_a) and math.isfinite(args.omega_b)):
-        raise ValueError(f"omega_a={args.omega_a} and omega_b={args.omega_b} must be finite")
-    if args.mem_dt is not None and not 0.0 < args.mem_dt < math.inf:
-        raise ValueError(f"mem_dt must be finite and positive, got {args.mem_dt}")
-    if not args.mem_tol >= 0.0:
-        raise ValueError(f"mem_tol must be non-negative (inf skips the gate), got {args.mem_tol}")
-    if not math.isfinite(args.kernel_center):
-        raise ValueError(f"kernel_center must be finite, got {args.kernel_center}")
     if args.memory_rate is not None and args.kernel_file is not None:
         raise ValueError("choose either --memory-rate or --kernel-file, not both")
     if args.kernel_file is not None and args.kernel_center != 0.0:
@@ -357,19 +395,19 @@ def cmd_evolve(args: SimpleNamespace) -> int:
                          bound_rhs[block], maxdiff], axis=-1)
         chunks.append((EVOLVE_ROW * len(rows)) % tuple(rows.ravel().tolist()))
     _write_text(args.output, chunks)
-    print(f"wrote {args.output} ({grid.size} rows)")
+    _say(f"wrote {args.output} ({grid.size} rows)")
     return 0
 
 
 # ---------------------------------------------------------------- sweep
 
 SWEEP_SPEC: Spec = {
-    "a_min": (_float, 0.0, "least family parameter"),
-    "a_max": (_float, 1.0, "greatest family parameter"),
-    "a_steps": (int, 101, "family parameters on the grid"),
-    "t_max": (_float, 3.0, "final time"),
-    "t_steps": (int, 200, "times on the grid"),
-    "rate": (_float, 1.0, "damping rate"),
+    "a_min": (UNIT, 0.0, "least family parameter"),
+    "a_max": (UNIT, 1.0, "greatest family parameter"),
+    "a_steps": (COUNT, 101, "family parameters on the grid"),
+    "t_max": (NONNEGATIVE, 3.0, "final time"),
+    "t_steps": (COUNT, 200, "times on the grid"),
+    "rate": (POSITIVE, 1.0, "damping rate"),
     "natural_units": (_parse_bool, True, "report times as rate*t"),
     "output": (str, "sweep.csv", "CSV path; the summary goes to <stem>_summary.json"),
 }
@@ -389,19 +427,12 @@ SUMMARY_RECORD = "  " + TD_RECORD.replace("\n", "\n  ")
 
 
 def cmd_sweep(args: SimpleNamespace) -> int:
-    if args.a_steps < 1 or args.t_steps < 1:
-        raise ValueError("a_steps and t_steps must be at least 1")
-    for name in ("a_min", "a_max"):
-        if not 0.0 <= getattr(args, name) <= 1.0:
-            raise ValueError(f"{name} must be finite and in [0, 1], got {getattr(args, name)}")
     if args.a_min > args.a_max:
         raise ValueError(f"a_min {args.a_min} must not exceed a_max {args.a_max}")
-    if not (math.isfinite(args.t_max) and args.t_max >= 0.0):
-        raise ValueError(f"t_max must be finite and nonnegative, got {args.t_max}")
     try:
         a_grid = np.linspace(args.a_min, args.a_max, args.a_steps)
         t_grid = np.linspace(0.0, args.t_max, args.t_steps)
-    except ValueError as exc:  # beyond numpy's index range
+    except (ValueError, IndexError) as exc:  # beyond numpy's index range, IndexError near 2**63
         raise ValueError(f"a_steps={args.a_steps}, t_steps={args.t_steps}: {exc}") from None
     t_d = _death_times(death_time_s(a_grid), args.rate, args.natural_units)
     finite = np.isfinite(t_d)
@@ -446,15 +477,15 @@ def cmd_sweep(args: SimpleNamespace) -> int:
                 fh.write(rows)
                 sh.write(",\n" + summary)
             sh.write("\n]\n")
-    print(f"wrote {args.output} ({a_grid.size * t_grid.size} rows) and {spath}")
+    _say(f"wrote {args.output} ({a_grid.size * t_grid.size} rows) and {spath}")
     return 0
 
 
 # ---------------------------------------------------------------- td
 
 TD_SPEC: Spec = {
-    "a": (_float, 1.0, "family parameter in [0, 1]"),
-    "rate": (_float, 1.0, "damping rate"),
+    "a": (UNIT, 1.0, "family parameter"),
+    "rate": (POSITIVE, 1.0, "damping rate"),
     "natural_units": (_parse_bool, True, "report times as rate*t"),
     "output": (str, None, "JSON path; stdout when unset"),
 }
@@ -465,24 +496,24 @@ def cmd_td(args: SimpleNamespace) -> int:
     t_d = float(_death_times(death_time_s(args.a), args.rate, args.natural_units))
     # a is in [0, 1] and the rate finite, so no NaN or Infinity reaches the record.
     if t_d == math.inf:
-        text = TD_RECORD % ("asymptotic", "null", args.rate) % args.a + "\n"
+        text = TD_RECORD % ("asymptotic", "null", args.rate) % args.a
     else:
-        text = TD_RECORD % ("finite", "%r", args.rate) % (args.a, t_d) + "\n"
+        text = TD_RECORD % ("finite", "%r", args.rate) % (args.a, t_d)
     if args.output:
-        _write_text(args.output, [text])
-        print(f"wrote {args.output}")
+        _write_text(args.output, [text + "\n"])
+        _say(f"wrote {args.output}")
     else:
-        sys.stdout.write(text)
+        _say(text)
     return 0
 
 
 # ---------------------------------------------------------------- bound
 
 BOUND_SPEC: Spec = {
-    "samples": (int, 200, "random states drawn"),
-    "seed": (int, 0, "seed of the first state; the rest count up"),
-    "gammas": (_parse_gammas, (0.9, 0.5, 0.1), "comma-separated residual amplitudes"),
-    "slack": (_float, 1e-10, "tolerance of each bound check"),
+    "samples": (COUNT, 200, "random states drawn"),
+    "seed": (INDEX, 0, "seed of the first state; the rest count up"),
+    "gammas": (UNIT_LIST, (0.9, 0.5, 0.1), "comma-separated residual amplitudes"),
+    "slack": (NONNEGATIVE, 1e-10, "tolerance of each bound check"),
     "output": (str, "bound.csv", "CSV path"),
 }
 
@@ -492,10 +523,6 @@ BOUND_ROW = ",%.17g,%.17g,%.17g,%d,%.17g,%.17g\n"
 
 
 def cmd_bound(args: SimpleNamespace) -> int:
-    if args.samples < 1:
-        raise ValueError("samples must be at least 1")
-    if args.seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {args.seed}")
     chunks = ["seed,gamma,lhs,rhs,satisfied,first_branch_gap,side_branch_max\n"]
     gammas = np.array(args.gammas)
     coeffs = DampingCoefficients(gammas, gammas)
@@ -536,7 +563,7 @@ def cmd_bound(args: SimpleNamespace) -> int:
         f"# satisfied {total - violations}/{total}, worst lhs-rhs gap {worst_gap:.3e}\n"
     )
     _write_text(args.output, chunks)
-    print(f"wrote {args.output} ({total} checks, {violations} violations)")
+    _say(f"wrote {args.output} ({total} checks, {violations} violations)")
     return 4 if violations else 0
 
 
@@ -549,8 +576,8 @@ def cmd_check(args: SimpleNamespace) -> int:
     results = run_all()
     failures = sum(not res.passed for res in results)
     for res in results:
-        print(f"{'ok' if res.passed else 'FAIL'} - {res.name} ({res.detail})")
-    print(f"{len(results) - failures}/{len(results)} checks passed")
+        _say(f"{'ok' if res.passed else 'FAIL'} - {res.name} ({res.detail})")
+    _say(f"{len(results) - failures}/{len(results)} checks passed")
     return 4 if failures else 0
 
 
@@ -606,6 +633,8 @@ def _help(command: str | None) -> str:
         for name, (convert, default, text) in spec.items():
             flag = "--" + name.replace("_", "-")
             flag += f", --no-{flag[2:]}" if convert is _parse_bool else f" {name.upper()}"
+            if isinstance(convert, Domain):
+                text = f"{text}; in {convert}"
             rows.append((flag, text if default is None else f"{text} (default {default})"))
     width = max(len(left) for left, _ in rows) + 2
     return "\n".join(lines + [f"  {left:<{width}}{right}" for left, right in rows])
@@ -712,7 +741,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parse_args(sys.argv[1:] if argv is None else argv)
     except _Exit as exc:
-        print(exc, file=sys.stderr if exc.code else sys.stdout)
+        if exc.code:
+            print(exc, file=sys.stderr)
+        else:
+            _say(str(exc))
         return exc.code
     try:
         _resolve(args, args.spec)

@@ -45,6 +45,21 @@ def run(*argv: str) -> int:
     return cli.main(list(argv))
 
 
+def esdkit_child(argv: list[str], cwd, stdout=subprocess.PIPE,
+                 preexec_fn=None) -> subprocess.CompletedProcess:
+    """python -W error -m esdkit argv in a fresh interpreter, on this checkout."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-W", "error", "-m", "esdkit", *argv], cwd=cwd,
+                          env={**os.environ, "PYTHONPATH": path}, stdout=stdout,
+                          stderr=subprocess.PIPE, preexec_fn=preexec_fn, text=True, timeout=120)
+
+
+def cap_address_space() -> None:
+    """In a child before exec: at most 1 GiB of address space."""
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
 def load_csv(path) -> np.ndarray:
     return np.loadtxt(path, delimiter=",", skiprows=1, comments="#", ndmin=2)
 
@@ -586,55 +601,87 @@ def test_evolve_kernel_table_refusals_name_the_file(tmp_path, capsys, rows, argv
     assert not out.exists()
 
 
-@pytest.mark.parametrize("argv, value", [
-    (["--t-max", "inf"], "t_max=inf"),
-    (["--memory-rate", "inf"], "(1.0, inf, 0.0) must be finite"),
-    (["--rate", "nan"], "rate must be finite and non-negative, got nan"),
-    (["--rate", "inf"], "rate must be finite and non-negative, got inf"),
-    (["--rate", "-1"], "rate must be finite and non-negative, got -1.0"),
-    (["--rate", "-inf"], "rate must be finite and non-negative, got -inf"),
-    (["--omega-a", "nan"], "omega_a=nan"),
-    (["--omega-b", "inf"], "omega_b=inf"),
-    (["--memory-rate", "5", "--mem-tol", "nan"],
-     "tol must be non-negative (inf skips the gate), got nan"),
-])
-def test_evolve_non_finite_numbers_exit_2(tmp_path, capsys, argv, value):
-    out = tmp_path / "x.csv"
-    code = run("evolve", *argv, "--output", str(out))
-    err = capsys.readouterr().err
-    assert code == 2
-    assert value in err
-    assert "Traceback" not in err
-    assert not out.exists()
+# The interval each number option accepts, by command.
+DECLARED_DOMAINS = {
+    "evolve": {"a": "[0, 1]", "rate": "[0, inf)", "t_max": "(0, inf)", "dt": "(0, inf)",
+               "omega_a": "(-inf, inf)", "omega_b": "(-inf, inf)", "memory_rate": "(0, inf)",
+               "kernel_center": "(-inf, inf)", "mem_dt": "(0, inf)", "mem_tol": "[0, inf]"},
+    "sweep": {"a_min": "[0, 1]", "a_max": "[0, 1]", "a_steps": "[1, inf)", "t_max": "[0, inf)",
+              "t_steps": "[1, inf)", "rate": "(0, inf)"},
+    "td": {"a": "[0, 1]", "rate": "(0, inf)"},
+    "bound": {"samples": "[1, inf)", "seed": "[0, inf)", "gammas": "[0, 1]",
+              "slack": "[0, inf)"},
+}
+DOMAIN_OPTIONS = [(command, name, convert, default)
+                  for command, (_func, spec, _about) in cli.COMMANDS.items()
+                  for name, (convert, default, _text) in spec.items()
+                  if isinstance(convert, cli.Domain)]
 
 
-@pytest.mark.parametrize("mem_dt", ["0", "-1", "inf", "nan"])
-def test_evolve_bad_mem_dt_exit_2(tmp_path, capsys, mem_dt):
-    out = tmp_path / "x.csv"
-    code = run("evolve", "--memory-rate", "5", "--mem-dt", mem_dt, "--output", str(out))
-    err = capsys.readouterr().err
-    assert code == 2
-    assert f"mem_dt must be finite and positive, got {float(mem_dt)}" in err
-    assert "Traceback" not in err
-    assert not out.exists()
+def test_every_number_option_declares_its_domain():
+    for command, (_func, spec, _about) in cli.COMMANDS.items():
+        numbers = {name: str(convert) for name, (convert, _default, _text) in spec.items()
+                   if convert not in (str, cli._parse_bool)}
+        assert numbers == DECLARED_DOMAINS.get(command, {})
 
 
-@pytest.mark.parametrize("kernel", [[], ["--memory-rate", "5"]], ids=["markov", "memory"])
-@pytest.mark.parametrize("argv, message", [
-    (["--mem-tol", "-1"], "mem_tol must be non-negative (inf skips the gate), got -1.0"),
-    (["--mem-tol", "nan"], "mem_tol must be non-negative (inf skips the gate), got nan"),
-    (["--kernel-center", "nan"], "kernel_center must be finite, got nan"),
-    (["--kernel-center", "-inf"], "kernel_center must be finite, got -inf"),
-])
-def test_evolve_bad_mem_tol_or_kernel_center_exit_2_on_every_run(tmp_path, capsys, kernel,
-                                                                 argv, message):
-    # refused like a bad --mem-dt, whether or not a memory kernel reads them
-    out = tmp_path / "x.csv"
-    code = run("evolve", *kernel, *argv, "--output", str(out))
-    err = capsys.readouterr().err
-    assert code == 2
-    assert err == f"error: {message}\n"
-    assert not out.exists()
+def accepts(domain: cli.Domain, value) -> bool:
+    """Whether the domain converts the text of value (a number or a tuple)."""
+    try:
+        domain(",".join(map(repr, np.atleast_1d(value).tolist())))
+    except ValueError:
+        return False
+    return True
+
+
+def just_outside(domain: cli.Domain) -> list:
+    """The nearest values outside each finite end, and nan and +-inf where
+    the domain refuses them."""
+    if domain.convert is int:
+        return [domain.low - 1]
+    values = [math.nan, math.inf, -math.inf]
+    for end, bracket, away in ((domain.low, domain.ends[0], -math.inf),
+                               (domain.high, domain.ends[1], math.inf)):
+        if math.isfinite(end):
+            values.append(math.nextafter(end, away) if bracket in "[]" else end)
+    return [x for x in values if not accepts(domain, x)]
+
+
+@pytest.mark.parametrize("command, name, domain, default", DOMAIN_OPTIONS,
+                         ids=[f"{command}-{name}" for command, name, _d, _v in DOMAIN_OPTIONS])
+def test_each_option_refuses_values_outside_its_domain(tmp_path, capsys, command, name, domain,
+                                                       default):
+    # One refusal path: argv names the flag after the usage line, a config
+    # file names itself and the key, and both name the value and the domain.
+    assert default is None or accepts(domain, default)
+    for end, bracket in zip((domain.low, domain.high), domain.ends):
+        assert accepts(domain, end) == (bracket in "[]")
+    flag, cfg, out = "--" + name.replace("_", "-"), tmp_path / "opt.cfg", tmp_path / "out.csv"
+    refused = just_outside(domain)
+    assert refused
+    for value in refused:
+        message = f"{value!r} is not in {domain}"
+        assert run(command, f"{flag}={value!r}", "--output", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines()[0].startswith(f"usage: esdkit {command} ")
+        assert err.endswith(f"esdkit {command}: error: argument {flag}: {message}\n")
+        cfg.write_text(f"{name} = {value!r}\n")
+        assert run(command, "--config", str(cfg), "--output", str(out)) == 2
+        assert capsys.readouterr().err == f"error: {cfg}: {name}: {message}\n"
+        assert list(tmp_path.iterdir()) == [cfg]
+
+
+@pytest.mark.parametrize("argv", [
+    ["td", "--a", "0"],
+    ["td", "--a", "1"],
+    ["evolve", "--a", "0", "--mem-tol", "inf"],
+    ["evolve", "--rate", "0"],
+    ["evolve", "--memory-rate", "5", "--mem-tol", "0"],
+    ["sweep", "--t-max", "0", "--a-min", "1", "--a-steps", "1", "--t-steps", "1"],
+    ["bound", "--samples", "1", "--gammas", "0,1", "--slack", "0"],
+], ids=" ".join)
+def test_domain_edges_run(tmp_path, argv):
+    assert run(*argv, "--output", str(tmp_path / "out.csv")) == 0
 
 
 @pytest.mark.parametrize("text", ["", "# tau re im\n# no rows\n"])
@@ -838,8 +885,8 @@ def test_bound_custom_gammas(tmp_path):
 
 
 @pytest.mark.parametrize("gammas, reason", [
-    ("2", "gamma 2.0 outside [0, 1]"),
     ("0.5,abc", "bad gamma list '0.5,abc'"),
+    (",", "empty gamma list"),
 ])
 def test_bad_gammas_name_the_reason_by_flag_and_by_config(tmp_path, capsys, gammas, reason):
     out = tmp_path / "bound.csv"
@@ -1205,33 +1252,12 @@ def test_tiny_rate_reports_natural_units_and_never_infinity(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("slack", ["nan", "-1", "inf"])
-def test_bound_rejects_bad_slack_exit_2(tmp_path, capsys, slack):
-    out = tmp_path / "bound.csv"
-    assert run("bound", "--samples", "3", "--slack", slack, "--output", str(out)) == 2
-    assert "slack" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_bound_rejects_negative_seed_exit_2(tmp_path, capsys):
-    out = tmp_path / "bound.csv"
-    assert run("bound", "--samples", "3", "--seed", "-1", "--output", str(out)) == 2
-    err = capsys.readouterr().err
-    assert err == "error: seed must be nonnegative, got -1\n"
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("grid, message", [
-    (["--t-max", "-1"], "t_max must be finite and nonnegative, got -1.0"),
-    (["--t-max", "nan"], "t_max must be finite and nonnegative, got nan"),
-    (["--a-min", "0.5", "--a-max", "0.2"], "a_min 0.5 must not exceed a_max 0.2"),
-    (["--a-min", "nan"], "a_min must be finite and in [0, 1], got nan"),
-    (["--a-max", "1.5"], "a_max must be finite and in [0, 1], got 1.5"),
-])
-def test_sweep_bad_grid_bounds_exit_2(tmp_path, capsys, grid, message):
+def test_sweep_bad_grid_bounds_exit_2(tmp_path, capsys):
+    # each bound in [0, 1] is its option's domain; their order is checked by sweep
     out = tmp_path / "sweep.csv"
-    assert run("sweep", *grid, "--a-steps", "3", "--t-steps", "4", "--output", str(out)) == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert run("sweep", "--a-min", "0.5", "--a-max", "0.2", "--a-steps", "3", "--t-steps", "4",
+               "--output", str(out)) == 2
+    assert capsys.readouterr().err == "error: a_min 0.5 must not exceed a_max 0.2\n"
     assert not out.exists()
     assert not (tmp_path / "sweep_summary.json").exists()
 
@@ -1251,21 +1277,6 @@ def test_failed_text_write_removes_its_file(tmp_path):
     out = tmp_path / "td.json"
     with pytest.raises(TypeError):
         cli._write_text(str(out), ["{\n", None])
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("rate", ["nan", "inf"])
-def test_td_non_finite_rate_exit_2(capsys, rate):
-    assert run("td", "--a", "1", "--rate", rate) == 2
-    assert "rate" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("rate", ["nan", "inf"])
-def test_sweep_non_finite_rate_exit_2(tmp_path, capsys, rate):
-    out = tmp_path / "sweep.csv"
-    assert run("sweep", "--a-steps", "3", "--t-steps", "4", "--rate", rate,
-               "--output", str(out)) == 2
-    assert capsys.readouterr().err == f"error: rate must be finite and positive, got {rate}\n"
     assert not out.exists()
 
 
@@ -1446,7 +1457,8 @@ def test_grid_too_large_to_allocate_exits_2(tmp_path, capsys, argv):
     (["evolve", "--t-max", "1e308"], 2,
      "error: t_max=1e+308 / dt=0.001 overflows: too many steps"),
     (["evolve", "--t-max", "0.01", "--memory-rate", "1e308", "--mem-dt", "5e-311"], 2,
-     "error: t_max=0.01 / amplitude step 5e-311 overflows: too many steps"),
+     "error: --mem-dt 5e-311: t_max=0.01 takes at least inf amplitude steps, "
+     "beyond numpy's index range"),
     (["sweep", "--rate", "1e308"], 3,
      "numerical failure: time t_max*rate overflows at t_max 3.0, rate 1e+308"),
     (["sweep", "--t-max", "1e308", "--rate", "10"], 3,
@@ -1460,6 +1472,9 @@ def test_grid_too_large_to_allocate_exits_2(tmp_path, capsys, argv):
     (["evolve", "--memory-rate", "5", "--omega-a", "-1e308", "--omega-b", "-1e308",
       "--kernel-center", "1e308"], 3,
      "numerical failure: detuning kernel_center - omega = 1e+308 - -1e+308 overflows"),
+    (["evolve", "--memory-rate", "5", "--mem-dt", "1e-300"], 2,
+     "error: --mem-dt 1e-300: t_max=3.0 takes at least 3e+300 amplitude steps, "
+     "beyond numpy's index range"),
 ])
 def test_overflow_exits_with_its_code_and_no_warning(tmp_path, capsys, argv, code, message):
     with warnings.catch_warnings():
@@ -1511,20 +1526,98 @@ def test_sweep_csv_has_no_negative_zero(tmp_path):
 def test_bound_impossible_sample_count_exits_2_at_once(tmp_path):
     # Were the count accepted, the run would eat the host's memory; it runs
     # only in a child capped at 1 GiB of address space.
-    def cap() -> None:
-        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
-    src = str(Path(cli.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    argv = [sys.executable, "-W", "error", "-m", "esdkit", "bound",
-            "--samples", "99999999999999999999", "--output", "bound.csv"]
-    out = subprocess.run(argv, cwd=tmp_path, env={**os.environ, "PYTHONPATH": path},
-                         preexec_fn=cap, capture_output=True, text=True, timeout=60)
+    out = esdkit_child(["bound", "--samples", "99999999999999999999", "--output", "bound.csv"],
+                       tmp_path, preexec_fn=cap_address_space)
     assert out.returncode == 2
     assert "Traceback" not in out.stderr
     assert out.stderr.startswith("error: samples=99999999999999999999: ")
     assert len(out.stderr.strip()) > len("error: samples=99999999999999999999:")
     assert list(tmp_path.iterdir()) == []
+
+
+# Files the hostile argv name, written into the run's directory.
+HOSTILE_FILES = {
+    "ragged.txt": "# tau re im\n0 1 0\n0.001 1 0 9\n0.002 1 0\n",
+    "samples.cfg": "samples = 1e3\n",
+    "bogus.cfg": "bogus = 1\n",
+    "late.txt": "0.1 1 0\n0.2 1 0\n",
+    "two.txt": "0 1 0\n0.001 1 0\n",
+}
+# (exit code, run under a 1 GiB address-space cap, argv)
+HOSTILE_ARGV = [
+    (2, False, "evolve --t-max 1e14"),
+    (2, False, "sweep --t-steps 100000000000000000"),
+    (2, False, "sweep --t-steps 9223372036854775807"),
+    (2, False, "evolve --t-max 1e308"),
+    (2, False, "evolve --t-max 0.01 --memory-rate 1e308 --mem-dt 5e-311"),
+    (2, False, "evolve --memory-rate 5 --mem-dt 1e-300"),
+    (3, False, "sweep --rate 1e308"),
+    (3, False, "sweep --t-max 1e308 --rate 10"),
+    (3, False, "sweep --rate 1e-310 --no-natural-units"),
+    (3, False, "evolve --rate 10000"),
+    (3, False, "evolve --rate 1e308"),
+    (3, False, "evolve --memory-rate 5 --omega-a 1e308 --kernel-center -1e308"),
+    (3, False, "evolve --memory-rate 5 --omega-a -1e308 --omega-b -1e308 --kernel-center 1e308"),
+    (2, True, "bound --samples 99999999999999999999"),
+    (2, False, "td --a 1 --method exact"),
+    (2, False, "td --a 2"),
+    (2, False, "evolve --dt 1e-300"),
+    (2, False, "evolve --mem-tol -1"),
+    (2, False, "evolve --kernel-center nan"),
+    (2, False, "evolve --memory-rate 0"),
+    (2, False, "sweep --a-steps 99999999999999999999"),
+    (2, False, "sweep --rate nan"),
+    (2, False, "sweep --rate inf"),
+    (2, False, "bound --samples 2 --gammas 2"),
+    (2, False, "bound --slack nan"),
+    (2, False, "evolve --kernel-file ragged.txt"),
+    (2, False, "bound --config samples.cfg"),
+    (2, False, "td --config bogus.cfg"),
+    (2, False, "evolve --kernel-file late.txt"),
+    (2, False, "evolve --kernel-file two.txt --kernel-center 5"),
+    (2, False, "evolve --kernel-file two.txt --rate 2"),
+    (2, False, "evolve --a"),
+    (2, False, "evolve --bogus 1"),
+    (2, False, "evolve --mem 1"),
+    (2, False, "evolve --natural-units=yes"),
+    (2, False, "frobnicate"),
+]
+
+
+@pytest.mark.parametrize("code, capped, line", HOSTILE_ARGV,
+                         ids=[line for _code, _capped, line in HOSTILE_ARGV])
+def test_hostile_argv_exit_with_their_code_no_traceback_and_no_output(tmp_path, code, capped,
+                                                                      line):
+    for name, text in HOSTILE_FILES.items():
+        (tmp_path / name).write_text(text)
+    out = esdkit_child([*line.split(), "--output", "out.csv"], tmp_path,
+                       preexec_fn=cap_address_space if capped else None)
+    assert out.returncode == code, out.stderr
+    assert "Traceback" not in out.stderr
+    assert list(tmp_path.glob("out*")) == []
+
+
+@pytest.mark.parametrize("argv, written", [
+    (["-h"], []),
+    (["evolve", "-h"], []),
+    (["td", "--a", "1"], []),
+    (["evolve", "--t-max", "0.01", "--output", "e.csv"], ["e.csv"]),
+    (["sweep", "--a-steps", "3", "--t-steps", "2", "--output", "s.csv"],
+     ["s.csv", "s_summary.json"]),
+    (["check"], []),
+], ids=lambda value: " ".join(value) if value and isinstance(value[0], str) else "")
+def test_a_closed_stdout_fails_no_run(tmp_path, argv, written):
+    # The pipe's read end is closed before the child starts, so its first
+    # write to stdout fails with EPIPE: the run still ends with its own exit
+    # code and its own files, and says nothing of the pipe.
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        out = esdkit_child(argv, tmp_path, stdout=write)
+    finally:
+        os.close(write)
+    assert (out.returncode, out.stderr) == (0, "")
+    assert sorted(path.name for path in tmp_path.iterdir()) == written
 
 
 DENSE_ROUTE_ARGV = [[], ["--memory-rate", "5", "--mem-dt", "1e-3", "--omega-b", "1.3"]]

@@ -241,19 +241,6 @@ def test_sweep_surface(tmp_path):
     assert abs(single[0, 1] - concurrence_markov(0.5, 2.0, 0.7)) < 1e-14
 
 
-def test_sweep_rejects_bad_grids(tmp_path, capsys):
-    # the grid bounds themselves: tests/test_cli.py
-    for grid, message in [
-        (["--a-steps", "0"], "a_steps and t_steps must be at least 1"),
-        (["--t-steps", "0"], "a_steps and t_steps must be at least 1"),
-        (["--rate", "-1"], "rate must be finite and positive, got -1.0"),
-        (["--rate", "0"], "rate must be finite and positive, got 0.0"),
-    ]:
-        assert cli.main(["sweep", *grid, "--output", str(tmp_path / "sweep.csv")]) == 2
-        assert capsys.readouterr().err == f"error: {message}\n"
-        assert list(tmp_path.iterdir()) == []
-
-
 def test_local_vs_nonlocal_report():
     t_grid = np.linspace(0.0, 3.0, 61)
     rep = local_vs_nonlocal_report(1.0, 1.0, t_grid)
